@@ -20,6 +20,9 @@ import scipy.linalg
 from riszf.channel import ChannelSet
 from riszf.sysconfig import BS_RIS_ZF, BS_UE_ZF, SystemConfig
 
+# Largest eigenvalue ratio accepted for a Gram or correlation matrix.
+COND_LIMIT = 1e12
+
 
 class RankDeficiencyError(RuntimeError):
     """Stacked channel matrix is numerically rank deficient.
@@ -80,7 +83,6 @@ def right_inverse_apply(
     Q: np.ndarray,
     targets: np.ndarray | None = None,
     ridge: float = 0.0,
-    cond_limit: float = 1e12,
 ) -> np.ndarray:
     """Q^H (Q Q^H)^{-1} targets, via a Cholesky solve of the Gram matrix.
 
@@ -93,7 +95,7 @@ def right_inverse_apply(
     `ridge` adds diagonal loading (relative to the unit-energy rows) before
     the solve; off by default so the batch layer records failures instead
     of masking them. Raises RankDeficiencyError when the equilibrated
-    Gram matrix is singular or its condition number exceeds `cond_limit`.
+    Gram matrix is singular or its condition number exceeds COND_LIMIT.
     """
     rows = Q.shape[0]
     norms = np.linalg.norm(Q, axis=1)
@@ -109,7 +111,7 @@ def right_inverse_apply(
     if ridge > 0.0:
         A = A + ridge * np.eye(rows)
     w = np.linalg.eigvalsh(A)
-    if w[0] <= 0.0 or w[-1] / w[0] > cond_limit:
+    if w[0] <= 0.0 or w[-1] / w[0] > COND_LIMIT:
         cond = math.inf if w[0] <= 0.0 else float(w[-1] / w[0])
         raise RankDeficiencyError(
             f"Gram matrix of the {Q.shape} stacked channel is ill conditioned "

@@ -2,7 +2,6 @@
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .harness import (
     EXIT_CONFIG_ERROR,
@@ -58,22 +57,11 @@ def _parse_dim_list(text: str) -> list[int]:
 
 def _cmd_run(args) -> int:
     kv = _load_kv(args.config, args.set or [])
+    # the flags override config keys and pass the same range checks
+    flags = {"output_dir": args.out, "master_seed": args.seed,
+             "trials": args.trials, "threads": args.threads}
+    kv.update({k: str(v) for k, v in flags.items() if v is not None})
     cfg, ch, run_cfg = build_configs(kv)
-    overrides = {}
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError(f"--trials must be positive, got {args.trials}")
-        overrides["trials"] = args.trials
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be positive, got {args.threads}")
-        overrides["threads"] = args.threads
-    if overrides:
-        run_cfg = replace(run_cfg, **overrides)
 
     summary = run_sweep(run_cfg, cfg, ch)
     written = emit_outputs(summary, run_cfg.output_dir)

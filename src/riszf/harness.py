@@ -154,16 +154,10 @@ def _design_phases(
         if point.scheme == BS_UE_ZF:
             pc, art = asymptotic_phase_config_bs_ue_zf(chs_hat)
             return pc, art.fixed_point_residual
-        R_list = [chs_hat.R] * cfg.K
         phases = np.empty((cfg.K, cfg.N))
         for k in range(cfg.K):
-            phases[k], _, _ = asymptotic_phases_and_sinr_bs_ris_zf(
-                chs_hat.h_block(k),
-                R_list,
-                cfg.K,
-                cfg.U_d,
-                k,
-                cfg.noise_variance_blocked[k],
+            phases[k], _ = asymptotic_phases_and_sinr_bs_ris_zf(
+                chs_hat.h_block(k), chs_hat.R, cfg.noise_variance_blocked[k], k
             )
         return PhaseConfig(phases=phases, origin="asymptotic"), 0.0
     raise ValueError(f"unknown phase rule {point.phase_rule!r}")
@@ -172,16 +166,10 @@ def _design_phases(
 def _analytic_sum_rate(chs, cfg: SystemConfig) -> float:
     """Large-M sum rate: blocked UEs at their SINR ceilings, direct UEs
     at the interference-free 1/sigma^2 the RIS-side nulling guarantees."""
-    R_list = [chs.R] * cfg.K
     total = 0.0
     for k in range(cfg.K):
-        _, _, sinr_star = asymptotic_phases_and_sinr_bs_ris_zf(
-            chs.h_block(k),
-            R_list,
-            cfg.K,
-            cfg.U_d,
-            k,
-            cfg.noise_variance_blocked[k],
+        _, sinr_star = asymptotic_phases_and_sinr_bs_ris_zf(
+            chs.h_block(k), chs.R, cfg.noise_variance_blocked[k], k
         )
         total += math.log2(1.0 + sinr_star)
     for u in range(cfg.U_d):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riszf.beamform import bs_ris_zf_precoder, cascaded_rows, stack_bs_ris
+from riszf.beamform import bs_ris_zf_precoder, stack_bs_ris, stack_bs_ue
 from riszf.channel import ChannelSet
 from riszf.phaseopt import PhaseConfig
 from riszf.sysconfig import SystemConfig
@@ -78,8 +78,7 @@ def effective_matrix(
     (cascaded for blocked UEs, direct otherwise) times every precoder
     column. Entry (u, j) is the complex gain of stream j at UE u."""
     phi = phases.phases if isinstance(phases, PhaseConfig) else phases
-    rows = np.vstack([cascaded_rows(chs, phi), chs.h_d.conj()])
-    return rows @ W
+    return stack_bs_ue(chs, phi) @ W
 
 
 def _desired_columns(cfg: SystemConfig, n_streams: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riszf.beamform import bs_ris_zf_precoder, bs_ue_zf_precoder
+from riszf.beamform import COND_LIMIT, bs_ris_zf_precoder, bs_ue_zf_precoder
 from riszf.channel import ChannelSet, spawn_rng
 from riszf.sysconfig import SystemConfig
 
@@ -58,14 +58,10 @@ class PhaseConfig:
 
 @dataclass(frozen=True)
 class AsymptoticArtifacts:
-    """Large-M diagnostics attached to a trial.
-
-    `f` holds the per-RIS asymptotic gain vectors (RIS-side nulling only,
-    None otherwise); residual and iterations describe the fixed-point
-    solve (zero / 0 for closed forms).
+    """Fixed-point diagnostics of the UE-side asymptotic rule: the worst
+    final residual and the most iterations over the RISs of one trial.
     """
 
-    f: np.ndarray | None
     fixed_point_residual: float
     iterations: int
 
@@ -217,25 +213,29 @@ def optimal_phases_bs_ue_zf(
     )
 
 
-def _fixed_point(
-    h: np.ndarray,
-    R: np.ndarray,
-    init: np.ndarray | None,
-    tol: float,
-    max_iter: int,
-    damping: float,
-    ris_index: int,
+def asymptotic_phases_bs_ue_zf(
+    h_k1: np.ndarray,
+    R_k: np.ndarray,
+    init: np.ndarray | None = None,
+    tol: float = 1e-8,
+    max_iter: int = 500,
+    damping: float = 0.5,
+    ris_index: int = 0,
 ) -> tuple[np.ndarray, float, int]:
-    """Damped self-consistency iteration for the large-M phase equation.
+    """Large-M optimal phases for one RIS serving a single UE.
 
-    Returns (phases, residual, iterations) where the residual is the max
-    wrapped distance between the phases and one more update.
+    Solves phi_i = -angle(h_i^* sum_l R_il e^{-j phi_l} h_l) by damped
+    iteration from `init` (zeros by default). When R is diagonal every
+    point is already fixed, so the init comes back unchanged with zero
+    residual. Returns (phases, residual, iterations), where the residual
+    is the max wrapped distance between the phases and one more update;
+    a residual above `tol` means the iteration cap was hit.
     """
-    N = h.shape[0]
+    N = h_k1.shape[0]
     phases = np.zeros(N) if init is None else wrap_phase(np.array(init, dtype=float))
 
     def rhs(phi: np.ndarray) -> np.ndarray:
-        c = h.conj() * (R @ (np.exp(-1j * phi) * h))
+        c = h_k1.conj() * (R_k @ (np.exp(-1j * phi) * h_k1))
         zeros = np.flatnonzero(np.abs(c) == 0.0)
         if zeros.size:
             raise UndefinedPhaseError(ris_index, int(zeros[0]), "fixed-point argument")
@@ -256,35 +256,8 @@ def _fixed_point(
     return phases, residual, iterations
 
 
-def asymptotic_phases_bs_ue_zf(
-    h_k1: np.ndarray,
-    R_k: np.ndarray,
-    init: np.ndarray | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-    damping: float = 0.5,
-    ris_index: int = 0,
-) -> tuple[np.ndarray, float]:
-    """Large-M optimal phases for one RIS serving a single UE.
-
-    Solves phi_i = -angle(h_i^* sum_l R_il e^{-j phi_l} h_l) by damped
-    iteration from `init` (zeros by default). When R is diagonal every
-    point is already fixed, so the init comes back unchanged with zero
-    residual. Returns the phases and the final wrapped residual; a
-    residual above `tol` means the iteration cap was hit.
-    """
-    phases, residual, _ = _fixed_point(
-        h_k1, R_k, init, tol, max_iter, damping, ris_index
-    )
-    return phases, residual
-
-
 def asymptotic_phase_config_bs_ue_zf(
-    chs: ChannelSet,
-    init: PhaseConfig | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-    damping: float = 0.5,
+    chs: ChannelSet, tol: float = 1e-8
 ) -> tuple[PhaseConfig, AsymptoticArtifacts]:
     """Fixed-point phases for every RIS; requires one UE per RIS."""
     cfg = chs.cfg
@@ -293,20 +266,18 @@ def asymptotic_phase_config_bs_ue_zf(
             "the asymptotic phase rule is defined for one UE per RIS, "
             f"got L={list(cfg.L)}"
         )
-    R = chs.R
     phases = np.empty((cfg.K, cfg.N))
     worst = 0.0
     most = 0
     for k in range(cfg.K):
-        init_k = None if init is None else init.phases[k]
-        phases[k], res, iters = _fixed_point(
-            chs.h_block(k), R, init_k, tol, max_iter, damping, k
+        phases[k], res, iters = asymptotic_phases_bs_ue_zf(
+            chs.h_block(k), chs.R, tol=tol, ris_index=k
         )
         worst = max(worst, res)
         most = max(most, iters)
     return (
         PhaseConfig(phases=phases, origin="asymptotic"),
-        AsymptoticArtifacts(f=None, fixed_point_residual=worst, iterations=most),
+        AsymptoticArtifacts(fixed_point_residual=worst, iterations=most),
     )
 
 
@@ -342,37 +313,27 @@ def optimal_phases_bs_ris_zf(chs: ChannelSet) -> PhaseConfig:
 
 
 def asymptotic_phases_and_sinr_bs_ris_zf(
-    h_k1: np.ndarray,
-    R_all: list[np.ndarray] | np.ndarray,
-    K: int,
-    U_d: int,
-    k: int,
-    sigma2_k: float,
-    cond_limit: float = 1e12,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Large-M phases, gain vector, and SINR ceiling under RIS-side nulling.
+    h_k1: np.ndarray, R: np.ndarray, sigma2_k: float, k: int
+) -> tuple[np.ndarray, float]:
+    """Large-M phases and SINR ceiling of RIS k under RIS-side nulling.
 
-    The gain vector is the k-th block row of the asymptotic response,
-    f_k = R_k (R_k^{-1} 1), which collapses to the all-ones vector for any
-    invertible correlation; it is computed literally so near-singular
-    correlations surface as errors instead of silent ones. Returns
-    (phases, f_k, sinr_star) with sinr_star = (sum_i |f_i||h_i|)^2 / sigma2.
+    The asymptotic gain vector f_k = R (R^{-1} 1) is the all-ones vector
+    for any invertible correlation R, so each element simply cancels the
+    UE channel's own angle and sinr_star = (sum_i |h_i|)^2 / sigma2.
+    Raises LinAlgError when R is singular or its condition number exceeds
+    COND_LIMIT, and UndefinedPhaseError on a zero channel entry. Returns
+    (phases, sinr_star).
     """
-    R_list = [np.asarray(R_all[m]) for m in range(K)]
-    for m, R_m in enumerate(R_list):
-        w = np.linalg.eigvalsh(R_m)
-        if w[0] <= 0.0 or w[-1] / w[0] > cond_limit:
-            raise np.linalg.LinAlgError(
-                f"correlation matrix {m} is singular or near singular "
-                f"(eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
-            )
-    R_k = R_list[k]
-    ones = np.ones(R_k.shape[0])
-    f_k = R_k @ np.linalg.solve(R_k, ones)
-    q = h_k1.conj() * f_k
-    zeros = np.flatnonzero(np.abs(q) == 0.0)
+    w = np.linalg.eigvalsh(R)
+    if w[0] <= 0.0 or w[-1] / w[0] > COND_LIMIT:
+        raise np.linalg.LinAlgError(
+            "correlation matrix is singular or near singular "
+            f"(eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
+        )
+    mag = np.abs(h_k1)
+    zeros = np.flatnonzero(mag == 0.0)
     if zeros.size:
-        raise UndefinedPhaseError(k, int(zeros[0]), "asymptotic alignment product")
-    phases = wrap_phase(-np.angle(q))
-    sinr_star = float(np.sum(np.abs(f_k) * np.abs(h_k1))) ** 2 / sigma2_k
-    return phases, f_k, sinr_star
+        raise UndefinedPhaseError(k, int(zeros[0]), "UE channel entry")
+    phases = wrap_phase(np.angle(h_k1))
+    sinr_star = float(np.sum(mag)) ** 2 / sigma2_k
+    return phases, sinr_star

@@ -86,7 +86,6 @@ class ChannelModelConfig:
     grid_cols: int | None = None
     direct_link_variance: float = 1.0
     ris_ue_link_variance: float | None = None
-    estimation_error_fraction: float = 0.0
     correlation_model: str = "sinc"
 
     @property
@@ -248,11 +247,6 @@ def validate_config(
         f"direct={ch.direct_link_variance}, ris_ue={ch.ris_ue_variance}",
     )
     add(
-        "estimation_error",
-        0.0 <= ch.estimation_error_fraction < 1.0,
-        f"tau={ch.estimation_error_fraction}",
-    )
-    add(
         "correlation_model",
         ch.correlation_model in CORRELATION_MODELS,
         f"model={ch.correlation_model!r}",
@@ -289,7 +283,6 @@ _KEY_DEFAULTS: dict[str, str | None] = {
     "grid_cols": "auto",
     "direct_link_variance": "1.0",
     "ris_ue_link_variance": "mu_a",
-    "estimation_error_fraction": "0.0",
     "correlation_model": "sinc",
     # run
     "sweep_m": "8,16,32,64,128,256",
@@ -428,10 +421,6 @@ def build_configs(
     ris_var_raw = get("ris_ue_link_variance")
     ris_var = None if ris_var_raw == "mu_a" else _to_positive("ris_ue_link_variance", ris_var_raw)
 
-    tau = _to_float("estimation_error_fraction", get("estimation_error_fraction"))
-    if not 0.0 <= tau < 1.0:
-        raise ConfigError(f"key 'estimation_error_fraction': {tau} outside [0, 1)")
-
     ch = ChannelModelConfig(
         carrier_frequency=carrier,
         element_spacing=spacing,
@@ -444,7 +433,6 @@ def build_configs(
             "direct_link_variance", get("direct_link_variance")
         ),
         ris_ue_link_variance=ris_var,
-        estimation_error_fraction=tau,
         correlation_model=_to_choice(
             "correlation_model", get("correlation_model"), CORRELATION_MODELS
         ),
@@ -506,7 +494,7 @@ def build_configs(
         schemes=_to_choice_list("schemes", get("schemes"), SCHEMES),
         phase_rules=_to_choice_list("phase_rules", get("phase_rules"), PHASE_RULES),
         trials=_to_int("trials", get("trials"), minimum=1),
-        master_seed=_to_int("master_seed", get("master_seed")),
+        master_seed=_to_int("master_seed", get("master_seed"), minimum=0),
         csi_tau=_to_float_list("csi_tau", get("csi_tau")),
         output_dir=str(get("output_dir")),
         threads=_to_int("threads", get("threads"), minimum=1),
@@ -562,7 +550,6 @@ def serialize_configs(
         f"direct_link_variance={fmt(ch.direct_link_variance)}",
         "ris_ue_link_variance="
         + ("mu_a" if ch.ris_ue_link_variance is None else fmt(ch.ris_ue_link_variance)),
-        f"estimation_error_fraction={fmt(ch.estimation_error_fraction)}",
         f"correlation_model={ch.correlation_model}",
         "# run",
         "sweep_m=" + ",".join(str(m) for m in run.sweep_M),

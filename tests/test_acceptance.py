@@ -116,7 +116,7 @@ def test_criterion_03_phase_grid_oracle():
         worst_closed = max(worst_closed, abs(closed - grid_best) / grid_best)
 
         h, R = chs.h_block(0), chs.R
-        phases, _ = asymptotic_phases_bs_ue_zf(h, R)
+        phases, _, _ = asymptotic_phases_bs_ue_zf(h, R)
         val = quadratic_form_objective(h, R, phases)
         y1 = np.exp(-1j * deg) * h[0]
         y2 = np.exp(-1j * deg) * h[1]

@@ -73,6 +73,22 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    assert main(["run", *FAST, "--trials", "1", "--seed", "-1", "--out", out]) == 2
+    assert main(["run", *FAST, "--trials", "1", "--set", "master_seed=-3",
+                 "--out", out]) == 2
+    assert "'master_seed'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_removed_estimation_error_fraction_key_exits_two(tmp_path, capsys):
+    code = main(["run", *FAST, "--trials", "1", "--set",
+                 "estimation_error_fraction=0.5", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "unknown key 'estimation_error_fraction'" in capsys.readouterr().err
+
+
 def test_validate_good_and_bad_configs(tmp_path, capsys):
     good = tmp_path / "good.cfg"
     good.write_text("m = 32\nn = 4\n")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from riszf.beamform import bs_ris_zf_precoder, bs_ue_zf_precoder
-from riszf.channel import complex_normal, sample_channels, spawn_rng
+from riszf.channel import complex_normal, correlation_matrix, sample_channels, spawn_rng
 from riszf.phaseopt import (
     PhaseConfig,
     UndefinedPhaseError,
@@ -154,9 +154,10 @@ def test_fixed_point_identity_correlation_returns_init():
     rng = spawn_rng(14)
     h = complex_normal(rng, (4,))
     init = rng.uniform(-np.pi, np.pi, 4)
-    phases, residual = asymptotic_phases_bs_ue_zf(h, np.eye(4), init=init)
+    phases, residual, iterations = asymptotic_phases_bs_ue_zf(h, np.eye(4), init=init)
     np.testing.assert_array_equal(phases, wrap_phase(init))
     assert residual == 0.0
+    assert iterations == 0
 
 
 def test_fixed_point_real_positive_channel():
@@ -169,7 +170,7 @@ def test_fixed_point_real_positive_channel():
             [0.0, 0.1, 0.3, 1.0],
         ]
     )
-    phases, residual = asymptotic_phases_bs_ue_zf(h, R, init=np.zeros(4))
+    phases, residual, _ = asymptotic_phases_bs_ue_zf(h, R, init=np.zeros(4))
     np.testing.assert_allclose(phases, np.zeros(4), atol=1e-12)
     assert residual == 0.0
 
@@ -179,7 +180,7 @@ def test_fixed_point_beats_grid_on_quadratic_form():
     rng = spawn_rng(99)
     for trial in range(5):
         h = complex_normal(rng, (2,))
-        phases, residual = asymptotic_phases_bs_ue_zf(h, R)
+        phases, residual, _ = asymptotic_phases_bs_ue_zf(h, R)
         assert residual <= 1e-8
         achieved = quadratic_form_objective(h, R, phases)
         angles = np.deg2rad(np.arange(0.0, 360.0, 0.5))
@@ -203,12 +204,12 @@ def test_fixed_point_scale_and_rotation_invariance():
     rng = spawn_rng(55)
     h = complex_normal(rng, (4,))
     R = np.eye(4) * 0.5 + 0.5 * np.ones((4, 4)) / 2
-    base, _ = asymptotic_phases_bs_ue_zf(h, R)
-    scaled, _ = asymptotic_phases_bs_ue_zf(3.7 * h, R)
+    base, _, _ = asymptotic_phases_bs_ue_zf(h, R)
+    scaled, _, _ = asymptotic_phases_bs_ue_zf(3.7 * h, R)
     np.testing.assert_allclose(scaled, base, atol=1e-12)
     # the channel enters the update once conjugated and once plain, so a
     # common rotation cancels: the fixed point is rotation invariant
-    rotated, _ = asymptotic_phases_bs_ue_zf(np.exp(1j * 0.8) * h, R)
+    rotated, _, _ = asymptotic_phases_bs_ue_zf(np.exp(1j * 0.8) * h, R)
     np.testing.assert_allclose(rotated, base, atol=1e-10)
 
 
@@ -224,10 +225,8 @@ def test_closed_form_rotation_covariance():
     # same covariance for the asymptotic rule
     rng = spawn_rng(56)
     h = complex_normal(rng, (4,))
-    p0, _, _ = asymptotic_phases_and_sinr_bs_ris_zf(h, [np.eye(4)], 1, 0, 0, 1.0)
-    p1, _, _ = asymptotic_phases_and_sinr_bs_ris_zf(
-        np.exp(1j * theta) * h, [np.eye(4)], 1, 0, 0, 1.0
-    )
+    p0, _ = asymptotic_phases_and_sinr_bs_ris_zf(h, np.eye(4), 1.0, 0)
+    p1, _ = asymptotic_phases_and_sinr_bs_ris_zf(np.exp(1j * theta) * h, np.eye(4), 1.0, 0)
     np.testing.assert_allclose(wrap_phase(p1 - p0), theta, atol=1e-10)
 
 
@@ -251,30 +250,48 @@ def test_bs_ris_zf_asymptotic_gain_vector_and_sinr():
     rng = spawn_rng(23)
     B = complex_normal(rng, (4, 4))
     R = (B @ B.conj().T).real + 4 * np.eye(4)  # random PD symmetric
-    R_all = [R, np.eye(4)]
     h = complex_normal(rng, (4,))
-    phases, f, sinr = asymptotic_phases_and_sinr_bs_ris_zf(
-        h, R_all, K=2, U_d=1, k=0, sigma2_k=2.0
-    )
-    np.testing.assert_allclose(f, np.ones(4), atol=1e-10)
+    phases, sinr = asymptotic_phases_and_sinr_bs_ris_zf(h, R, sigma2_k=2.0, k=0)
     np.testing.assert_allclose(phases, wrap_phase(np.angle(h)), atol=1e-8)
     assert sinr == pytest.approx(float(np.sum(np.abs(h))) ** 2 / 2.0, rel=1e-10)
 
 
 def test_bs_ris_zf_asymptotic_two_element_example():
     h = np.array([1.0 + 0j, 1.0 + 0j])
-    phases, f, sinr = asymptotic_phases_and_sinr_bs_ris_zf(
-        h, [np.eye(2)], K=1, U_d=0, k=0, sigma2_k=1.0
-    )
+    phases, sinr = asymptotic_phases_and_sinr_bs_ris_zf(h, np.eye(2), sigma2_k=1.0, k=0)
     assert sinr == pytest.approx(4.0, rel=1e-12)
     np.testing.assert_allclose(phases, np.zeros(2), atol=1e-12)
 
 
 def test_bs_ris_zf_asymptotic_singular_correlation_names_matrix():
     h = np.ones(3, dtype=complex)
-    R_all = [np.eye(3), np.ones((3, 3))]
-    with pytest.raises(np.linalg.LinAlgError, match="matrix 1"):
-        asymptotic_phases_and_sinr_bs_ris_zf(h, R_all, K=2, U_d=0, k=0, sigma2_k=1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="correlation matrix"):
+        asymptotic_phases_and_sinr_bs_ris_zf(h, np.ones((3, 3)), sigma2_k=1.0, k=0)
+
+
+@pytest.mark.parametrize("N", [4, 8])
+def test_bs_ris_zf_asymptotic_matches_literal_gain_vector(N):
+    # reference: the literal gain vector f = R (R^{-1} 1) on the sinc
+    # correlation the sweep uses, aligned and summed element by element
+    _, ch, _ = build_configs({**UNIT_SCALE, "n": str(N)})
+    R = correlation_matrix(N, ch.element_spacing, ch.wavelength)
+    rng = spawn_rng(61, N)
+    for _ in range(5):
+        h = complex_normal(rng, (N,))
+        f = R @ np.linalg.solve(R, np.ones(N))
+        ref_phases = wrap_phase(-np.angle(h.conj() * f))
+        ref_sinr = float(np.sum(np.abs(f) * np.abs(h))) ** 2 / 0.7
+        phases, sinr = asymptotic_phases_and_sinr_bs_ris_zf(h, R, sigma2_k=0.7, k=0)
+        np.testing.assert_allclose(wrap_phase(phases - ref_phases), 0.0, atol=1e-12)
+        assert sinr == pytest.approx(ref_sinr, rel=1e-12)
+
+
+def test_bs_ris_zf_asymptotic_zero_channel_entry_names_element():
+    h = np.array([1.0, 0.0, 1j])
+    with pytest.raises(UndefinedPhaseError) as exc:
+        asymptotic_phases_and_sinr_bs_ris_zf(h, np.eye(3), sigma2_k=1.0, k=2)
+    assert exc.value.ris == 2
+    assert exc.value.element == 1
 
 
 def test_zero_channel_entry_is_an_error_not_a_phase():
@@ -296,7 +313,6 @@ def test_asymptotic_config_reports_residual_and_iterations():
     chs = _draw({"m": "32", "n": "4", "k": "3", "u_d": "1"}, seed=29)
     pc, art = asymptotic_phase_config_bs_ue_zf(chs)
     assert pc.origin == "asymptotic"
-    assert art.f is None
     assert art.fixed_point_residual <= 1e-8
     assert art.iterations >= 1  # sinc correlation is not a no-op
     # certificate: one more update stays within tolerance

@@ -83,12 +83,20 @@ def test_range_errors():
         build_configs({"m": "0"})
     with pytest.raises(ConfigError, match="'l'"):
         build_configs({"k": "2", "l": "1,1,1"})
-    with pytest.raises(ConfigError, match="estimation_error_fraction"):
-        build_configs({"estimation_error_fraction": "1.0"})
+    with pytest.raises(ConfigError, match="'master_seed': -1 below minimum 0"):
+        build_configs({"master_seed": "-1"})
     with pytest.raises(ConfigError, match="power_mode"):
         build_configs({"power_mode": "both"})
     with pytest.raises(ConfigError, match="csi_tau"):
         build_configs({"csi_tau": "0.0,1.5"})
+
+
+def test_removed_estimation_error_fraction_is_unknown():
+    # csi_tau is the CSI-error knob; the old key is rejected, not ignored
+    with pytest.raises(ConfigError, match="unknown key 'estimation_error_fraction'"):
+        build_configs({"estimation_error_fraction": "0.5"})
+    with pytest.raises(ConfigError, match="unknown key 'estimation_error_fraction'"):
+        parse_kv_text("estimation_error_fraction = 0.5")
 
 
 def test_symbolic_spacing_tokens():
