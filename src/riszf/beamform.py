@@ -41,17 +41,14 @@ def cascaded_rows(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:
     """(U_b, M) effective rows h^H Phi H^H for every blocked UE.
 
     `phases` has shape (K, N); UEs served by the same RIS share its
-    phase configuration.
+    phase configuration. Row u is conj(H_k) x_u with x_u = conj(h_u)
+    e^{j phi_k}, taken for every UE in one stacked product, which is
+    bit-identical to the per-UE vector-matrix product.
     """
     cfg = chs.cfg
-    rows = np.empty((cfg.U_b, cfg.M), dtype=np.complex128)
-    for k in range(cfg.K):
-        shift = np.exp(1j * phases[k])
-        Hk_H = chs.H[k].conj().T
-        for ell in range(cfg.L[k]):
-            u = cfg.blocked_index(k, ell)
-            rows[u] = (chs.h_b[u].conj() * shift) @ Hk_H
-    return rows
+    ris = np.repeat(np.arange(cfg.K), cfg.L)  # RIS serving each blocked UE
+    x = chs.h_b.conj() * np.exp(1j * phases)[ris]
+    return (chs.H.conj()[ris] @ x[:, :, None])[:, :, 0]
 
 
 def stack_bs_ue(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:

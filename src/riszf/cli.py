@@ -89,6 +89,13 @@ def _cmd_validate(args) -> int:
 def _cmd_complexity(args) -> int:
     Ms = _parse_dim_list(args.M)
     Ns = _parse_dim_list(args.N)
+    # checked before the header, so a bad dimension prints no partial table
+    minimums = (("--M", Ms, 1), ("--N", Ns, 1), ("--K", [args.K], 1),
+                ("--U_b", [args.U_b], 1), ("--U_d", [args.U_d], 0))
+    for flag, values, minimum in minimums:
+        low = min(values)
+        if low < minimum:
+            raise ConfigError(f"{flag} must be >= {minimum}, got {low}")
     print("M,N,count_bs_ue_zf,count_bs_ris_zf")
     for M in Ms:
         for N in Ns:

@@ -23,6 +23,7 @@ from riszf.channel import ChannelSet, spawn_rng
 from riszf.sysconfig import SystemConfig
 
 PHASE_ORIGINS = ("optimal", "closed_form", "asymptotic", "random")
+TWO_PI = 2.0 * np.pi
 
 
 class UndefinedPhaseError(ValueError):
@@ -83,7 +84,7 @@ class OptimizeDiagnostics:
 
 def wrap_phase(phi: np.ndarray | float) -> np.ndarray | float:
     """Wrap angles into [-pi, pi)."""
-    return (np.asarray(phi) + np.pi) % (2.0 * np.pi) - np.pi
+    return (np.asarray(phi) + np.pi) % TWO_PI - np.pi
 
 
 def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -130,30 +131,36 @@ def random_phases(cfg: SystemConfig, seed: int) -> PhaseConfig:
 
 
 def _phase_update_bs_ue_zf(chs: ChannelSet, W: np.ndarray) -> np.ndarray:
-    """One sweep of per-RIS phase updates against a frozen precoder."""
+    """One sweep of per-RIS phase updates against a frozen precoder.
+
+    T_k = H_k^H W for every RIS comes from one stacked product and the
+    alignment vector q of every blocked UE from one gather; RISs serving
+    one UE take -angle(q) directly, the others the dominant eigenvector
+    of sum q q^H. Stacking is bit-identical to the per-RIS products, so
+    the phases are too. A zero entry raises for the lowest RIS, then the
+    lowest element, as a RIS-by-RIS sweep would.
+    """
     cfg = chs.cfg
-    new = np.empty((cfg.K, cfg.N))
-    for k in range(cfg.K):
-        T = chs.H[k].conj().T @ W
-        if cfg.L[k] == 1:
-            u = cfg.blocked_index(k, 0)
-            q = chs.h_b[u].conj() * T[:, u]
-            zeros = np.flatnonzero(np.abs(q) == 0.0)
-            if zeros.size:
-                raise UndefinedPhaseError(k, int(zeros[0]), "alignment product")
-            new[k] = wrap_phase(-np.angle(q))
-        else:
-            A = np.zeros((cfg.N, cfg.N), dtype=np.complex128)
-            for ell in range(cfg.L[k]):
-                u = cfg.blocked_index(k, ell)
-                q = chs.h_b[u].conj() * T[:, u]
-                A += np.outer(q, q.conj())
-            v = principal_eigenvector(A)
-            zeros = np.flatnonzero(np.abs(v) == 0.0)
-            if zeros.size:
-                raise UndefinedPhaseError(k, int(zeros[0]), "eigenvector entry")
-            new[k] = wrap_phase(-np.angle(v))
-    return new
+    L = np.array(cfg.L)
+    first = np.cumsum(L) - L  # flat index of each RIS's first blocked UE
+    ris = np.repeat(np.arange(cfg.K), L)  # RIS serving each blocked UE
+    T = chs.H.conj().transpose(0, 2, 1) @ W  # (K, N, U)
+    Q = chs.h_b.conj() * T[ris, :, np.arange(cfg.U_b)]  # (U_b, N)
+    single = L == 1
+    aligned = np.empty((cfg.K, cfg.N), dtype=np.complex128)
+    aligned[single] = Q[first[single]]
+    for k in np.flatnonzero(~single):
+        A = np.zeros((cfg.N, cfg.N), dtype=np.complex128)
+        for q in Q[first[k] : first[k] + L[k]]:
+            A += np.outer(q, q.conj())
+        aligned[k] = principal_eigenvector(A)
+    zeros = np.argwhere(np.abs(aligned) == 0.0)
+    if zeros.size:
+        k, i = (int(v) for v in zeros[0])
+        raise UndefinedPhaseError(
+            k, i, "alignment product" if single[k] else "eigenvector entry"
+        )
+    return wrap_phase(-np.angle(aligned))
 
 
 def optimal_phases_bs_ue_zf(
@@ -213,6 +220,70 @@ def optimal_phases_bs_ue_zf(
     )
 
 
+def _delta_to_target(
+    phi: np.ndarray, h: np.ndarray, R: np.ndarray, rows: np.ndarray, first_ris: int
+) -> np.ndarray:
+    """wrap(target - phi) per row, target being one undamped update
+    -angle(conj(h) * (R y)) with y = e^{-j phi} h; R y is the stacked
+    product, bit-identical to R @ y row by row."""
+    c = h.conj() * (R @ (np.exp(-1j * phi) * h)[:, :, None])[:, :, 0]
+    if not c.all():
+        row, element = (int(v) for v in np.argwhere(np.abs(c) == 0.0)[0])
+        raise UndefinedPhaseError(
+            first_ris + int(rows[row]), element, "fixed-point argument"
+        )
+    # wrap_phase(-np.angle(c)) and wrap_phase(target - phi), inlined as
+    # this runs every iteration; pi - a is -a + pi bit for bit
+    target = (np.pi - np.arctan2(c.imag, c.real)) % TWO_PI - np.pi
+    return (target - phi + np.pi) % TWO_PI - np.pi
+
+
+def _fixed_point_rows(
+    h: np.ndarray,
+    R: np.ndarray,
+    init: np.ndarray | None = None,
+    tol: float = 1e-8,
+    max_iter: int = 500,
+    damping: float = 0.5,
+    first_ris: int = 0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped fixed point of every row of `h` at once.
+
+    h : (K, N) RIS-side channels, one row per RIS, all sharing the (N, N)
+    correlation R; init : (K, N) start phases, zeros when None. Each row
+    runs the one-RIS iteration unchanged: it stops when `residual <= tol`
+    holds before an update, or after `max_iter` updates with the residual
+    of one more update. A stopped row leaves the active set `rows`, so
+    later iterations compute only the rows still running, and every row
+    gets the bits it would get solved alone. A zero fixed-point argument
+    raises for the lowest active row that has one (RIS first_ris + row).
+    Returns (phases (K, N), residual (K,), iterations (K,)).
+    """
+    phases = np.zeros(h.shape) if init is None else wrap_phase(np.array(init, dtype=float))
+    residual = np.empty(h.shape[0])
+    iterations = np.full(h.shape[0], max_iter)
+    rows = np.arange(h.shape[0])  # active rows; phi and h hold their data
+    phi = phases.copy()
+    for it in range(max_iter):
+        delta = _delta_to_target(phi, h, R, rows, first_ris)
+        res = np.abs(delta).max(axis=1)
+        done = res <= tol
+        if done.any():
+            phases[rows[done]] = phi[done]
+            residual[rows[done]] = res[done]
+            iterations[rows[done]] = it
+            keep = ~done
+            rows, phi, h, delta = rows[keep], phi[keep], h[keep], delta[keep]
+            if not rows.size:
+                return phases, residual, iterations
+        # wrapped interpolation toward the update keeps angle steps small
+        # and prevents the undamped iteration's 2-cycles
+        phi = (phi + damping * delta + np.pi) % TWO_PI - np.pi
+    phases[rows] = phi
+    residual[rows] = np.abs(_delta_to_target(phi, h, R, rows, first_ris)).max(axis=1)
+    return phases, residual, iterations
+
+
 def asymptotic_phases_bs_ue_zf(
     h_k1: np.ndarray,
     R_k: np.ndarray,
@@ -225,59 +296,44 @@ def asymptotic_phases_bs_ue_zf(
     """Large-M optimal phases for one RIS serving a single UE.
 
     Solves phi_i = -angle(h_i^* sum_l R_il e^{-j phi_l} h_l) by damped
-    iteration from `init` (zeros by default). When R is diagonal every
-    point is already fixed, so the init comes back unchanged with zero
-    residual. Returns (phases, residual, iterations), where the residual
-    is the max wrapped distance between the phases and one more update;
-    a residual above `tol` means the iteration cap was hit.
+    iteration from `init` (zeros by default), as a one-row call of the
+    solver `asymptotic_phase_config_bs_ue_zf` runs on every RIS at once.
+    When R is diagonal every point is already fixed, so the init comes
+    back unchanged with zero residual. Returns (phases, residual,
+    iterations), where the residual is the max wrapped distance between
+    the phases and one more update; a residual above `tol` means the
+    iteration cap was hit.
     """
-    N = h_k1.shape[0]
-    phases = np.zeros(N) if init is None else wrap_phase(np.array(init, dtype=float))
-
-    def rhs(phi: np.ndarray) -> np.ndarray:
-        c = h_k1.conj() * (R_k @ (np.exp(-1j * phi) * h_k1))
-        zeros = np.flatnonzero(np.abs(c) == 0.0)
-        if zeros.size:
-            raise UndefinedPhaseError(ris_index, int(zeros[0]), "fixed-point argument")
-        return wrap_phase(-np.angle(c))
-
-    residual = math.inf
-    iterations = 0
-    for _ in range(max_iter):
-        target = rhs(phases)
-        residual = phase_distance(target, phases)
-        if residual <= tol:
-            return phases, residual, iterations
-        # wrapped interpolation toward the update keeps angle steps small
-        # and prevents the undamped iteration's 2-cycles
-        phases = wrap_phase(phases + damping * wrap_phase(target - phases))
-        iterations += 1
-    residual = phase_distance(rhs(phases), phases)
-    return phases, residual, iterations
+    phases, residual, iterations = _fixed_point_rows(
+        h_k1[None, :],
+        R_k,
+        None if init is None else np.asarray(init)[None, :],
+        tol=tol,
+        max_iter=max_iter,
+        damping=damping,
+        first_ris=ris_index,
+    )
+    return phases[0], float(residual[0]), int(iterations[0])
 
 
 def asymptotic_phase_config_bs_ue_zf(
     chs: ChannelSet, tol: float = 1e-8
 ) -> tuple[PhaseConfig, AsymptoticArtifacts]:
-    """Fixed-point phases for every RIS; requires one UE per RIS."""
+    """Fixed-point phases for every RIS, solved as one (K, N) block of
+    rows; requires one UE per RIS, so row k of h_b is RIS k's UE."""
     cfg = chs.cfg
     if any(l != 1 for l in cfg.L):
         raise ValueError(
             "the asymptotic phase rule is defined for one UE per RIS, "
             f"got L={list(cfg.L)}"
         )
-    phases = np.empty((cfg.K, cfg.N))
-    worst = 0.0
-    most = 0
-    for k in range(cfg.K):
-        phases[k], res, iters = asymptotic_phases_bs_ue_zf(
-            chs.h_block(k), chs.R, tol=tol, ris_index=k
-        )
-        worst = max(worst, res)
-        most = max(most, iters)
+    phases, residual, iterations = _fixed_point_rows(chs.h_b, chs.R, tol=tol)
     return (
         PhaseConfig(phases=phases, origin="asymptotic"),
-        AsymptoticArtifacts(fixed_point_residual=worst, iterations=most),
+        AsymptoticArtifacts(
+            fixed_point_residual=float(np.max(residual)),
+            iterations=int(np.max(iterations)),
+        ),
     )
 
 

@@ -58,6 +58,32 @@ def test_cascaded_rows_against_direct_formula():
     np.testing.assert_allclose(rows[0], g.conj(), rtol=1e-12)
 
 
+def _reference_cascaded_rows(chs, phases):
+    """The UE-by-UE vector-matrix products the stacked rows replace."""
+    cfg = chs.cfg
+    rows = np.empty((cfg.U_b, cfg.M), dtype=np.complex128)
+    for k in range(cfg.K):
+        for ell in range(cfg.L[k]):
+            u = cfg.blocked_index(k, ell)
+            rows[u] = (chs.h_b[u].conj() * np.exp(1j * phases[k])) @ chs.H[k].conj().T
+    return rows
+
+
+@pytest.mark.parametrize("m", ["8", "256"])
+def test_cascaded_rows_mixed_ues_per_ris(m):
+    chs = _draw({"m": m, "k": "3", "l": "2,1,3"}, seed=5)
+    phases = spawn_rng(2).uniform(-np.pi, np.pi, size=(3, chs.cfg.N))
+    rows = cascaded_rows(chs, phases)
+    assert rows.shape == (6, int(m))
+    assert np.array_equal(rows, _reference_cascaded_rows(chs, phases))
+    for k in range(3):
+        Phi = np.diag(np.exp(1j * phases[k]))
+        for ell in range(chs.cfg.L[k]):
+            u = chs.cfg.blocked_index(k, ell)
+            expected = chs.h_b[u].conj() @ Phi @ chs.H[k].conj().T
+            np.testing.assert_allclose(rows[u], expected, rtol=1e-12)
+
+
 def test_right_inverse_matches_pinv():
     chs = _draw()
     phases = np.zeros((chs.cfg.K, chs.cfg.N))

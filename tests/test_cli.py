@@ -119,6 +119,22 @@ def test_complexity_range_validation(capsys):
     assert main(["complexity", "--M", "abc", "--N", "1"]) == 2
     assert main(["complexity", "--M", "8..16..0", "--N", "1"]) == 2
     capsys.readouterr()
+    # non-positive dimensions are config errors raised before the header
+    for argv, flag in (
+        (["--M", "0..2", "--N", "1"], "--M"),
+        (["--M", "-3", "--N", "1"], "--M"),
+        (["--M", "8", "--N", "0"], "--N"),
+        (["--M", "8", "--N", "1", "--K", "0"], "--K"),
+        (["--M", "8", "--N", "1", "--U_b", "0"], "--U_b"),
+        (["--M", "8", "--N", "1", "--U_d", "-1"], "--U_d"),
+    ):
+        assert main(["complexity", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert flag in err
+    # U_d = 0 is a valid dimension
+    assert main(["complexity", "--M", "8", "--N", "1", "--U_d", "0"]) == 0
+    assert capsys.readouterr().out.startswith("M,N,")
 
 
 def test_module_entry_point_runs_as_subprocess(tmp_path):

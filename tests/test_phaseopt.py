@@ -107,6 +107,38 @@ def test_multi_ue_eigenvector_matches_dense_decomposition():
     assert np.max(np.abs(wrap_phase(delta - delta[0]))) < 1e-6
 
 
+def _reference_phase_update(chs, W):
+    """The RIS-by-RIS phase update, kept as the reference for the stacked
+    one: one T = H_k^H W per RIS, closed-form angle for a single UE,
+    dominant eigenvector of sum q q^H otherwise."""
+    cfg = chs.cfg
+    new = np.empty((cfg.K, cfg.N))
+    for k in range(cfg.K):
+        T = chs.H[k].conj().T @ W
+        if cfg.L[k] == 1:
+            u = cfg.blocked_index(k, 0)
+            new[k] = wrap_phase(-np.angle(chs.h_b[u].conj() * T[:, u]))
+        else:
+            A = np.zeros((cfg.N, cfg.N), dtype=np.complex128)
+            for ell in range(cfg.L[k]):
+                u = cfg.blocked_index(k, ell)
+                q = chs.h_b[u].conj() * T[:, u]
+                A += np.outer(q, q.conj())
+            new[k] = wrap_phase(-np.angle(principal_eigenvector(A)))
+    return new
+
+
+@pytest.mark.parametrize("k,l", [("4", "1,1,1,1"), ("3", "2,1,3")])
+def test_one_update_step_matches_ris_by_ris_reference(k, l):
+    for seed in range(3):
+        chs = _draw({"m": "32", "n": "4", "k": k, "l": l, "u_d": "2"}, seed=seed)
+        init = random_phases(chs.cfg, seed=seed + 10).phases
+        pc, diag = optimal_phases_bs_ue_zf(chs, init=init, tol=0.0, max_iter=1)
+        assert diag.iterations == 1
+        expected = _reference_phase_update(chs, bs_ue_zf_precoder(chs, init))
+        assert np.array_equal(pc.phases, wrap_phase(expected))
+
+
 def test_single_element_ris_degenerate():
     chs = _draw({"m": "8", "n": "1", "k": "2", "u_d": "0"}, seed=2)
     pc, diag = optimal_phases_bs_ue_zf(chs, max_iter=5)
@@ -188,6 +220,52 @@ def test_fixed_point_beats_grid_on_quadratic_form():
         Y = h * np.exp(-1j * np.stack([p1.ravel(), p2.ravel()], axis=1))
         vals = np.real(np.einsum("pi,il,pl->p", Y.conj(), R, Y))
         assert achieved >= float(np.max(vals)) * (1.0 - 1e-3)
+
+
+def _reference_fixed_point(h, R, tol=1e-8, max_iter=500, damping=0.5):
+    """The one-RIS damped iteration as written before the solver took
+    every RIS at once, kept as the bit-exact reference."""
+    phases = np.zeros(h.shape[0])
+
+    def rhs(phi):
+        return wrap_phase(-np.angle(h.conj() * (R @ (np.exp(-1j * phi) * h))))
+
+    iterations = 0
+    for _ in range(max_iter):
+        target = rhs(phases)
+        residual = float(np.max(np.abs(wrap_phase(target - phases))))
+        if residual <= tol:
+            return phases, residual, iterations
+        phases = wrap_phase(phases + damping * wrap_phase(target - phases))
+        iterations += 1
+    return phases, float(np.max(np.abs(wrap_phase(rhs(phases) - phases)))), iterations
+
+
+@pytest.mark.parametrize("N", [4, 8])
+def test_asymptotic_config_matches_per_ris_reference(N):
+    capped = 0
+    for seed in range(6):
+        chs = _draw({"m": "8", "n": str(N), "k": "4", "u_d": "1"}, seed=seed)
+        pc, art = asymptotic_phase_config_bs_ue_zf(chs)
+        worst, most = 0.0, 0
+        for k in range(4):
+            ref, res, iters = _reference_fixed_point(chs.h_block(k), chs.R)
+            assert np.array_equal(pc.phases[k], ref)
+            one = asymptotic_phases_bs_ue_zf(chs.h_block(k), chs.R, ris_index=k)
+            assert np.array_equal(one[0], ref) and one[1:] == (res, iters)
+            worst, most = max(worst, res), max(most, iters)
+            capped += iters == 500
+        assert (art.fixed_point_residual, art.iterations) == (worst, most)
+    if N == 8:
+        assert capped > 0  # the draws include rows that stop at the cap
+
+
+def test_asymptotic_config_zero_channel_entry_names_ris_and_element():
+    chs = _draw({"m": "8", "n": "4", "k": "4", "u_d": "1"}, seed=4)
+    chs.h_b[2][3] = 0.0
+    with pytest.raises(UndefinedPhaseError) as exc:
+        asymptotic_phase_config_bs_ue_zf(chs)
+    assert (exc.value.ris, exc.value.element) == (2, 3)
 
 
 def test_identity_correlation_makes_objective_flat():
