@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from riszf.channel import ChannelSet
-from riszf.sysconfig import BS_RIS_ZF, BS_UE_ZF, SystemConfig
+from riszf.sysconfig import SystemConfig
 
 # Largest eigenvalue ratio accepted for a Gram or correlation matrix.
 COND_LIMIT = 1e12
@@ -79,7 +79,6 @@ def gamma_matrix(N: int, K: int, U_d: int) -> np.ndarray:
 def right_inverse_apply(
     Q: np.ndarray,
     targets: np.ndarray | None = None,
-    ridge: float = 0.0,
 ) -> np.ndarray:
     """Q^H (Q Q^H)^{-1} targets, via a Cholesky solve of the Gram matrix.
 
@@ -89,10 +88,9 @@ def right_inverse_apply(
     result because the solution is the unique one whose columns lie in the
     row space of Q, and that space is scale invariant.
 
-    `ridge` adds diagonal loading (relative to the unit-energy rows) before
-    the solve; off by default so the batch layer records failures instead
-    of masking them. Raises RankDeficiencyError when the equilibrated
-    Gram matrix is singular or its condition number exceeds COND_LIMIT.
+    Raises RankDeficiencyError, for the batch layer to record, when the
+    equilibrated Gram matrix is singular or its condition number exceeds
+    COND_LIMIT.
     """
     rows = Q.shape[0]
     norms = np.linalg.norm(Q, axis=1)
@@ -105,8 +103,6 @@ def right_inverse_apply(
     inv = 1.0 / norms
     Qs = Q * inv[:, None]
     A = Qs @ Qs.conj().T
-    if ridge > 0.0:
-        A = A + ridge * np.eye(rows)
     w = np.linalg.eigvalsh(A)
     if w[0] <= 0.0 or w[-1] / w[0] > COND_LIMIT:
         cond = math.inf if w[0] <= 0.0 else float(w[-1] / w[0])
@@ -154,21 +150,3 @@ def normalize_power(
     beta = math.sqrt(cfg.total_power / fro2)
     return beta * W, beta
 
-
-def stream_index(cfg: SystemConfig, scheme: str, k: int | None = None,
-                 ell: int = 0, direct: int | None = None) -> int:
-    """Column of the precoder carrying a given UE's stream.
-
-    UE-side nulling has one stream per UE; RIS-side nulling has one stream
-    per RIS (shared by construction with its single UE) plus one per
-    direct UE.
-    """
-    if scheme == BS_UE_ZF:
-        if direct is not None:
-            return cfg.U_b + direct
-        return cfg.blocked_index(k, ell)
-    if scheme == BS_RIS_ZF:
-        if direct is not None:
-            return cfg.K + direct
-        return k
-    raise ValueError(f"unknown scheme {scheme!r}")

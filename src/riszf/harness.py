@@ -13,8 +13,13 @@ a reproducibility contract:
 
 Results merge deterministically by grid-point position, so serial and
 parallel runs emit byte-identical files.
+
+Every sweep process runs the OpenBLAS that numpy and scipy bundle on one
+thread, so the process pool (`threads`) is the sweep's only parallelism.
 """
 
+import ctypes
+import glob
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+import scipy
 
 from .beamform import (
     RankDeficiencyError,
@@ -304,6 +310,39 @@ def _run_point_star(args):
     return run_point(*args)
 
 
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of the OpenBLAS builds that numpy
+    and scipy bundle; empty for any other BLAS (system OpenBLAS, MKL).
+
+    Their helper threads slow down the sweep's small matrices (Gram
+    matrices of at most tens of rows) and oversubscribe the pool's cores.
+    """
+    controls = []
+    for pkg, pattern, suffix in ((np, "libscipy_openblas64_*.so", "64_"),
+                                 (scipy, "libscipy_openblas-*.so", "")):
+        libdir = os.path.dirname(os.path.dirname(pkg.__file__))
+        for path in glob.glob(os.path.join(libdir, pkg.__name__ + ".libs", pattern)):
+            lib = ctypes.CDLL(path)  # already loaded: the handle the package uses
+            get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get_threads is None or set_threads is None:
+                continue
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            controls.append((get_threads, set_threads))
+    return controls
+
+
+def _pin_one_blas_thread() -> list[tuple]:
+    """Set every bundled OpenBLAS build to one thread; returns the
+    (set, previous count) pairs that undo it. Also the pool's initializer."""
+    restore = []
+    for get_threads, set_threads in _openblas_thread_controls():
+        restore.append((set_threads, get_threads()))
+        set_threads(1)
+    return restore
+
+
 def run_sweep(
     run: RunConfig, cfg: SystemConfig, ch: ChannelModelConfig
 ) -> SweepSummary:
@@ -311,10 +350,16 @@ def run_sweep(
     points = enumerate_grid(run)
     tasks = [(p, cfg, ch, run) for p in points]
     if run.threads > 1:
-        with ProcessPoolExecutor(max_workers=run.threads) as pool:
+        with ProcessPoolExecutor(max_workers=run.threads,
+                                 initializer=_pin_one_blas_thread) as pool:
             outcomes = list(pool.map(_run_point_star, tasks))
     else:
-        outcomes = [run_point(*t) for t in tasks]
+        restore = _pin_one_blas_thread()
+        try:
+            outcomes = [run_point(*t) for t in tasks]
+        finally:
+            for set_threads, n in restore:
+                set_threads(n)
     summaries = tuple(s for s, _ in outcomes)
     trials = tuple(r for _, rs in outcomes for r in rs)
     return SweepSummary(points=summaries, trials=trials)

@@ -127,14 +127,17 @@ def test_complexity_range_validation(capsys):
         (["--M", "8", "--N", "1", "--K", "0"], "--K"),
         (["--M", "8", "--N", "1", "--U_b", "0"], "--U_b"),
         (["--M", "8", "--N", "1", "--U_d", "-1"], "--U_d"),
+        # fewer blocked UEs than RISs, which validate_config rejects too
+        (["--M", "8", "--N", "1", "--K", "4", "--U_b", "1"], "--U_b"),
     ):
         assert main(["complexity", *argv]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert flag in err
-    # U_d = 0 is a valid dimension
-    assert main(["complexity", "--M", "8", "--N", "1", "--U_d", "0"]) == 0
-    assert capsys.readouterr().out.startswith("M,N,")
+    # U_d = 0 and U_b = K are valid dimensions
+    for argv in (["--U_d", "0"], ["--K", "3", "--U_b", "3"]):
+        assert main(["complexity", "--M", "8", "--N", "1", *argv]) == 0
+        assert capsys.readouterr().out.startswith("M,N,")
 
 
 def test_module_entry_point_runs_as_subprocess(tmp_path):

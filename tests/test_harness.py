@@ -216,3 +216,71 @@ def test_emit_empty_summary_writes_header_only(tmp_path):
 def test_runconfig_with_no_schemes_yields_empty_grid():
     run = RunConfig(schemes=(), trials=1)
     assert enumerate_grid(run) == []
+
+
+def _blas_threads():
+    return tuple(get() for get, _ in harness._openblas_thread_controls())
+
+
+def _blas_threads_in_worker(args):
+    # stands in for harness._run_point_star inside the pool's workers
+    return _blas_threads(), []
+
+
+@pytest.fixture
+def openblas_at_two_threads():
+    """Every bundled OpenBLAS build set to 2 threads; the counts are restored after."""
+    controls = harness._openblas_thread_controls()
+    if not controls:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here; run_sweep leaves "
+                    "other BLAS builds alone")
+    saved = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(2)
+    assert _blas_threads() == (2,) * len(controls)
+    yield len(controls)
+    for (_, set_threads), n in zip(controls, saved):
+        set_threads(n)
+
+
+def test_serial_sweep_runs_on_one_blas_thread_and_restores_the_count(
+    openblas_at_two_threads, monkeypatch
+):
+    n_builds = openblas_at_two_threads
+    seen = []
+    real = harness.run_point
+
+    def recording(*args):
+        seen.append(_blas_threads())
+        return real(*args)
+
+    monkeypatch.setattr(harness, "run_point", recording)
+    cfg, ch, run = _configs({"sweep_m": "16", "sweep_n": "1"})
+    summary = run_sweep(run, cfg, ch)
+    assert len(seen) == len(summary.points) == 6
+    assert all(s == (1,) * n_builds for s in seen)
+    assert _blas_threads() == (2,) * n_builds
+
+
+def test_serial_sweep_restores_blas_threads_when_a_point_raises(
+    openblas_at_two_threads, monkeypatch
+):
+    def failing(*args):
+        raise RuntimeError("forced point failure")
+
+    monkeypatch.setattr(harness, "run_point", failing)
+    cfg, ch, run = _configs({"sweep_m": "16", "sweep_n": "1"})
+    with pytest.raises(RuntimeError, match="forced point failure"):
+        run_sweep(run, cfg, ch)
+    assert _blas_threads() == (2,) * openblas_at_two_threads
+
+
+def test_pool_workers_run_on_one_blas_thread(openblas_at_two_threads, monkeypatch):
+    # workers start from a parent at 2 threads, so only the pool's
+    # initializer can bring them to 1
+    n_builds = openblas_at_two_threads
+    monkeypatch.setattr(harness, "_run_point_star", _blas_threads_in_worker)
+    cfg, ch, run = _configs({"sweep_m": "16", "sweep_n": "1"})
+    summary = run_sweep(replace(run, threads=2), cfg, ch)
+    assert summary.points == ((1,) * n_builds,) * 6
+    assert _blas_threads() == (2,) * n_builds
