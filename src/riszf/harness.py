@@ -144,28 +144,32 @@ def _design_phases(
     chs_hat,
     master_seed: int,
     trial: int,
-) -> tuple[PhaseConfig, float]:
-    """Phase shifts for one trial from the (possibly estimated) channels."""
+) -> tuple[PhaseConfig, int, bool, float]:
+    """Phase shifts for one trial from the (possibly estimated) channels,
+    with the solver's iterations, whether it met its tolerance, and its
+    final residual: the fixed point's worst row residual, the alternating
+    optimizer's last phase change, and (0, True, 0.0) for the closed
+    forms and random phases."""
     cfg = chs_hat.cfg
     if point.phase_rule == "random":
         seed = derive_seed(master_seed, point.dims_index, trial, 2)
-        return random_phases(cfg, seed), 0.0
+        return random_phases(cfg, seed), 0, True, 0.0
     if point.phase_rule == "optimal":
         if point.scheme == BS_UE_ZF:
             init_seed = derive_seed(master_seed, point.dims_index, trial, 3)
-            pc, _ = optimal_phases_bs_ue_zf(chs_hat, init_seed=init_seed)
-            return pc, 0.0
-        return optimal_phases_bs_ris_zf(chs_hat), 0.0
+            pc, diag = optimal_phases_bs_ue_zf(chs_hat, init_seed=init_seed)
+            return pc, diag.iterations, diag.converged, diag.final_phase_change
+        return optimal_phases_bs_ris_zf(chs_hat), 0, True, 0.0
     if point.phase_rule == "asymptotic":
         if point.scheme == BS_UE_ZF:
             pc, art = asymptotic_phase_config_bs_ue_zf(chs_hat)
-            return pc, art.fixed_point_residual
+            return pc, art.iterations, art.converged, art.fixed_point_residual
         phases = np.empty((cfg.K, cfg.N))
         for k in range(cfg.K):
             phases[k], _ = asymptotic_phases_and_sinr_bs_ris_zf(
                 chs_hat.h_block(k), chs_hat.R, cfg.noise_variance_blocked[k], k
             )
-        return PhaseConfig(phases=phases, origin="asymptotic"), 0.0
+        return PhaseConfig(phases=phases, origin="asymptotic"), 0, True, 0.0
     raise ValueError(f"unknown phase rule {point.phase_rule!r}")
 
 
@@ -235,7 +239,9 @@ def run_point(
             chs_hat = apply_estimation_error(
                 chs, point.tau, derive_seed(run.master_seed, point.dims_index, t, 1)
             )
-            pc, fp_residual = _design_phases(point, chs_hat, run.master_seed, t)
+            pc, iters, converged, residual = _design_phases(
+                point, chs_hat, run.master_seed, t
+            )
             if point.scheme == BS_UE_ZF:
                 W = bs_ue_zf_precoder(chs_hat, pc.phases)
             else:
@@ -255,7 +261,9 @@ def run_point(
                 rates=np.log2(1.0 + sinrs),
                 sum_rate=sum_rate(sinrs),
                 nulling_residual=nulling_residual(chs, pc, W, cfg_point),
-                fixed_point_residual=fp_residual,
+                fixed_point_residual=residual,
+                phase_iterations=iters,
+                phase_converged=converged,
                 rank_q2=rank_q2(chs),
                 seed=seed_tag,
                 trial=t,

@@ -22,7 +22,9 @@ class TrialResult:
 
     Per-UE arrays are RIS-major for blocked UEs. Context fields (trial
     index, scheme, rule, dimensions) are stamped by the sweep runner;
-    rank_q2 is -1 when the RIS-side stack was not evaluated.
+    rank_q2 is -1 when the RIS-side stack was not evaluated. The phase
+    rule's solver fills phase_iterations, phase_converged and
+    fixed_point_residual; rules without an iteration give 0, True, 0.0.
     """
 
     sinr_blocked: np.ndarray
@@ -31,6 +33,8 @@ class TrialResult:
     sum_rate: float
     nulling_residual: float
     fixed_point_residual: float
+    phase_iterations: int
+    phase_converged: bool
     rank_q2: int
     seed: int
     trial: int = -1
@@ -45,7 +49,8 @@ class TrialResult:
 
 TRIAL_CSV_HEADER = (
     "trial,scheme,phase_rule,M,N,K,U_d,csi_tau,"
-    "sinr_min,sinr_max,sum_rate,nulling_residual,rank_q2,seed"
+    "sinr_min,sinr_max,sum_rate,nulling_residual,rank_q2,seed,"
+    "phase_iterations,phase_converged,fixed_point_residual"
 )
 
 
@@ -67,6 +72,9 @@ def trial_csv_row(t: TrialResult) -> str:
             repr(float(t.nulling_residual)),
             str(t.rank_q2),
             str(t.seed),
+            str(t.phase_iterations),
+            str(int(t.phase_converged)),
+            repr(float(t.fixed_point_residual)),
         ]
     )
 

@@ -60,11 +60,13 @@ class PhaseConfig:
 @dataclass(frozen=True)
 class AsymptoticArtifacts:
     """Fixed-point diagnostics of the UE-side asymptotic rule: the worst
-    final residual and the most iterations over the RISs of one trial.
+    final residual and the most iterations over the RISs of one trial,
+    and whether every RIS met the tolerance.
     """
 
     fixed_point_residual: float
     iterations: int
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -220,13 +222,18 @@ def optimal_phases_bs_ue_zf(
     )
 
 
+NEWTON_RESIDUAL = 0.1  # a row below this residual takes Newton steps
+
+
 def _delta_to_target(
     phi: np.ndarray, h: np.ndarray, R: np.ndarray, rows: np.ndarray, first_ris: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """wrap(target - phi) per row, target being one undamped update
     -angle(conj(h) * (R y)) with y = e^{-j phi} h; R y is the stacked
-    product, bit-identical to R @ y row by row."""
-    c = h.conj() * (R @ (np.exp(-1j * phi) * h)[:, :, None])[:, :, 0]
+    product, bit-identical to R @ y row by row. Returns (delta, y, R y)."""
+    y = np.exp(-1j * phi) * h
+    Ry = (R @ y[:, :, None])[:, :, 0]
+    c = h.conj() * Ry
     if not c.all():
         row, element = (int(v) for v in np.argwhere(np.abs(c) == 0.0)[0])
         raise UndefinedPhaseError(
@@ -235,7 +242,42 @@ def _delta_to_target(
     # wrap_phase(-np.angle(c)) and wrap_phase(target - phi), inlined as
     # this runs every iteration; pi - a is -a + pi bit for bit
     target = (np.pi - np.arctan2(c.imag, c.real)) % TWO_PI - np.pi
-    return (target - phi + np.pi) % TWO_PI - np.pi
+    return (target - phi + np.pi) % TWO_PI - np.pi, y, Ry
+
+
+def _gradient_hessian(
+    y: np.ndarray, Ry: np.ndarray, R: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient (rows, N) and Hessian (rows, N, N) in phi of
+    f = y^H R y, the `quadratic_form_objective`, per row of
+    y = e^{-j phi} h, with Ry = R y. With s = conj(y) * (R y):
+    g = -2 Im s and H = 2 Re(diag(conj y) R diag y) - 2 diag(Re s)."""
+    s = y.conj() * Ry
+    H = 2.0 * (y.conj()[:, :, None] * R * y[:, None, :]).real
+    diag = np.arange(y.shape[1])
+    H[:, diag, diag] -= 2.0 * s.real
+    return -2.0 * s.imag, H
+
+
+def _newton_step(y: np.ndarray, Ry: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Saddle-free Newton ascent step of f = y^H R y on the phase torus,
+    per row of y = e^{-j phi} h, with Ry = R y.
+
+    H 1 = 0 (a common phase leaves f unchanged), so A = c 1 1^T - H with
+    c = |tr H| / N lifts that null direction without touching the
+    gradient, which is orthogonal to it. The step inverts A with each
+    eigenvalue replaced by its magnitude (floored at 1e-9 of the
+    largest), so near a maximum it is the Newton step and elsewhere it
+    still climbs. One stacked eigh covers all rows; each row gets the
+    bits it would get alone.
+    """
+    g, H = _gradient_hessian(y, Ry, R)
+    c = np.abs(np.trace(H, axis1=1, axis2=2)) / y.shape[1]
+    w, V = np.linalg.eigh(c[:, None, None] - H)
+    mag = np.abs(w)
+    inv = 1.0 / np.maximum(mag, 1e-9 * mag.max(axis=1, keepdims=True))
+    Vt_g = (V.transpose(0, 2, 1) @ g[:, :, None])[:, :, 0]
+    return (V @ (inv * Vt_g)[:, :, None])[:, :, 0]
 
 
 def _fixed_point_rows(
@@ -247,15 +289,20 @@ def _fixed_point_rows(
     damping: float = 0.5,
     first_ris: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Damped fixed point of every row of `h` at once.
+    """Fixed point of every row of `h` at once: damped iteration, finished
+    by Newton steps.
 
     h : (K, N) RIS-side channels, one row per RIS, all sharing the (N, N)
-    correlation R; init : (K, N) start phases, zeros when None. Each row
-    runs the one-RIS iteration unchanged: it stops when `residual <= tol`
-    holds before an update, or after `max_iter` updates with the residual
-    of one more update. A stopped row leaves the active set `rows`, so
-    later iterations compute only the rows still running, and every row
-    gets the bits it would get solved alone. A zero fixed-point argument
+    correlation R; init : (K, N) start phases, zeros when None. A row
+    whose residual (the max wrapped distance to one undamped update) is
+    at least NEWTON_RESIDUAL moves `damping` of the way to the update;
+    below it the row takes a `_newton_step`, which converges
+    quadratically where the damped update creeps along nearly flat
+    directions. A row stops when `residual <= tol` holds before an
+    update, or after `max_iter` updates with the residual of one more
+    update. A stopped row leaves the active set `rows`, so later
+    iterations compute only the rows still running, and every row gets
+    the bits it would get solved alone. A zero fixed-point argument
     raises for the lowest active row that has one (RIS first_ris + row).
     Returns (phases (K, N), residual (K,), iterations (K,)).
     """
@@ -265,7 +312,7 @@ def _fixed_point_rows(
     rows = np.arange(h.shape[0])  # active rows; phi and h hold their data
     phi = phases.copy()
     for it in range(max_iter):
-        delta = _delta_to_target(phi, h, R, rows, first_ris)
+        delta, y, Ry = _delta_to_target(phi, h, R, rows, first_ris)
         res = np.abs(delta).max(axis=1)
         done = res <= tol
         if done.any():
@@ -273,14 +320,20 @@ def _fixed_point_rows(
             residual[rows[done]] = res[done]
             iterations[rows[done]] = it
             keep = ~done
-            rows, phi, h, delta = rows[keep], phi[keep], h[keep], delta[keep]
+            rows, phi, h, delta, res, y, Ry = (
+                a[keep] for a in (rows, phi, h, delta, res, y, Ry)
+            )
             if not rows.size:
                 return phases, residual, iterations
         # wrapped interpolation toward the update keeps angle steps small
         # and prevents the undamped iteration's 2-cycles
-        phi = (phi + damping * delta + np.pi) % TWO_PI - np.pi
+        step = damping * delta
+        newton = res < NEWTON_RESIDUAL
+        if newton.any():
+            step[newton] = _newton_step(y[newton], Ry[newton], R)
+        phi = (phi + step + np.pi) % TWO_PI - np.pi
     phases[rows] = phi
-    residual[rows] = np.abs(_delta_to_target(phi, h, R, rows, first_ris)).max(axis=1)
+    residual[rows] = np.abs(_delta_to_target(phi, h, R, rows, first_ris)[0]).max(axis=1)
     return phases, residual, iterations
 
 
@@ -296,13 +349,13 @@ def asymptotic_phases_bs_ue_zf(
     """Large-M optimal phases for one RIS serving a single UE.
 
     Solves phi_i = -angle(h_i^* sum_l R_il e^{-j phi_l} h_l) by damped
-    iteration from `init` (zeros by default), as a one-row call of the
-    solver `asymptotic_phase_config_bs_ue_zf` runs on every RIS at once.
-    When R is diagonal every point is already fixed, so the init comes
-    back unchanged with zero residual. Returns (phases, residual,
-    iterations), where the residual is the max wrapped distance between
-    the phases and one more update; a residual above `tol` means the
-    iteration cap was hit.
+    iteration finished by Newton steps, from `init` (zeros by default),
+    as a one-row call of the solver `asymptotic_phase_config_bs_ue_zf`
+    runs on every RIS at once. When R is diagonal every point is already
+    fixed, so the init comes back unchanged with zero residual. Returns
+    (phases, residual, iterations), where the residual is the max wrapped
+    distance between the phases and one more update; a residual above
+    `tol` means the iteration cap was hit.
     """
     phases, residual, iterations = _fixed_point_rows(
         h_k1[None, :],
@@ -333,6 +386,7 @@ def asymptotic_phase_config_bs_ue_zf(
         AsymptoticArtifacts(
             fixed_point_residual=float(np.max(residual)),
             iterations=int(np.max(iterations)),
+            converged=bool(np.max(residual) <= tol),
         ),
     )
 

@@ -207,6 +207,32 @@ def test_emit_headers_and_row_counts(tmp_path):
     assert not (tmp_path / "plotdata_bs_ris_zf.csv").exists()
 
 
+def test_trials_csv_reports_phase_solver_convergence(tmp_path):
+    cfg, ch, run = _configs({"sweep_m": "32", "sweep_n": "4"})
+    emit_outputs(run_sweep(run, cfg, ch), str(tmp_path))
+    lines = (tmp_path / "trials.csv").read_text().strip().split("\n")
+    assert lines[0].endswith(",seed,phase_iterations,phase_converged,fixed_point_residual")
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    residuals = {}
+    for r in rows:
+        key = (r["scheme"], r["phase_rule"])
+        iters, residual = int(r["phase_iterations"]), float(r["fixed_point_residual"])
+        converged = r["phase_converged"]
+        residuals.setdefault(key, []).append(residual)
+        if key == ("bs_ue_zf", "asymptotic"):
+            assert 1 <= iters < 500 and residual <= 1e-8 and converged == "1"
+        elif key == ("bs_ue_zf", "optimal"):
+            # the alternating optimizer stops on a phase change below 1e-6
+            assert 1 <= iters <= 20
+            assert converged == ("1" if residual < 1e-6 else "0")
+        else:
+            assert (iters, converged, residual) == (0, "1", 0.0)
+    assert len(residuals) == 6
+    # the iterative rules write their own residuals, not placeholders
+    assert max(residuals["bs_ue_zf", "asymptotic"]) > 0.0
+    assert max(residuals["bs_ue_zf", "optimal"]) > 0.0
+
+
 def test_emit_empty_summary_writes_header_only(tmp_path):
     emit_outputs(SweepSummary(points=(), trials=()), str(tmp_path))
     assert (tmp_path / "summary.csv").read_text() == SUMMARY_CSV_HEADER + "\n"

@@ -215,7 +215,8 @@ def test_rank_diagnostics_single_identity_block():
 def test_trial_csv_schema():
     assert TRIAL_CSV_HEADER == (
         "trial,scheme,phase_rule,M,N,K,U_d,csi_tau,"
-        "sinr_min,sinr_max,sum_rate,nulling_residual,rank_q2,seed"
+        "sinr_min,sinr_max,sum_rate,nulling_residual,rank_q2,seed,"
+        "phase_iterations,phase_converged,fixed_point_residual"
     )
     t = TrialResult(
         sinr_blocked=np.array([2.0, 3.0]),
@@ -223,7 +224,9 @@ def test_trial_csv_schema():
         rates=np.log2(1 + np.array([2.0, 3.0, 1.0])),
         sum_rate=4.584962500721156,
         nulling_residual=0.0,
-        fixed_point_residual=0.0,
+        fixed_point_residual=2.5e-07,
+        phase_iterations=6,
+        phase_converged=False,
         rank_q2=10,
         seed=42,
         trial=7,
@@ -244,3 +247,4 @@ def test_trial_csv_schema():
     assert fields[9] == "3.0"  # sinr_max
     assert fields[12] == "10"
     assert fields[13] == "42"
+    assert fields[14:] == ["6", "0", "2.5e-07"]
