@@ -90,7 +90,10 @@ def right_inverse_apply(
 
     Raises RankDeficiencyError, for the batch layer to record, when the
     equilibrated Gram matrix is singular or its condition number exceeds
-    COND_LIMIT.
+    COND_LIMIT. The factorization and solve call LAPACK's potrf/potrs
+    directly, as `scipy.linalg.cho_factor`/`cho_solve` would, with the
+    same checks: a non-finite Gram matrix or right-hand side raises
+    ValueError, a factorization that fails raises LinAlgError.
     """
     rows = Q.shape[0]
     norms = np.linalg.norm(Q, axis=1)
@@ -115,8 +118,20 @@ def right_inverse_apply(
         )
     if targets is None:
         targets = np.eye(rows)
-    c, low = scipy.linalg.cho_factor(A)
-    return Qs.conj().T @ scipy.linalg.cho_solve((c, low), targets * inv[:, None])
+    b = targets * inv[:, None]
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (A,))
+    c, info = potrf(A, lower=False, clean=False)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c, b))
+    x, info = potrs(c, b, lower=False)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+    return Qs.conj().T @ x
 
 
 def bs_ue_zf_precoder(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:

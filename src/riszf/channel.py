@@ -8,6 +8,7 @@ results do not depend on scheduling order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -40,6 +41,20 @@ def complex_normal(
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def _complex_blocks(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Unit-variance complex Gaussian blocks along the first axis, drawn in
+    one call. Each block reads its real parts and then its imaginary parts,
+    so the stream order, and every value, matches `complex_normal` called
+    once per block."""
+    z = rng.standard_normal((shape[0], 2, *shape[1:]))
+    return math.sqrt(0.5) * (z[:, 0] + 1j * z[:, 1])
+
+
+def _correlate(sqrt_C: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sqrt_C @ z_i for every row z_i of `z`, as one stacked product."""
+    return (sqrt_C @ z[:, :, None])[:, :, 0]
+
+
 def default_grid_cols(N: int) -> int:
     """Largest divisor of N not exceeding sqrt(N) (squarest row-major grid)."""
     best = 1
@@ -60,6 +75,42 @@ def element_positions(
     return spacing * np.stack([idx % cols, idx // cols], axis=1).astype(float)
 
 
+def content_cache(maxsize: int):
+    """Memoize a function whose first argument is an array, keyed on that
+    array's content (bytes, shape, dtype) plus the remaining arguments.
+
+    Keys never use object identity, so an equal matrix built anew hits the
+    cache and an edited copy misses it. The oldest entry is evicted past
+    `maxsize`. The function must return values its callers cannot change
+    (read-only arrays, numbers), since every hit shares them.
+    """
+
+    def decorate(fn):
+        cache: dict = {}
+
+        @functools.wraps(fn)
+        def wrapper(a: np.ndarray, *args, **kwargs):
+            a = np.asarray(a)
+            key = (a.tobytes(), a.shape, a.dtype.str, args, tuple(sorted(kwargs.items())))
+            out = cache.get(key)
+            if out is None:
+                out = fn(a, *args, **kwargs)
+                if len(cache) >= maxsize:
+                    cache.pop(next(iter(cache)), None)
+                cache[key] = out
+            return out
+
+        return wrapper
+
+    return decorate
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=32)
 def correlation_matrix(
     N: int,
     spacing: float,
@@ -71,25 +122,28 @@ def correlation_matrix(
 
     "sinc" evaluates sin(pi x)/(pi x) at x = 2 * distance / wavelength for
     every element pair; "iid" forces the identity regardless of geometry.
+    Cached per argument tuple; the returned array is read-only and shared.
     """
     if model == "iid":
-        return np.eye(N)
+        return _read_only(np.eye(N))
     if model != "sinc":
         raise ValueError(f"unknown correlation model {model!r}")
     pos = element_positions(N, spacing, grid_cols)
     dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    return np.sinc(2.0 * dist / wavelength)
+    return _read_only(np.sinc(2.0 * dist / wavelength))
 
 
+@content_cache(maxsize=32)
 def matrix_sqrt_psd(C: np.ndarray, clip_tol: float = 1e-12) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
     Eigenvalues below `clip_tol` relative to the largest are treated as
-    exact zeros, which keeps rank-deficient correlation usable.
+    exact zeros, which keeps rank-deficient correlation usable. Cached on
+    the content of `C`; the returned array is read-only and shared.
     """
     w, V = np.linalg.eigh(C)
     w = np.where(w > clip_tol * max(w[-1], 0.0), w, 0.0)
-    return (V * np.sqrt(w)) @ V.conj().T
+    return _read_only((V * np.sqrt(w)) @ V.conj().T)
 
 
 @dataclass(frozen=True)
@@ -104,6 +158,8 @@ class ChannelSet:
     h_d : (U_d, M) direct BS-to-UE channels.
     C : (N, N) unit-diagonal RIS correlation shared by all arrays.
     sqrt_C : (N, N) its PSD square root, reused for error redraws.
+        Both are read-only arrays shared by every draw with the same N
+        and channel config.
     """
 
     cfg: SystemConfig
@@ -132,7 +188,11 @@ def sample_channels(
     The BS side of each RIS link is isotropic; correlation enters only on
     the RIS side, so H_k = F_k D with F_k iid and D = (mu A C)^(1/2). Draw
     order is fixed (H_1..H_K, then blocked UEs RIS-major, then direct UEs)
-    and part of the reproducibility contract.
+    and part of the reproducibility contract. Within each block the real
+    parts come before the imaginary parts; all BS-RIS blocks are drawn in
+    one call, and all blocked-UE vectors in another, which reads the
+    stream in that same order. C and sqrt_C come from the caches of
+    `correlation_matrix` and `matrix_sqrt_psd`.
     """
     M, N, K = cfg.M, cfg.N, cfg.K
     C = correlation_matrix(
@@ -141,17 +201,10 @@ def sample_channels(
     sqrt_C = matrix_sqrt_psd(C)
     D = math.sqrt(ch.ris_element_scale) * sqrt_C
 
-    H = np.empty((K, M, N), dtype=np.complex128)
-    for k in range(K):
-        H[k] = complex_normal(rng, (M, N)) @ D
-
-    h_b = np.empty((cfg.U_b, N), dtype=np.complex128)
-    scale_b = math.sqrt(ch.ris_ue_variance)
-    for k in range(K):
-        for ell in range(cfg.L[k]):
-            z = complex_normal(rng, (N,))
-            h_b[cfg.blocked_index(k, ell)] = scale_b * (sqrt_C @ z)
-
+    H = _complex_blocks(rng, (K, M, N)) @ D
+    h_b = math.sqrt(ch.ris_ue_variance) * _correlate(
+        sqrt_C, _complex_blocks(rng, (cfg.U_b, N))
+    )
     h_d = complex_normal(rng, (cfg.U_d, M), variance=ch.direct_link_variance)
 
     return ChannelSet(cfg=cfg, ch=ch, H=H, h_b=h_b, h_d=h_d, C=C, sqrt_C=sqrt_C)
@@ -162,28 +215,26 @@ def apply_estimation_error(chs: ChannelSet, tau: float, seed: int) -> ChannelSet
 
     The error term e is an independent draw from the same distribution as
     the link it perturbs, correlation included, so channel statistics are
-    tau-invariant. tau = 0 returns the input set unchanged.
+    tau-invariant. tau = 0 returns the input set unchanged. The error
+    draws read the stream in the order of `sample_channels`.
     """
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"estimation error fraction {tau} outside [0, 1)")
     if tau == 0.0:
         return chs
 
-    cfg, ch = chs.cfg, chs.ch
+    ch = chs.ch
     rng = spawn_rng(seed)
     keep = math.sqrt(1.0 - tau)
     mix = math.sqrt(tau)
 
     D = math.sqrt(ch.ris_element_scale) * chs.sqrt_C
-    H = np.empty_like(chs.H)
-    for k in range(cfg.K):
-        H[k] = keep * chs.H[k] + mix * (complex_normal(rng, (cfg.M, cfg.N)) @ D)
+    H = keep * chs.H + mix * (_complex_blocks(rng, chs.H.shape) @ D)
 
-    h_b = np.empty_like(chs.h_b)
-    scale_b = math.sqrt(ch.ris_ue_variance)
-    for i in range(cfg.U_b):
-        e = scale_b * (chs.sqrt_C @ complex_normal(rng, (cfg.N,)))
-        h_b[i] = keep * chs.h_b[i] + mix * e
+    e_b = math.sqrt(ch.ris_ue_variance) * _correlate(
+        chs.sqrt_C, _complex_blocks(rng, chs.h_b.shape)
+    )
+    h_b = keep * chs.h_b + mix * e_b
 
     e_d = complex_normal(rng, chs.h_d.shape, variance=ch.direct_link_variance)
     h_d = keep * chs.h_d + mix * e_d

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from riszf.beamform import COND_LIMIT, bs_ris_zf_precoder, bs_ue_zf_precoder
-from riszf.channel import ChannelSet, spawn_rng
+from riszf.channel import ChannelSet, content_cache, spawn_rng
 from riszf.sysconfig import SystemConfig
 
 PHASE_ORIGINS = ("optimal", "closed_form", "asymptotic", "random")
@@ -422,6 +422,14 @@ def optimal_phases_bs_ris_zf(chs: ChannelSet) -> PhaseConfig:
     return PhaseConfig(phases=phases, origin="closed_form")
 
 
+@content_cache(maxsize=32)
+def _eigenvalue_range(R: np.ndarray) -> tuple[float, float]:
+    """(smallest, largest) eigenvalue of the Hermitian R, cached on its
+    content: every RIS of every trial at a grid point checks the same R."""
+    w = np.linalg.eigvalsh(R)
+    return float(w[0]), float(w[-1])
+
+
 def asymptotic_phases_and_sinr_bs_ris_zf(
     h_k1: np.ndarray, R: np.ndarray, sigma2_k: float, k: int
 ) -> tuple[np.ndarray, float]:
@@ -434,11 +442,11 @@ def asymptotic_phases_and_sinr_bs_ris_zf(
     COND_LIMIT, and UndefinedPhaseError on a zero channel entry. Returns
     (phases, sinr_star).
     """
-    w = np.linalg.eigvalsh(R)
-    if w[0] <= 0.0 or w[-1] / w[0] > COND_LIMIT:
+    w_min, w_max = _eigenvalue_range(R)
+    if w_min <= 0.0 or w_max / w_min > COND_LIMIT:
         raise np.linalg.LinAlgError(
             "correlation matrix is singular or near singular "
-            f"(eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
+            f"(eigenvalue range [{w_min:.3e}, {w_max:.3e}])"
         )
     mag = np.abs(h_k1)
     zeros = np.flatnonzero(mag == 0.0)

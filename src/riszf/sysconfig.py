@@ -369,13 +369,15 @@ def _to_choice_list(key: str, value: str, choices: Sequence[str]) -> tuple[str, 
     items = _split_list(value)
     if not items:
         raise ConfigError(f"key {key!r}: empty list")
-    seen: list[str] = []
     for p in items:
         if p not in choices:
             raise ConfigError(f"key {key!r}: {p!r} not in {tuple(choices)}")
-        if p not in seen:
-            seen.append(p)
-    return tuple(seen)
+    return _first_occurrences(items)
+
+
+def _first_occurrences(values: Sequence) -> tuple:
+    """`values` with every repeat after the first dropped, order kept."""
+    return tuple(dict.fromkeys(values))
 
 
 def _resolve_spacing(value: str, wavelength: float) -> float:
@@ -489,13 +491,14 @@ def build_configs(
     )
 
     run = RunConfig(
-        sweep_M=_to_int_list("sweep_m", get("sweep_m"), minimum=1),
-        sweep_N=_to_int_list("sweep_n", get("sweep_n"), minimum=1),
+        # a repeated sweep value would redraw the same grid points
+        sweep_M=_first_occurrences(_to_int_list("sweep_m", get("sweep_m"), minimum=1)),
+        sweep_N=_first_occurrences(_to_int_list("sweep_n", get("sweep_n"), minimum=1)),
         schemes=_to_choice_list("schemes", get("schemes"), SCHEMES),
         phase_rules=_to_choice_list("phase_rules", get("phase_rules"), PHASE_RULES),
         trials=_to_int("trials", get("trials"), minimum=1),
         master_seed=_to_int("master_seed", get("master_seed"), minimum=0),
-        csi_tau=_to_float_list("csi_tau", get("csi_tau")),
+        csi_tau=_first_occurrences(_to_float_list("csi_tau", get("csi_tau"))),
         output_dir=str(get("output_dir")),
         threads=_to_int("threads", get("threads"), minimum=1),
     )

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from riszf.beamform import (
     RankDeficiencyError,
@@ -91,6 +92,52 @@ def test_right_inverse_matches_pinv():
     # independent route: SVD pseudo-inverse
     P = np.linalg.pinv(Q)
     assert np.linalg.norm(W - P) / np.linalg.norm(P) < 1e-9
+
+
+def _reference_right_inverse(Q, targets=None):
+    """The right inverse built on scipy's cho_factor/cho_solve, which the
+    raw LAPACK calls replaced; the conditioning check is left out."""
+    inv = 1.0 / np.linalg.norm(Q, axis=1)
+    Qs = Q * inv[:, None]
+    A = Qs @ Qs.conj().T
+    if targets is None:
+        targets = np.eye(Q.shape[0])
+    c, low = scipy.linalg.cho_factor(A)
+    return Qs.conj().T @ scipy.linalg.cho_solve((c, low), targets * inv[:, None])
+
+
+@pytest.mark.parametrize("shape", [(6, 16), (6, 64), (34, 256), (1, 8)])
+def test_right_inverse_bit_identical_to_scipy_cholesky(shape):
+    rng = spawn_rng(4, *shape)
+    Q = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    Q[0] *= 1e-4  # rows of very different scale, as cascaded vs direct
+    targets = rng.standard_normal((shape[0], 3))
+    assert np.array_equal(right_inverse_apply(Q), _reference_right_inverse(Q))
+    assert np.array_equal(
+        right_inverse_apply(Q, targets), _reference_right_inverse(Q, targets)
+    )
+
+
+def test_right_inverse_bit_identical_on_both_stacks():
+    chs = _draw(physical=True)
+    phases = spawn_rng(2).uniform(-np.pi, np.pi, size=(chs.cfg.K, chs.cfg.N))
+    Q = stack_bs_ue(chs, phases)
+    assert np.array_equal(right_inverse_apply(Q), _reference_right_inverse(Q))
+    Q2 = stack_bs_ris(chs)
+    G = gamma_matrix(chs.cfg.N, chs.cfg.K, chs.cfg.U_d)
+    assert np.array_equal(right_inverse_apply(Q2, G), _reference_right_inverse(Q2, G))
+
+
+def test_right_inverse_rejects_non_finite_input():
+    rng = spawn_rng(9)
+    Q = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
+    targets = np.ones((4, 2))
+    targets[1, 1] = np.inf
+    with pytest.raises(ValueError):
+        right_inverse_apply(Q, targets)
+    Q[2, 3] = np.nan
+    with pytest.raises(ValueError):
+        right_inverse_apply(Q)
 
 
 def test_bs_ue_zf_nulls_exactly():

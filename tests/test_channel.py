@@ -200,3 +200,93 @@ def test_estimation_error_deterministic_in_seed():
     np.testing.assert_array_equal(a.H, b.H)
     np.testing.assert_array_equal(a.h_d, b.h_d)
     assert not np.allclose(a.H, c.H)
+
+
+def _reference_sample_channels(cfg, ch, rng):
+    """The per-RIS and per-UE draw loops the stacked draws replaced."""
+    M, N, K = cfg.M, cfg.N, cfg.K
+    C = correlation_matrix(
+        N, ch.element_spacing, ch.wavelength, ch.correlation_model, ch.grid_cols
+    )
+    sqrt_C = matrix_sqrt_psd(C)
+    D = math.sqrt(ch.ris_element_scale) * sqrt_C
+    H = np.empty((K, M, N), dtype=np.complex128)
+    for k in range(K):
+        H[k] = complex_normal(rng, (M, N)) @ D
+    h_b = np.empty((cfg.U_b, N), dtype=np.complex128)
+    scale_b = math.sqrt(ch.ris_ue_variance)
+    for k in range(K):
+        for ell in range(cfg.L[k]):
+            z = complex_normal(rng, (N,))
+            h_b[cfg.blocked_index(k, ell)] = scale_b * (sqrt_C @ z)
+    h_d = complex_normal(rng, (cfg.U_d, M), variance=ch.direct_link_variance)
+    return H, h_b, h_d
+
+
+def _reference_apply_estimation_error(chs, tau, seed):
+    cfg, ch = chs.cfg, chs.ch
+    rng = spawn_rng(seed)
+    keep, mix = math.sqrt(1.0 - tau), math.sqrt(tau)
+    D = math.sqrt(ch.ris_element_scale) * chs.sqrt_C
+    H = np.empty_like(chs.H)
+    for k in range(cfg.K):
+        H[k] = keep * chs.H[k] + mix * (complex_normal(rng, (cfg.M, cfg.N)) @ D)
+    h_b = np.empty_like(chs.h_b)
+    scale_b = math.sqrt(ch.ris_ue_variance)
+    for i in range(cfg.U_b):
+        e = scale_b * (chs.sqrt_C @ complex_normal(rng, (cfg.N,)))
+        h_b[i] = keep * chs.h_b[i] + mix * e
+    e_d = complex_normal(rng, chs.h_d.shape, variance=ch.direct_link_variance)
+    return H, h_b, keep * chs.h_d + mix * e_d
+
+
+@pytest.mark.parametrize("L", ["1,1,1,1", "2,1,3"])
+@pytest.mark.parametrize("N", [1, 2, 4, 8, 9, 16])
+def test_stacked_draws_bit_identical_to_per_block_loops(N, L):
+    for M in (8, 16, 32, 64, 128, 256):
+        kv = {"m": str(M), "n": str(N), "k": str(len(L.split(","))), "l": L, "u_d": "2"}
+        cfg, ch, _ = build_configs(kv)
+        chs = sample_channels(cfg, ch, spawn_rng(3, M, N))
+        ref = _reference_sample_channels(cfg, ch, spawn_rng(3, M, N))
+        for got, want in zip((chs.H, chs.h_b, chs.h_d), ref):
+            assert np.array_equal(got, want), (M, N, L)
+        assert apply_estimation_error(chs, 0.0, seed=17) is chs
+        noisy = apply_estimation_error(chs, 0.3, seed=17)
+        ref = _reference_apply_estimation_error(chs, 0.3, seed=17)
+        for got, want in zip((noisy.H, noisy.h_b, noisy.h_d), ref):
+            assert np.array_equal(got, want), (M, N, L)
+
+
+def test_correlation_and_root_are_cached_read_only():
+    lam = 0.1666
+    C = correlation_matrix(8, lam / 4, lam, "sinc", None)
+    assert correlation_matrix(8, lam / 4, lam, "sinc", None) is C
+    S = matrix_sqrt_psd(C)
+    for arr in (C, S, correlation_matrix(4, lam, lam, "iid", None)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+    # every argument is part of the key
+    for other in (
+        correlation_matrix(9, lam / 4, lam, "sinc", None),
+        correlation_matrix(8, lam / 2, lam, "sinc", None),
+        correlation_matrix(8, lam / 4, lam / 2, "sinc", None),
+        correlation_matrix(8, lam / 4, lam, "iid", None),
+        correlation_matrix(8, lam / 4, lam, "sinc", 1),
+    ):
+        assert other.shape != C.shape or not np.array_equal(other, C)
+    # the root is keyed on content, not on the array object
+    assert matrix_sqrt_psd(np.array(C)) is S
+    edited = np.array(C)
+    edited[0, 1] = edited[1, 0] = 0.5
+    S_edited = matrix_sqrt_psd(edited)
+    assert S_edited is not S
+    np.testing.assert_allclose(S_edited @ S_edited, edited, atol=1e-12)
+    assert matrix_sqrt_psd(C, clip_tol=1e-9) is not S
+
+
+def test_draws_share_the_cached_correlation():
+    cfg, ch, _ = build_configs({"m": "8", "n": "4"})
+    a = sample_channels(cfg, ch, spawn_rng(1, 0))
+    b = sample_channels(cfg, ch, spawn_rng(1, 1))
+    assert a.C is b.C and a.sqrt_C is b.sqrt_C

@@ -36,6 +36,21 @@ def test_run_reads_config_file_and_set_overrides_it(tmp_path):
     assert rows[0].startswith("bs_ue_zf,random,16,1,")
 
 
+def test_run_repeated_sweep_values_write_each_point_once(tmp_path):
+    out = tmp_path / "o"
+    code = main(["run", "--set", "csi_tau=0.1,0.1", "--set", "sweep_m=16,16",
+                 "--set", "sweep_n=2,2", "--set", "trials=2", "--out", str(out)])
+    assert code == 0
+    rows = (out / "summary.csv").read_text().strip().split("\n")[1:]
+    keys = [tuple(r.split(",")[:5]) for r in rows]
+    assert len(keys) == len(set(keys)) == 6  # 2 schemes x 3 rules, once each
+    trials = (out / "trials.csv").read_text().strip().split("\n")[1:]
+    assert len(trials) == 6 * 2
+    for plot in out.glob("plotdata_*.csv"):
+        points = [tuple(r.split(",")[:2]) for r in plot.read_text().strip().split("\n")[1:]]
+        assert len(points) == len(set(points))  # one (curve, M) point each
+
+
 def test_run_seed_changes_results(tmp_path):
     outs = []
     for seed in ("0", "1"):

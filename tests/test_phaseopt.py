@@ -392,6 +392,12 @@ def test_bs_ris_zf_asymptotic_singular_correlation_names_matrix():
     h = np.ones(3, dtype=complex)
     with pytest.raises(np.linalg.LinAlgError, match="correlation matrix"):
         asymptotic_phases_and_sinr_bs_ris_zf(h, np.ones((3, 3)), sigma2_k=1.0, k=0)
+    # the cached condition check follows the content of R, not the object
+    R = np.eye(3)
+    asymptotic_phases_and_sinr_bs_ris_zf(h, R, sigma2_k=1.0, k=0)
+    R[:] = 1.0
+    with pytest.raises(np.linalg.LinAlgError, match="correlation matrix"):
+        asymptotic_phases_and_sinr_bs_ris_zf(h, R, sigma2_k=1.0, k=0)
 
 
 @pytest.mark.parametrize("N", [4, 8])

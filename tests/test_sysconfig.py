@@ -116,6 +116,22 @@ def test_scalar_noise_broadcast():
     assert cfg.noise_variance_direct == (2e-13,) * 2
 
 
+def test_repeated_sweep_values_keep_first_occurrence():
+    cfg, _, run = build_configs({
+        "sweep_m": "64,16,64,16", "sweep_n": "4,1,4", "csi_tau": "0.1,0,0.10",
+        "schemes": "bs_ue_zf,bs_ue_zf", "phase_rules": "random,optimal,random",
+        "k": "3", "l": "2,2,1", "noise_variance_direct": "1e-13,1e-13",
+    })
+    assert run.sweep_M == (64, 16)
+    assert run.sweep_N == (4, 1)
+    assert run.csi_tau == (0.1, 0.0)
+    assert run.schemes == ("bs_ue_zf",)
+    assert run.phase_rules == ("random", "optimal")
+    # per-UE lists are not sweep axes: their repeats are values
+    assert cfg.L == (2, 2, 1)
+    assert cfg.noise_variance_direct == (1e-13, 1e-13)
+
+
 def test_roundtrip_identical(tmp_path):
     cfg, ch, run = build_configs(
         {
