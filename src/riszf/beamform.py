@@ -12,10 +12,13 @@ Both strategies right-invert a stacked channel matrix:
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import os
 
 import numpy as np
-import scipy.linalg
 
 from riszf.channel import ChannelSet
 from riszf.sysconfig import SystemConfig
@@ -53,14 +56,24 @@ def cascaded_rows(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:
 
 def stack_bs_ue(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:
     """((U_b + U_d) x M) stacked rows: cascaded blocked UEs, then direct."""
-    return np.vstack([cascaded_rows(chs, phases), chs.h_d.conj()])
+    cfg = chs.cfg
+    Q = np.empty((cfg.U_b + cfg.U_d, cfg.M), dtype=np.complex128)
+    Q[: cfg.U_b] = cascaded_rows(chs, phases)
+    np.conjugate(chs.h_d, out=Q[cfg.U_b :])
+    return Q
 
 
 def stack_bs_ris(chs: ChannelSet) -> np.ndarray:
-    """((N K + U_d) x M) stacked rows: every RIS element row, then direct."""
-    blocks = [chs.H[k].conj().T for k in range(chs.cfg.K)]
-    blocks.append(chs.h_d.conj())
-    return np.vstack(blocks)
+    """((N K + U_d) x M) stacked rows: every RIS element row, then direct.
+
+    Rows k N .. (k+1) N - 1 are H_k^H, written through a (K, N, M) view.
+    """
+    cfg = chs.cfg
+    NK = cfg.N * cfg.K
+    Q = np.empty((NK + cfg.U_d, cfg.M), dtype=np.complex128)
+    np.conjugate(chs.H.transpose(0, 2, 1), out=Q[:NK].reshape(cfg.K, cfg.N, cfg.M))
+    np.conjugate(chs.h_d, out=Q[NK:])
+    return Q
 
 
 def gamma_matrix(N: int, K: int, U_d: int) -> np.ndarray:
@@ -93,7 +106,9 @@ def right_inverse_apply(
     COND_LIMIT. The factorization and solve call LAPACK's potrf/potrs
     directly, as `scipy.linalg.cho_factor`/`cho_solve` would, with the
     same checks: a non-finite Gram matrix or right-hand side raises
-    ValueError, a factorization that fails raises LinAlgError.
+    ValueError, a factorization that fails raises LinAlgError. They run
+    in numpy's bundled OpenBLAS (`numpy_openblas`), so scipy is not
+    imported; without that build they go through scipy's wrappers.
     """
     rows = Q.shape[0]
     norms = np.linalg.norm(Q, axis=1)
@@ -121,17 +136,77 @@ def right_inverse_apply(
     b = targets * inv[:, None]
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (A,))
-    c, info = potrf(A, lower=False, clean=False)
-    if info > 0:
+    lib = numpy_openblas()
+    if lib is None:
+        x, potrf_info, potrs_info = _cho_solve_scipy(A, b)
+    else:
+        x, potrf_info, potrs_info = _cho_solve_openblas(lib, A, b)
+    if potrf_info > 0:
         raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite"
+            f"{potrf_info}-th leading minor of the array is not positive definite"
         )
-    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c, b))
-    x, info = potrs(c, b, lower=False)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+    if potrs_info != 0:
+        raise ValueError(f"illegal value in argument {-potrs_info} of LAPACK potrs")
     return Qs.conj().T @ x
+
+
+@functools.cache
+def numpy_openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS that numpy's wheel bundles (ILP64, `scipy_*64_` symbols),
+    or None when numpy is built against another BLAS.
+
+    numpy has already loaded the library, so this is the handle numpy uses.
+    """
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so"))):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_zpotrf_64_") and hasattr(lib, "scipy_zpotrs_64_"):
+            lib.scipy_zpotrf_64_.restype = lib.scipy_zpotrs_64_.restype = None
+            return lib
+    return None
+
+
+# Fortran's hidden length argument of the one-character `uplo`.
+_UPLO_LEN = ctypes.c_size_t(1)
+
+
+def _cho_solve_openblas(lib: ctypes.CDLL, A: np.ndarray, b: np.ndarray):
+    """(A^{-1} b, potrf info, potrs info) from LAPACK zpotrf/zpotrs on the
+    upper triangle, called through ctypes; potrs is skipped when potrf fails.
+
+    The operands are Fortran-ordered copies made the way scipy's f2py
+    wrappers make them, so the result has the bits of scipy's potrf/potrs.
+    `c` and `x` stay referenced while LAPACK writes to them; their
+    transposes are the C-contiguous views of the same memory that
+    `from_buffer` needs.
+    """
+    c = np.array(A, order="F")
+    x = np.array(b, dtype=np.complex128, order="F")
+    n = ctypes.byref(ctypes.c_int64(x.shape[0]))
+    nrhs = ctypes.byref(ctypes.c_int64(x.shape[1]))
+    c_ptr = ctypes.byref(ctypes.c_char.from_buffer(c.T))
+    x_ptr = ctypes.byref(ctypes.c_char.from_buffer(x.T))
+    info = ctypes.c_int64()
+    lib.scipy_zpotrf_64_(b"U", n, c_ptr, n, ctypes.byref(info), _UPLO_LEN)
+    potrf_info = info.value
+    if potrf_info > 0:
+        return None, potrf_info, 0
+    lib.scipy_zpotrs_64_(b"U", n, nrhs, c_ptr, n, x_ptr, n, ctypes.byref(info), _UPLO_LEN)
+    return x, potrf_info, info.value
+
+
+def _cho_solve_scipy(A: np.ndarray, b: np.ndarray):
+    """`_cho_solve_openblas` through scipy's LAPACK wrappers, for a numpy
+    without a bundled OpenBLAS."""
+    import scipy.linalg
+
+    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (A,))
+    c, potrf_info = potrf(A, lower=False, clean=False)
+    if potrf_info > 0:
+        return None, potrf_info, 0
+    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c, b))
+    x, potrs_info = potrs(c, b, lower=False)
+    return x, potrf_info, potrs_info
 
 
 def bs_ue_zf_precoder(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:

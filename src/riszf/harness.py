@@ -14,8 +14,12 @@ a reproducibility contract:
 Results merge deterministically by grid-point position, so serial and
 parallel runs emit byte-identical files.
 
-Every sweep process runs the OpenBLAS that numpy and scipy bundle on one
-thread, so the process pool (`threads`) is the sweep's only parallelism.
+Every sweep process runs numpy's bundled OpenBLAS on one thread, so the
+process pool (`threads`) is the sweep's only parallelism. The sweep's BLAS
+and LAPACK calls all go through that build; scipy's bundled build is
+pinned too only when numpy has none and the right inverse falls back to
+scipy. Each sweep process also warms up the allocator (see
+`_pin_one_blas_thread`).
 """
 
 import ctypes
@@ -27,13 +31,13 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-import scipy
 
 from .beamform import (
     RankDeficiencyError,
     bs_ris_zf_precoder,
     bs_ue_zf_precoder,
     normalize_power,
+    numpy_openblas,
 )
 from .channel import apply_estimation_error, derive_seed, sample_channels, spawn_rng
 from .metrics import (
@@ -319,31 +323,50 @@ def _run_point_star(args):
 
 
 def _openblas_thread_controls() -> list[tuple]:
-    """(get, set) thread-count functions of the OpenBLAS builds that numpy
-    and scipy bundle; empty for any other BLAS (system OpenBLAS, MKL).
+    """(get, set) thread-count functions of the bundled OpenBLAS the sweep
+    calls: numpy's (`beamform.numpy_openblas`), or scipy's when numpy has
+    none and the right inverse falls back to scipy; empty for any other
+    BLAS (system OpenBLAS, MKL).
 
     Their helper threads slow down the sweep's small matrices (Gram
     matrices of at most tens of rows) and oversubscribe the pool's cores.
     """
+    lib = numpy_openblas()
+    if lib is not None:
+        libs = [(lib, "64_")]
+    else:
+        import scipy.linalg  # loads scipy's OpenBLAS, which the fallback uses
+
+        libdir = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+        libs = [(ctypes.CDLL(path), "")  # already loaded: the handle scipy uses
+                for path in glob.glob(os.path.join(libdir, "libscipy_openblas-*.so"))]
     controls = []
-    for pkg, pattern, suffix in ((np, "libscipy_openblas64_*.so", "64_"),
-                                 (scipy, "libscipy_openblas-*.so", "")):
-        libdir = os.path.dirname(os.path.dirname(pkg.__file__))
-        for path in glob.glob(os.path.join(libdir, pkg.__name__ + ".libs", pattern)):
-            lib = ctypes.CDLL(path)  # already loaded: the handle the package uses
-            get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get_threads is None or set_threads is None:
-                continue
-            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            controls.append((get_threads, set_threads))
+    for lib, suffix in libs:
+        get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+        set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+        if get_threads is None or set_threads is None:
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        controls.append((get_threads, set_threads))
     return controls
+
+
+# Size of the allocation that raises glibc's dynamic mmap threshold.
+_ALLOCATOR_WARMUP_BYTES = 8 << 20
 
 
 def _pin_one_blas_thread() -> list[tuple]:
     """Set every bundled OpenBLAS build to one thread; returns the
-    (set, previous count) pairs that undo it. Also the pool's initializer."""
+    (set, previous count) pairs that undo it. Also the pool's initializer.
+
+    It also allocates and frees one untouched 8 MiB block. glibc then
+    raises its mmap threshold to 8 MiB and its trim threshold to 16 MiB,
+    so the sweep's temporaries of 128 KiB and up (M=256 stacks) reuse heap
+    memory instead of being mapped, faulted in and unmapped on every
+    allocation.
+    """
+    np.empty(_ALLOCATOR_WARMUP_BYTES, dtype=np.uint8)
     restore = []
     for get_threads, set_threads in _openblas_thread_controls():
         restore.append((set_threads, get_threads()))

@@ -219,6 +219,15 @@ def validate_config(
             f"requires M >= U_b+U_d = {need}, got M={cfg.M}"
             + ("" if cfg.M >= need else f"; blocks {BS_UE_ZF}"),
         )
+        # RIS k's cascaded rows h^H Phi_k H_k^H all lie in the N-dimensional
+        # row space of H_k^H, so more than N of them are linearly dependent
+        spans = all(l <= cfg.N for l in cfg.L)
+        add(
+            "ues_per_ris_within_n",
+            spans,
+            f"requires L_k <= N = {cfg.N} for every RIS, got L={list(cfg.L)}"
+            + ("" if spans else f"; blocks {BS_UE_ZF}"),
+        )
     else:
         need = cfg.N * cfg.K + cfg.U_d
         add(

@@ -1,9 +1,15 @@
 """Zero-forcing construction: exact nulling, targets, rank, power scaling."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import riszf
+import riszf.beamform as beamform
 from riszf.beamform import (
     RankDeficiencyError,
     bs_ris_zf_precoder,
@@ -11,6 +17,7 @@ from riszf.beamform import (
     cascaded_rows,
     gamma_matrix,
     normalize_power,
+    numpy_openblas,
     right_inverse_apply,
     stack_bs_ris,
     stack_bs_ue,
@@ -106,16 +113,57 @@ def _reference_right_inverse(Q, targets=None):
     return Qs.conj().T @ scipy.linalg.cho_solve((c, low), targets * inv[:, None])
 
 
-@pytest.mark.parametrize("shape", [(6, 16), (6, 64), (34, 256), (1, 8)])
-def test_right_inverse_bit_identical_to_scipy_cholesky(shape):
+RIGHT_INVERSE_SHAPES = [(6, 16), (6, 64), (34, 256), (1, 8)]
+
+
+def _random_stack(shape):
     rng = spawn_rng(4, *shape)
     Q = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     Q[0] *= 1e-4  # rows of very different scale, as cascaded vs direct
-    targets = rng.standard_normal((shape[0], 3))
+    return Q, rng.standard_normal((shape[0], 3))
+
+
+@pytest.mark.parametrize("shape", RIGHT_INVERSE_SHAPES)
+def test_right_inverse_bit_identical_to_scipy_cholesky(shape):
+    Q, targets = _random_stack(shape)
     assert np.array_equal(right_inverse_apply(Q), _reference_right_inverse(Q))
     assert np.array_equal(
         right_inverse_apply(Q, targets), _reference_right_inverse(Q, targets)
     )
+
+
+needs_bundled_openblas = pytest.mark.skipif(
+    numpy_openblas() is None,
+    reason="numpy bundles no OpenBLAS here; the right inverse always uses scipy",
+)
+
+
+@needs_bundled_openblas
+@pytest.mark.parametrize("shape", RIGHT_INVERSE_SHAPES)
+def test_scipy_fallback_bit_identical_to_bundled_openblas(shape, monkeypatch):
+    Q, targets = _random_stack(shape)
+    bundled = (right_inverse_apply(Q), right_inverse_apply(Q, targets))
+    monkeypatch.setattr(beamform, "numpy_openblas", lambda: None)
+    fallback = (right_inverse_apply(Q), right_inverse_apply(Q, targets))
+    assert np.array_equal(fallback[0], bundled[0])
+    assert np.array_equal(fallback[1], bundled[1])
+
+
+@needs_bundled_openblas
+def test_importing_riszf_loads_no_scipy():
+    code = (
+        "import sys, riszf, riszf.harness, riszf.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(riszf.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_right_inverse_bit_identical_on_both_stacks():
@@ -128,7 +176,7 @@ def test_right_inverse_bit_identical_on_both_stacks():
     assert np.array_equal(right_inverse_apply(Q2, G), _reference_right_inverse(Q2, G))
 
 
-def test_right_inverse_rejects_non_finite_input():
+def _assert_rejects_non_finite_input():
     rng = spawn_rng(9)
     Q = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
     targets = np.ones((4, 2))
@@ -138,6 +186,27 @@ def test_right_inverse_rejects_non_finite_input():
     Q[2, 3] = np.nan
     with pytest.raises(ValueError):
         right_inverse_apply(Q)
+
+
+def test_right_inverse_rejects_non_finite_input():
+    _assert_rejects_non_finite_input()
+
+
+def test_scipy_fallback_rejects_non_finite_input(monkeypatch):
+    # the right inverse as it runs when numpy bundles no OpenBLAS
+    monkeypatch.setattr(beamform, "numpy_openblas", lambda: None)
+    _assert_rejects_non_finite_input()
+
+
+@pytest.mark.parametrize("L", ["1,1,1,1", "2,1,3"])
+@pytest.mark.parametrize("m", ["8", "256"])
+def test_preallocated_stacks_bit_identical_to_vstack(m, L):
+    chs = _draw({"m": m, "k": str(len(L.split(","))), "l": L}, seed=6)
+    phases = spawn_rng(3).uniform(-np.pi, np.pi, size=(chs.cfg.K, chs.cfg.N))
+    want_ue = np.vstack([cascaded_rows(chs, phases), chs.h_d.conj()])
+    want_ris = np.vstack([chs.H[k].conj().T for k in range(chs.cfg.K)] + [chs.h_d.conj()])
+    assert np.array_equal(stack_bs_ue(chs, phases), want_ue)
+    assert np.array_equal(stack_bs_ris(chs), want_ris)
 
 
 def test_bs_ue_zf_nulls_exactly():

@@ -119,6 +119,13 @@ def test_validate_good_and_bad_configs(tmp_path, capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+def test_validate_more_ues_than_elements_on_a_ris_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "multi.cfg"
+    cfg.write_text("k = 3\nl = 2,1,3\nn = 2\nschemes = bs_ue_zf\n")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert "[FAIL] ues_per_ris_within_n" in capsys.readouterr().out
+
+
 def test_complexity_table_matches_library(capsys):
     assert main(["complexity", "--M", "8..24..8", "--N", "1,4"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

@@ -1,6 +1,10 @@
 """Sweep runner: grid enumeration, determinism, failure accounting, CSV."""
 
 import hashlib
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -99,6 +103,28 @@ def test_infeasible_point_is_skipped_with_reason_not_zeros(tmp_path):
     plot = (tmp_path / "plotdata_bs_ris_zf.csv").read_text().strip().split("\n")
     assert plot == [PLOTDATA_CSV_HEADER]
     assert str(tmp_path / "trials.csv") in paths
+
+
+def test_more_ues_than_elements_on_a_ris_is_skipped_not_flagged():
+    # RIS k's L_k cascaded rows span at most N dimensions; unchecked, every
+    # N=2 trial of the optimal and random rules failed as rank deficient
+    cfg, ch, run = build_configs(
+        {"k": "3", "l": "2,1,3", "schemes": "bs_ue_zf",
+         "sweep_m": "16,64", "sweep_n": "2,4", "trials": "10"}
+    )
+    summary = run_sweep(run, cfg, ch)
+    assert len(summary.points) == 12
+    assert not summary.flagged
+    for p in summary.points:
+        if p.N == 2:
+            assert (p.status, p.trials, p.failures) == (STATUS_SKIPPED, 0, 0)
+            assert p.note.startswith("ues_per_ris_within_n: requires L_k <= N = 2")
+        elif p.phase_rule == "asymptotic":
+            assert p.status == STATUS_SKIPPED
+            assert p.note == "asymptotic phase rule needs one UE per RIS"
+        else:
+            assert (p.status, p.trials, p.failures) == (STATUS_OK, 10, 0)
+    assert {t.N for t in summary.trials} == {4}
 
 
 def test_failure_accounting_and_flag_threshold(monkeypatch):
@@ -310,3 +336,32 @@ def test_pool_workers_run_on_one_blas_thread(openblas_at_two_threads, monkeypatc
     summary = run_sweep(replace(run, threads=2), cfg, ch)
     assert summary.points == ((1,) * n_builds,) * 6
     assert _blas_threads() == (2,) * n_builds
+
+
+_FAULTS_AFTER_PIN = """
+import resource
+import numpy as np
+import riszf.harness as harness
+harness._pin_one_blas_thread()
+f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(100):
+    # three 256 KiB temporaries at once, as in an M=256 trial
+    a, b, c = (np.ones(1 << 14, dtype=complex) for _ in range(3))
+    del a, b, c
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator thresholds")
+def test_pinned_process_reuses_heap_for_large_temporaries():
+    # without the allocator warm-up the loop takes about 16k minor faults:
+    # each round's freed temporaries are trimmed from the heap and faulted in again
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTS_AFTER_PIN],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert int(proc.stdout) < 1000

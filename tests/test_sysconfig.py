@@ -186,6 +186,19 @@ def test_validate_flags_multi_ue_ris_for_bs_ris_zf():
     assert "single_ue_per_ris" in [c.name for c in report.failures]
 
 
+def test_validate_flags_more_ues_than_elements_on_a_ris_for_bs_ue_zf():
+    # RIS k's cascaded rows span at most N dimensions, so L_k <= N
+    kv = {"m": "64", "k": "3", "l": "2,1,3", "schemes": "bs_ue_zf"}
+    cfg, ch, _ = build_configs({**kv, "n": "2"})
+    report = validate_config(cfg, ch, BS_UE_ZF)
+    assert [c.name for c in report.failures] == ["ues_per_ris_within_n"]
+    assert "L_k <= N = 2" in report.failures[0].detail
+    assert BS_UE_ZF in report.failures[0].detail
+    for n in ("3", "4"):  # L_k = N is still feasible
+        cfg, ch, _ = build_configs({**kv, "n": n})
+        assert validate_config(cfg, ch, BS_UE_ZF).ok
+
+
 def test_validate_report_renders_pass_fail_lines():
     cfg, ch, _ = default_configs()
     text = str(validate_config(cfg, ch, BS_UE_ZF))
