@@ -25,6 +25,11 @@ from riszf.sysconfig import SystemConfig
 
 # Largest eigenvalue ratio accepted for a Gram or correlation matrix.
 COND_LIMIT = 1e12
+# Largest `gram_cond_bound` that skips the eigvalsh check. A factor 10
+# inside COND_LIMIT covers eigvalsh's own rounding; at this ratio the
+# rounding of the Gram matrix and its factor, about eps·tr(A), is about
+# 1e-5 of λmin, so the bound computed from them still bounds the ratio.
+COND_BOUND_LIMIT = COND_LIMIT / 10
 
 
 class RankDeficiencyError(RuntimeError):
@@ -102,12 +107,16 @@ def right_inverse_apply(
     row space of Q, and that space is scale invariant.
 
     Raises RankDeficiencyError, for the batch layer to record, when the
-    equilibrated Gram matrix is singular or its condition number exceeds
-    COND_LIMIT. The factorization and solve call LAPACK's potrf/potrs
-    directly, as `scipy.linalg.cho_factor`/`cho_solve` would, with the
-    same checks: a non-finite Gram matrix or right-hand side raises
-    ValueError, a factorization that fails raises LinAlgError. They run
-    in numpy's bundled OpenBLAS (`numpy_openblas`), so scipy is not
+    equilibrated Gram matrix is singular or its eigenvalue ratio (by
+    `eigvalsh`) exceeds COND_LIMIT. The Cholesky factor is computed first,
+    and when `gram_cond_bound` puts the ratio at most COND_BOUND_LIMIT,
+    `eigvalsh` would accept and is skipped; every case the bound cannot
+    settle (a larger bound, a failed factor, a non-finite input) runs the
+    `eigvalsh` check. The factorization and solve call LAPACK's
+    potrf/potrs directly, as `scipy.linalg.cho_factor`/`cho_solve` would,
+    with the same checks: a non-finite Gram matrix or right-hand side
+    raises ValueError, a factorization that fails raises LinAlgError. They
+    run in numpy's bundled OpenBLAS (`numpy_openblas`), so scipy is not
     imported; without that build they go through scipy's wrappers.
     """
     rows = Q.shape[0]
@@ -121,26 +130,24 @@ def right_inverse_apply(
     inv = 1.0 / norms
     Qs = Q * inv[:, None]
     A = Qs @ Qs.conj().T
-    w = np.linalg.eigvalsh(A)
-    if w[0] <= 0.0 or w[-1] / w[0] > COND_LIMIT:
-        cond = math.inf if w[0] <= 0.0 else float(w[-1] / w[0])
-        raise RankDeficiencyError(
-            f"Gram matrix of the {Q.shape} stacked channel is ill conditioned "
-            f"(cond={cond:.3e}); the scheme is infeasible at these dimensions "
-            "or the channel draw is degenerate",
-            cond=cond,
-            shape=tuple(Q.shape),
-        )
-    if targets is None:
+    identity_target = targets is None
+    if identity_target:
         targets = np.eye(rows)
     b = targets * inv[:, None]
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+    finite = np.isfinite(A).all() and np.isfinite(b).all()
+    bound = math.inf
+    if finite:
+        c, potrf_info = cholesky_upper(A)
+        if potrf_info == 0:
+            x, potrs_info = cholesky_solve(c, b)
+            # with an identity target the solve is A^{-1} diag(inv), so it
+            # gives A^{-1} at no cost; a small trtri costs about an eigvalsh
+            bound = (gram_cond_bound(A, inverse=x * norms) if identity_target
+                     else gram_cond_bound(A, factor=c))
+    if not bound <= COND_BOUND_LIMIT:  # also when the bound is NaN
+        _check_gram_condition(A, Q.shape)
+    if not finite:
         raise ValueError("array must not contain infs or NaNs")
-    lib = numpy_openblas()
-    if lib is None:
-        x, potrf_info, potrs_info = _cho_solve_scipy(A, b)
-    else:
-        x, potrf_info, potrs_info = _cho_solve_openblas(lib, A, b)
     if potrf_info > 0:
         raise np.linalg.LinAlgError(
             f"{potrf_info}-th leading minor of the array is not positive definite"
@@ -148,6 +155,61 @@ def right_inverse_apply(
     if potrs_info != 0:
         raise ValueError(f"illegal value in argument {-potrs_info} of LAPACK potrs")
     return Qs.conj().T @ x
+
+
+def _check_gram_condition(A: np.ndarray, shape: tuple[int, int]) -> None:
+    """The exact test: RankDeficiencyError unless eigvalsh finds A positive
+    definite with eigenvalue ratio at most COND_LIMIT."""
+    w = np.linalg.eigvalsh(A)
+    if w[0] <= 0.0 or w[-1] / w[0] > COND_LIMIT:
+        cond = math.inf if w[0] <= 0.0 else float(w[-1] / w[0])
+        raise RankDeficiencyError(
+            f"Gram matrix of the {shape} stacked channel is ill conditioned "
+            f"(cond={cond:.3e}); the scheme is infeasible at these dimensions "
+            "or the channel draw is degenerate",
+            cond=cond,
+            shape=tuple(shape),
+        )
+
+
+def gram_cond_bound(
+    A: np.ndarray,
+    factor: np.ndarray | None = None,
+    inverse: np.ndarray | None = None,
+) -> float:
+    """Upper bound on λmax/λmin of the positive definite A, from its
+    Cholesky factor A = U^H U (Higham 2002, ch. 10).
+
+    λmax <= tr(A), and 1/λmin = ||A^{-1}||_2, which is at most
+    ||A^{-1}||_F when `inverse` (A^{-1}) is given, else at most
+    ||U^{-1}||_F^2 with U^{-1} from LAPACK trtri on the upper triangle of
+    `factor` (as `cholesky_upper` leaves it). inf when trtri finds U
+    singular. The bound is within a factor of rows^2 of the true ratio.
+    It holds in exact arithmetic; the factor carries rounding of about
+    eps·tr(A), so in floating point it bounds the ratio only where that is
+    small against λmin, as it is up to COND_BOUND_LIMIT.
+    """
+    if inverse is not None:
+        inv_norm = np.linalg.norm(inverse)
+    else:
+        u, info = _triangular_inverse(factor)
+        if info != 0:
+            return math.inf
+        inv_norm = np.linalg.norm(np.triu(u)) ** 2
+    return float(A.trace().real * inv_norm)
+
+
+# Fortran's hidden length argument of a one-character option.
+_CHAR_LEN = ctypes.c_size_t(1)
+
+# ILP64 LAPACK signatures: option characters, int64 sizes and info, a
+# complex matrix as bytes, and one hidden length per option character.
+_OPT, _INT, _MAT = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_char)
+_LAPACK_ARGS = {
+    "potrf": [_OPT, _INT, _MAT, _INT, _INT, ctypes.c_size_t],
+    "potrs": [_OPT, _INT, _INT, _MAT, _INT, _MAT, _INT, _INT, ctypes.c_size_t],
+    "trtri": [_OPT, _OPT, _INT, _MAT, _INT, _INT, ctypes.c_size_t, ctypes.c_size_t],
+}
 
 
 @functools.cache
@@ -160,53 +222,76 @@ def numpy_openblas() -> ctypes.CDLL | None:
     libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so"))):
         lib = ctypes.CDLL(path)
-        if hasattr(lib, "scipy_zpotrf_64_") and hasattr(lib, "scipy_zpotrs_64_"):
-            lib.scipy_zpotrf_64_.restype = lib.scipy_zpotrs_64_.restype = None
+        routines = {name: getattr(lib, f"scipy_z{name}_64_", None) for name in _LAPACK_ARGS}
+        if all(routines.values()):
+            for name, routine in routines.items():
+                routine.argtypes, routine.restype = _LAPACK_ARGS[name], None
             return lib
     return None
 
 
-# Fortran's hidden length argument of the one-character `uplo`.
-_UPLO_LEN = ctypes.c_size_t(1)
+def _fortran_ptr(a: np.ndarray):
+    """Pointer to the Fortran-ordered `a`, for LAPACK to read and write.
+    `a.T` is the C-contiguous view of the same memory that `from_buffer`
+    needs; the caller keeps `a` referenced while LAPACK runs."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a.T))
 
 
-def _cho_solve_openblas(lib: ctypes.CDLL, A: np.ndarray, b: np.ndarray):
-    """(A^{-1} b, potrf info, potrs info) from LAPACK zpotrf/zpotrs on the
-    upper triangle, called through ctypes; potrs is skipped when potrf fails.
+def cholesky_upper(A: np.ndarray) -> tuple[np.ndarray, int]:
+    """(c, info) from LAPACK zpotrf on the upper triangle of A: U in the
+    upper triangle of c, the strict lower triangle left as A's; info > 0
+    when A is not positive definite.
 
-    The operands are Fortran-ordered copies made the way scipy's f2py
-    wrappers make them, so the result has the bits of scipy's potrf/potrs.
-    `c` and `x` stay referenced while LAPACK writes to them; their
-    transposes are the C-contiguous views of the same memory that
-    `from_buffer` needs.
+    The operand is the Fortran-ordered copy scipy's f2py wrappers make,
+    so the factor has the bits of `scipy.linalg.cho_factor`.
     """
-    c = np.array(A, order="F")
+    lib = numpy_openblas()
+    if lib is None:
+        import scipy.linalg
+
+        potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (A,))
+        return potrf(A, lower=False, clean=False)
+    c = np.array(A, dtype=np.complex128, order="F")
+    n = ctypes.byref(ctypes.c_int64(c.shape[0]))
+    info = ctypes.c_int64()
+    lib.scipy_zpotrf_64_(b"U", n, _fortran_ptr(c), n, ctypes.byref(info), _CHAR_LEN)
+    return c, info.value
+
+
+def cholesky_solve(c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """(A^{-1} b, info) from LAPACK zpotrs with the factor of
+    `cholesky_upper`, as `scipy.linalg.cho_solve` computes it."""
+    lib = numpy_openblas()
+    if lib is None:
+        import scipy.linalg
+
+        potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c, b))
+        return potrs(c, b, lower=False)
     x = np.array(b, dtype=np.complex128, order="F")
     n = ctypes.byref(ctypes.c_int64(x.shape[0]))
     nrhs = ctypes.byref(ctypes.c_int64(x.shape[1]))
-    c_ptr = ctypes.byref(ctypes.c_char.from_buffer(c.T))
-    x_ptr = ctypes.byref(ctypes.c_char.from_buffer(x.T))
     info = ctypes.c_int64()
-    lib.scipy_zpotrf_64_(b"U", n, c_ptr, n, ctypes.byref(info), _UPLO_LEN)
-    potrf_info = info.value
-    if potrf_info > 0:
-        return None, potrf_info, 0
-    lib.scipy_zpotrs_64_(b"U", n, nrhs, c_ptr, n, x_ptr, n, ctypes.byref(info), _UPLO_LEN)
-    return x, potrf_info, info.value
+    lib.scipy_zpotrs_64_(b"U", n, nrhs, _fortran_ptr(c), n, _fortran_ptr(x), n,
+                         ctypes.byref(info), _CHAR_LEN)
+    return x, info.value
 
 
-def _cho_solve_scipy(A: np.ndarray, b: np.ndarray):
-    """`_cho_solve_openblas` through scipy's LAPACK wrappers, for a numpy
-    without a bundled OpenBLAS."""
-    import scipy.linalg
+def _triangular_inverse(c: np.ndarray) -> tuple[np.ndarray, int]:
+    """(u, info) from LAPACK ztrtri on a copy of the upper triangle of the
+    factor `c`: U^{-1} in the upper triangle of u, the rest unspecified;
+    info > 0 when U is singular."""
+    lib = numpy_openblas()
+    if lib is None:
+        import scipy.linalg
 
-    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (A,))
-    c, potrf_info = potrf(A, lower=False, clean=False)
-    if potrf_info > 0:
-        return None, potrf_info, 0
-    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c, b))
-    x, potrs_info = potrs(c, b, lower=False)
-    return x, potrf_info, potrs_info
+        trtri, = scipy.linalg.get_lapack_funcs(("trtri",), (c,))
+        return trtri(c, lower=False, unitdiag=False)
+    u = np.array(c, order="F")
+    n = ctypes.byref(ctypes.c_int64(u.shape[0]))
+    info = ctypes.c_int64()
+    lib.scipy_ztrtri_64_(b"U", b"N", n, _fortran_ptr(u), n, ctypes.byref(info),
+                         _CHAR_LEN, _CHAR_LEN)
+    return u, info.value
 
 
 def bs_ue_zf_precoder(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ import ctypes
 import glob
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -381,6 +380,10 @@ def run_sweep(
     points = enumerate_grid(run)
     tasks = [(p, cfg, ch, run) for p in points]
     if run.threads > 1:
+        # imported here: the pool loads multiprocessing, logging and socket,
+        # which a serial sweep and `import riszf` do not need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=run.threads,
                                  initializer=_pin_one_blas_thread) as pool:
             outcomes = list(pool.map(_run_point_star, tasks))

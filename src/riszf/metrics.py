@@ -8,12 +8,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riszf.beamform import bs_ris_zf_precoder, stack_bs_ris, stack_bs_ue
+from riszf.beamform import (
+    COND_BOUND_LIMIT,
+    bs_ris_zf_precoder,
+    cholesky_upper,
+    gram_cond_bound,
+    stack_bs_ris,
+    stack_bs_ue,
+)
 from riszf.channel import ChannelSet
 from riszf.phaseopt import PhaseConfig
 from riszf.sysconfig import SystemConfig
 
 RANK_SV_THRESHOLD = 1e-10  # relative to the largest singular value
+# Largest `_sv_ratio_bound` that skips the SVD, a factor 10 inside the
+# threshold for the rounding of the SVD itself.
+RANK_BOUND_LIMIT = 0.1 / RANK_SV_THRESHOLD
 
 
 @dataclass
@@ -164,11 +174,55 @@ def sum_rate(sinrs: np.ndarray) -> float:
 
 
 def rank_q2(chs: ChannelSet) -> int:
-    """Numerical rank of the RIS-side stack (relative SV threshold)."""
-    sv = np.linalg.svd(stack_bs_ris(chs), compute_uv=False)
+    """Numerical rank of the RIS-side stack: its singular values above
+    RANK_SV_THRESHOLD times the largest.
+
+    The stack is min(rows, M) singular values wide. When the Cholesky
+    bound on its σmax/σmin (`_sv_ratio_bound`) is at most RANK_BOUND_LIMIT,
+    the SVD would count every one of them, so that width is returned
+    without it; every case the bound cannot settle runs the SVD.
+    """
+    Q = stack_bs_ris(chs)
+    if _sv_ratio_bound(Q) <= RANK_BOUND_LIMIT:
+        return min(Q.shape)
+    sv = np.linalg.svd(Q, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > RANK_SV_THRESHOLD * sv[0]))
+
+
+def _sv_ratio_bound(Q: np.ndarray) -> float:
+    """Upper bound on σmax/σmin of Q (σmin the min(rows, M)-th singular
+    value), or inf when it cannot be formed or trusted.
+
+    The shorter side is equilibrated, Q = D Qs with D the diagonal of its
+    norms (row norms when rows <= M, column norms otherwise); then
+    σmax/σmin <= (max D / min D) sqrt(λmax/λmin) of the Gram matrix A of
+    Qs, and `gram_cond_bound` bounds that ratio from A's Cholesky factor.
+    That holds in exact arithmetic. Forming A squares the ratio, so the
+    rounding of A and its factor, about eps·tr(A), can hide a λmin below
+    it; the bound is used only while `gram_cond_bound` is at most
+    COND_BOUND_LIMIT, where that rounding is about 1e-5 of λmin. A nearly
+    rank-deficient Q, whose computed A has λmin at the rounding floor,
+    gives a Gram bound near rows²/eps and so inf here.
+    """
+    rows_side = Q.shape[0] <= Q.shape[1]
+    d = np.linalg.norm(Q, axis=1 if rows_side else 0)
+    if d.size == 0 or not (d.min() > 0.0 and d.max() < np.inf):
+        return np.inf
+    if rows_side:
+        Qs = Q / d[:, None]
+        A = Qs @ Qs.conj().T
+    else:
+        Qs = Q / d
+        A = Qs.conj().T @ Qs
+    c, info = cholesky_upper(A)
+    if info != 0:
+        return np.inf
+    gram_bound = gram_cond_bound(A, factor=c)
+    if not gram_bound <= COND_BOUND_LIMIT:
+        return np.inf
+    return float(d.max() / d.min() * np.sqrt(gram_bound))
 
 
 def rank_diagnostics(

@@ -198,6 +198,125 @@ def test_scipy_fallback_rejects_non_finite_input(monkeypatch):
     _assert_rejects_non_finite_input()
 
 
+@pytest.fixture(params=["bundled", "scipy"])
+def lapack_route(request, monkeypatch):
+    """Run a test through numpy's bundled OpenBLAS and through the scipy fallback."""
+    if request.param == "bundled":
+        if numpy_openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS here")
+    else:
+        monkeypatch.setattr(beamform, "numpy_openblas", lambda: None)
+    return request.param
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Counts np.linalg.eigvalsh calls, which run only when the bound declines."""
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def _near_parallel_stack(theta):
+    """6 x 16 rows whose last row is the first plus theta times a random
+    row: the equilibrated Gram condition grows as 1/theta^2."""
+    rng = spawn_rng(11, 6)
+    Q = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
+    Q[-1] = Q[0] + theta * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    return Q, rng.standard_normal((6, 3))
+
+
+def _gram_cond(Q):
+    """The eigenvalue ratio the eigvalsh check reports."""
+    Qs = Q * (1.0 / np.linalg.norm(Q, axis=1))[:, None]
+    w = np.linalg.eigvalsh(Qs @ Qs.conj().T)
+    return float(w[-1] / w[0])
+
+
+@pytest.mark.parametrize("with_targets", [False, True])
+def test_well_conditioned_gram_skips_eigvalsh(lapack_route, eigvalsh_calls, with_targets):
+    Q, targets = _random_stack((6, 16))
+    W = right_inverse_apply(Q, targets if with_targets else None)
+    assert eigvalsh_calls == []
+    assert np.array_equal(W, _reference_right_inverse(Q, targets if with_targets else None))
+
+
+@pytest.mark.parametrize("with_targets", [False, True])
+def test_bound_declines_below_cond_limit_and_eigvalsh_accepts(
+    lapack_route, eigvalsh_calls, with_targets
+):
+    # the bound (about 5e11 here, 3 times the ratio) is above COND_BOUND_LIMIT,
+    # so eigvalsh decides, and it accepts a ratio under COND_LIMIT
+    Q, targets = _near_parallel_stack(5e-6)
+    assert 1e11 < _gram_cond(Q) < beamform.COND_LIMIT
+    eigvalsh_calls.clear()
+    t = targets if with_targets else None
+    W = right_inverse_apply(Q, t)
+    assert eigvalsh_calls == [(6, 6)]
+    assert np.array_equal(W, _reference_right_inverse(Q, t))
+
+
+@pytest.mark.parametrize("theta", [1e-6, 1e-7])
+@pytest.mark.parametrize("with_targets", [False, True])
+def test_ill_conditioned_gram_raises_with_eigvalsh_cond(lapack_route, with_targets, theta):
+    Q, targets = _near_parallel_stack(theta)
+    cond = _gram_cond(Q)
+    assert cond > beamform.COND_LIMIT
+    with pytest.raises(RankDeficiencyError) as exc:
+        right_inverse_apply(Q, targets if with_targets else None)
+    assert exc.value.cond == cond
+    assert exc.value.shape == (6, 16)
+
+
+def test_singular_gram_raises_rank_deficiency(lapack_route):
+    # more rows than columns: potrf fails or the bound declines, and
+    # eigvalsh rejects the Gram matrix as before
+    Q, _ = _random_stack((5, 4))
+    with pytest.raises(RankDeficiencyError) as exc:
+        right_inverse_apply(Q)
+    assert exc.value.shape == (5, 4)
+    assert exc.value.cond > beamform.COND_LIMIT
+
+
+def test_zero_row_raises_rank_deficiency(lapack_route):
+    Q, targets = _random_stack((4, 16))
+    Q[2] = 0.0
+    for t in (None, targets):
+        with pytest.raises(RankDeficiencyError) as exc:
+            right_inverse_apply(Q, t)
+        assert exc.value.cond == float("inf")
+        assert exc.value.shape == (4, 16)
+
+
+def test_right_inverse_of_a_real_stack(lapack_route):
+    # the complex LAPACK routines get a complex copy, never a float64 buffer
+    Q = spawn_rng(12).standard_normal((4, 9))
+    for t in (None, np.ones((4, 2))):
+        W = right_inverse_apply(Q, t)
+        want = np.linalg.pinv(Q) @ (np.eye(4) if t is None else t)
+        np.testing.assert_allclose(W, want, atol=1e-12)
+
+
+def test_gram_cond_bound_holds_and_is_tight_within_rows_squared():
+    for shape in [(1, 8), (6, 16), (6, 64), (34, 256)]:
+        Q, _ = _random_stack(shape)
+        Qs = Q / np.linalg.norm(Q, axis=1)[:, None]
+        A = Qs @ Qs.conj().T
+        w = np.linalg.eigvalsh(A)
+        c, info = beamform.cholesky_upper(A)
+        assert info == 0
+        x, _ = beamform.cholesky_solve(c, np.eye(shape[0]))
+        for bound in (beamform.gram_cond_bound(A, factor=c),
+                      beamform.gram_cond_bound(A, inverse=x)):
+            assert w[-1] / w[0] <= bound <= shape[0] ** 2 * w[-1] / w[0] * (1 + 1e-9)
+
+
 @pytest.mark.parametrize("L", ["1,1,1,1", "2,1,3"])
 @pytest.mark.parametrize("m", ["8", "256"])
 def test_preallocated_stacks_bit_identical_to_vstack(m, L):

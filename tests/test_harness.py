@@ -365,3 +365,21 @@ def test_pinned_process_reuses_heap_for_large_temporaries():
         check=True,
     )
     assert int(proc.stdout) < 1000
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a serial sweep never starts the pool, so nothing loads its modules
+    code = (
+        "import sys, riszf.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
+        " or m == 'concurrent.futures.process'))"
+    )
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

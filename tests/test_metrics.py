@@ -5,7 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from riszf.beamform import bs_ris_zf_precoder, bs_ue_zf_precoder, normalize_power
+import riszf.beamform as beamform
+import riszf.metrics as metrics
+from riszf.beamform import (
+    bs_ris_zf_precoder,
+    bs_ue_zf_precoder,
+    normalize_power,
+    stack_bs_ris,
+)
 from riszf.channel import (
     apply_estimation_error,
     complex_normal,
@@ -13,6 +20,7 @@ from riszf.channel import (
     spawn_rng,
 )
 from riszf.metrics import (
+    RANK_SV_THRESHOLD,
     TRIAL_CSV_HEADER,
     TrialResult,
     complexity_counts,
@@ -187,7 +195,7 @@ def test_complexity_monotone_and_d_token_audit():
     assert default - audited == 4 * 2 * s2**2
 
 
-def test_rank_diagnostics_full_and_deficient():
+def test_rank_diagnostics_full_and_deficient(svd_calls):
     chs = _draw({"m": "32", "n": "4", "k": "2", "u_d": "2"}, seed=2)
     rank, bound, holds = rank_diagnostics(chs, corr_ranks=[4, 4])
     assert (rank, bound, holds) == (10, 10, True)
@@ -203,8 +211,84 @@ def test_rank_diagnostics_full_and_deficient():
     assert bound == 4
     assert holds
     assert rank == 4
+    svd_calls.clear()
     assert rank_q2(low) == 4
+    assert svd_calls == [(10, 32)]  # the bound cannot decide a rank-deficient stack
 
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts np.linalg.svd calls, which rank_q2 makes only when its bound declines."""
+    calls = []
+    real = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def _svd_rank(chs):
+    """The SVD count rank_q2 reports when its bound declines."""
+    sv = np.linalg.svd(stack_bs_ris(chs), compute_uv=False)
+    return int(np.count_nonzero(sv > RANK_SV_THRESHOLD * sv[0]))
+
+
+@pytest.mark.parametrize("scipy_route", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+@pytest.mark.parametrize("m", [4, 6, 8, 18, 34, 64, 256])
+def test_rank_q2_bound_matches_svd_count(m, n, scipy_route, svd_calls, monkeypatch):
+    # K=4, U_d=2 stacks 4n+2 rows: fewer than, as many as (6, 18, 34) and
+    # more than the m columns; physical link scales spread the row norms
+    if scipy_route:  # the factor as it runs when numpy bundles no OpenBLAS
+        monkeypatch.setattr(beamform, "numpy_openblas", lambda: None)
+    for seed in (0, 1):
+        chs = _draw({"m": str(m), "n": str(n)}, seed=seed, unit=False)
+        rank = rank_q2(chs)
+        assert svd_calls == []  # the bound decided
+        assert rank == _svd_rank(chs) == min(stack_bs_ris(chs).shape)
+        svd_calls.clear()
+
+
+@pytest.mark.parametrize("m, n", [(18, 1), (18, 2), (34, 8), (8, 8)])
+def test_rank_q2_near_rank_deficient_correlation_falls_back_to_svd(m, n, svd_calls):
+    # elements 1 um apart are almost fully correlated: at n=1 the row norms
+    # spread by about 1e9, so the bound exceeds RANK_BOUND_LIMIT (by less
+    # than 10x); at n=2 the Gram bound exceeds COND_BOUND_LIMIT, and at
+    # n=8 the factor fails. Each time the SVD counts
+    chs = _draw({"m": str(m), "n": str(n), "element_spacing": "1e-6"}, unit=False)
+    rank = rank_q2(chs)
+    assert svd_calls == [stack_bs_ris(chs).shape]
+    assert rank == _svd_rank(chs)
+
+
+
+@pytest.mark.parametrize("scipy_route", [False, True])
+@pytest.mark.parametrize("rows, m", [(3, 8), (6, 6), (10, 64), (34, 256), (40, 8)])
+def test_rank_q2_nearly_dependent_stack_falls_back_to_svd(
+    rows, m, scipy_route, svd_calls, monkeypatch
+):
+    # the last row (the last column when rows > m) is the first plus 1e-13
+    # times a random one: σmin/σmax is about 1e-13, so the SVD drops it. The
+    # computed Gram matrix has λmin at the rounding floor and its factor
+    # often succeeds; forming it squares the ratio past what a double can
+    # resolve, so its bound is not trusted and the SVD decides
+    if scipy_route:
+        monkeypatch.setattr(beamform, "numpy_openblas", lambda: None)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        Q = complex_normal(rng, (rows, m))
+        if rows <= m:
+            Q[-1] = Q[0] + 1e-13 * complex_normal(rng, m)
+        else:
+            Q[:, -1] = Q[:, 0] + 1e-13 * complex_normal(rng, rows)
+        monkeypatch.setattr(metrics, "stack_bs_ris", lambda chs, Q=Q: Q)
+        sv = np.linalg.svd(Q, compute_uv=False)
+        svd_calls.clear()
+        assert rank_q2(None) == np.count_nonzero(sv > RANK_SV_THRESHOLD * sv[0])
+        assert svd_calls == [Q.shape]
 
 def test_rank_diagnostics_single_identity_block():
     chs = _draw({"m": "16", "n": "4", "k": "1", "u_d": "0", "correlation_model": "iid"}, seed=4)
