@@ -27,7 +27,7 @@ from riszf.sysconfig import SystemConfig
 COND_LIMIT = 1e12
 # Largest `gram_cond_bound` that skips the eigvalsh check. A factor 10
 # inside COND_LIMIT covers eigvalsh's own rounding; at this ratio the
-# rounding of the Gram matrix and its factor, about eps·tr(A), is about
+# rounding of the Gram matrix and its inverse, about eps·tr(A), is about
 # 1e-5 of λmin, so the bound computed from them still bounds the ratio.
 COND_BOUND_LIMIT = COND_LIMIT / 10
 
@@ -109,15 +109,15 @@ def right_inverse_apply(
     Raises RankDeficiencyError, for the batch layer to record, when the
     equilibrated Gram matrix is singular or its eigenvalue ratio (by
     `eigvalsh`) exceeds COND_LIMIT. The Cholesky factor is computed first,
-    and when `gram_cond_bound` puts the ratio at most COND_BOUND_LIMIT,
-    `eigvalsh` would accept and is skipped; every case the bound cannot
-    settle (a larger bound, a failed factor, a non-finite input) runs the
-    `eigvalsh` check. The factorization and solve call LAPACK's
-    potrf/potrs directly, as `scipy.linalg.cho_factor`/`cho_solve` would,
-    with the same checks: a non-finite Gram matrix or right-hand side
-    raises ValueError, a factorization that fails raises LinAlgError. They
-    run in numpy's bundled OpenBLAS (`numpy_openblas`), so scipy is not
-    imported; without that build they go through scipy's wrappers.
+    and when `gram_cond_bound` settles the ratio, `eigvalsh` would accept
+    and is skipped; every case the bound cannot settle (a large bound, a
+    failed factor or solve, a non-finite input) runs the `eigvalsh` check.
+    The factorization and solve call LAPACK's potrf/potrs directly, as
+    `scipy.linalg.cho_factor`/`cho_solve` would, with the same checks: a
+    non-finite Gram matrix or right-hand side raises ValueError, a
+    factorization that fails raises LinAlgError. They run in numpy's
+    bundled OpenBLAS (`numpy_openblas`), so scipy is not imported; without
+    that build they go through scipy's wrappers.
     """
     rows = Q.shape[0]
     norms = np.linalg.norm(Q, axis=1)
@@ -140,11 +140,13 @@ def right_inverse_apply(
         c, potrf_info = cholesky_upper(A)
         if potrf_info == 0:
             x, potrs_info = cholesky_solve(c, b)
-            # with an identity target the solve is A^{-1} diag(inv), so it
-            # gives A^{-1} at no cost; a small trtri costs about an eigvalsh
-            bound = (gram_cond_bound(A, inverse=x * norms) if identity_target
-                     else gram_cond_bound(A, factor=c))
-    if not bound <= COND_BOUND_LIMIT:  # also when the bound is NaN
+            # the bound needs A^{-1}: an identity target's solve is
+            # A^{-1} diag(inv), any other target takes one more solve
+            inverse, info = ((x * norms, potrs_info) if identity_target
+                             else cholesky_solve(c, np.eye(rows)))
+            if info == 0:
+                bound = gram_cond_bound(A, inverse)
+    if math.isinf(bound):
         _check_gram_condition(A, Q.shape)
     if not finite:
         raise ValueError("array must not contain infs or NaNs")
@@ -172,31 +174,29 @@ def _check_gram_condition(A: np.ndarray, shape: tuple[int, int]) -> None:
         )
 
 
-def gram_cond_bound(
-    A: np.ndarray,
-    factor: np.ndarray | None = None,
-    inverse: np.ndarray | None = None,
-) -> float:
-    """Upper bound on λmax/λmin of the positive definite A, from its
-    Cholesky factor A = U^H U (Higham 2002, ch. 10).
+def gram_cond_bound(A: np.ndarray, inverse: np.ndarray) -> float:
+    """Upper bound on λmax/λmin of the positive definite A, given its
+    inverse: tr(A)·||A^{-1}||_F (Higham 2002, ch. 10), or inf when that
+    exceeds COND_BOUND_LIMIT or is NaN.
 
-    λmax <= tr(A), and 1/λmin = ||A^{-1}||_2, which is at most
-    ||A^{-1}||_F when `inverse` (A^{-1}) is given, else at most
-    ||U^{-1}||_F^2 with U^{-1} from LAPACK trtri on the upper triangle of
-    `factor` (as `cholesky_upper` leaves it). inf when trtri finds U
-    singular. The bound is within a factor of rows^2 of the true ratio.
-    It holds in exact arithmetic; the factor carries rounding of about
+    λmax <= tr(A) and 1/λmin = ||A^{-1}||_2 <= ||A^{-1}||_F, so the bound
+    is within a factor of rows^2 of the true ratio. It holds in exact
+    arithmetic; A and its computed inverse carry rounding of about
     eps·tr(A), so in floating point it bounds the ratio only where that is
     small against λmin, as it is up to COND_BOUND_LIMIT.
     """
-    if inverse is not None:
-        inv_norm = np.linalg.norm(inverse)
-    else:
-        u, info = _triangular_inverse(factor)
-        if info != 0:
-            return math.inf
-        inv_norm = np.linalg.norm(np.triu(u)) ** 2
-    return float(A.trace().real * inv_norm)
+    bound = float(A.trace().real * np.linalg.norm(inverse))
+    return bound if bound <= COND_BOUND_LIMIT else math.inf
+
+
+def cholesky_cond_bound(A: np.ndarray) -> float:
+    """`gram_cond_bound` of the Hermitian A, with A^{-1} from one potrs on
+    its Cholesky factor and an identity right-hand side; inf when potrf or
+    potrs fails."""
+    c, info = cholesky_upper(A)
+    if info == 0:
+        inverse, info = cholesky_solve(c, np.eye(A.shape[0]))
+    return gram_cond_bound(A, inverse) if info == 0 else math.inf
 
 
 # Fortran's hidden length argument of a one-character option.
@@ -208,14 +208,14 @@ _OPT, _INT, _MAT = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), ctypes.POINT
 _LAPACK_ARGS = {
     "potrf": [_OPT, _INT, _MAT, _INT, _INT, ctypes.c_size_t],
     "potrs": [_OPT, _INT, _INT, _MAT, _INT, _MAT, _INT, _INT, ctypes.c_size_t],
-    "trtri": [_OPT, _OPT, _INT, _MAT, _INT, _INT, ctypes.c_size_t, ctypes.c_size_t],
 }
 
 
 @functools.cache
 def numpy_openblas() -> ctypes.CDLL | None:
     """The OpenBLAS that numpy's wheel bundles (ILP64, `scipy_*64_` symbols),
-    or None when numpy is built against another BLAS.
+    with the zpotrf and zpotrs that `cholesky_upper` and `cholesky_solve`
+    call, or None when numpy is built against another BLAS.
 
     numpy has already loaded the library, so this is the handle numpy uses.
     """
@@ -274,24 +274,6 @@ def cholesky_solve(c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
     lib.scipy_zpotrs_64_(b"U", n, nrhs, _fortran_ptr(c), n, _fortran_ptr(x), n,
                          ctypes.byref(info), _CHAR_LEN)
     return x, info.value
-
-
-def _triangular_inverse(c: np.ndarray) -> tuple[np.ndarray, int]:
-    """(u, info) from LAPACK ztrtri on a copy of the upper triangle of the
-    factor `c`: U^{-1} in the upper triangle of u, the rest unspecified;
-    info > 0 when U is singular."""
-    lib = numpy_openblas()
-    if lib is None:
-        import scipy.linalg
-
-        trtri, = scipy.linalg.get_lapack_funcs(("trtri",), (c,))
-        return trtri(c, lower=False, unitdiag=False)
-    u = np.array(c, order="F")
-    n = ctypes.byref(ctypes.c_int64(u.shape[0]))
-    info = ctypes.c_int64()
-    lib.scipy_ztrtri_64_(b"U", b"N", n, _fortran_ptr(u), n, ctypes.byref(info),
-                         _CHAR_LEN, _CHAR_LEN)
-    return u, info.value
 
 
 def bs_ue_zf_precoder(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:

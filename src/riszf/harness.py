@@ -205,36 +205,17 @@ def run_point(
     ch: ChannelModelConfig,
     run: RunConfig,
 ) -> tuple[PointSummary, list[TrialResult]]:
-    """All trials for one grid point; failures recorded, never averaged."""
+    """All trials for one grid point; failures recorded, never averaged.
+    A point `_point_skip_note` rejects runs no trials and keeps the note."""
     cfg_point = with_dimensions(cfg, point.M, point.N)
     note = _point_skip_note(cfg_point, ch, point)
-    if note is not None:
-        return (
-            PointSummary(
-                scheme=point.scheme,
-                phase_rule=point.phase_rule,
-                M=point.M,
-                N=point.N,
-                tau=point.tau,
-                status=STATUS_SKIPPED,
-                trials=0,
-                failures=0,
-                mean_sum_rate=math.nan,
-                stderr_sum_rate=math.nan,
-                analytic_sum_rate=math.nan,
-                analytic_stderr=math.nan,
-                note=note,
-            ),
-            [],
-        )
-
     want_analytic = (
         point.scheme == BS_RIS_ZF and cfg_point.power_mode == "paper_literal"
     )
     results: list[TrialResult] = []
     analytic_vals: list[float] = []
     failures = 0
-    for t in range(run.trials):
+    for t in range(run.trials if note is None else 0):
         rng = spawn_rng(run.master_seed, point.dims_index, t, 0)
         seed_tag = derive_seed(run.master_seed, point.dims_index, t, 0)
         chs = sample_channels(cfg_point, ch, rng)
@@ -280,11 +261,12 @@ def run_point(
             )
         )
 
-    status = STATUS_OK
-    note_text = ""
-    if failures > FAILURE_FLAG_FRACTION * run.trials:
-        status = STATUS_FLAGGED
-        note_text = f"{failures} of {run.trials} trials failed"
+    if note is not None:
+        status = STATUS_SKIPPED
+    elif failures > FAILURE_FLAG_FRACTION * run.trials:
+        status, note = STATUS_FLAGGED, f"{failures} of {run.trials} trials failed"
+    else:
+        status, note = STATUS_OK, ""
     mean, stderr = _mean_stderr([r.sum_rate for r in results])
     a_mean, a_stderr = _mean_stderr(analytic_vals)
     return (
@@ -301,7 +283,7 @@ def run_point(
             stderr_sum_rate=stderr,
             analytic_sum_rate=a_mean,
             analytic_stderr=a_stderr,
-            note=note_text,
+            note=note,
         ),
         results,
     )

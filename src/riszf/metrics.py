@@ -9,10 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from riszf.beamform import (
-    COND_BOUND_LIMIT,
     bs_ris_zf_precoder,
-    cholesky_upper,
-    gram_cond_bound,
+    cholesky_cond_bound,
     stack_bs_ris,
     stack_bs_ue,
 )
@@ -177,10 +175,11 @@ def rank_q2(chs: ChannelSet) -> int:
     """Numerical rank of the RIS-side stack: its singular values above
     RANK_SV_THRESHOLD times the largest.
 
-    The stack is min(rows, M) singular values wide. When the Cholesky
-    bound on its σmax/σmin (`_sv_ratio_bound`) is at most RANK_BOUND_LIMIT,
-    the SVD would count every one of them, so that width is returned
-    without it; every case the bound cannot settle runs the SVD.
+    The stack is min(rows, M) singular values wide. When the bound on its
+    σmax/σmin (`_sv_ratio_bound`, from the Gram matrix's inverse) is at
+    most RANK_BOUND_LIMIT, the SVD would count every one of them, so that
+    width is returned without it; every case the bound cannot settle runs
+    the SVD.
     """
     Q = stack_bs_ris(chs)
     if _sv_ratio_bound(Q) <= RANK_BOUND_LIMIT:
@@ -198,13 +197,11 @@ def _sv_ratio_bound(Q: np.ndarray) -> float:
     The shorter side is equilibrated, Q = D Qs with D the diagonal of its
     norms (row norms when rows <= M, column norms otherwise); then
     σmax/σmin <= (max D / min D) sqrt(λmax/λmin) of the Gram matrix A of
-    Qs, and `gram_cond_bound` bounds that ratio from A's Cholesky factor.
-    That holds in exact arithmetic. Forming A squares the ratio, so the
-    rounding of A and its factor, about eps·tr(A), can hide a λmin below
-    it; the bound is used only while `gram_cond_bound` is at most
-    COND_BOUND_LIMIT, where that rounding is about 1e-5 of λmin. A nearly
-    rank-deficient Q, whose computed A has λmin at the rounding floor,
-    gives a Gram bound near rows²/eps and so inf here.
+    Qs, and `cholesky_cond_bound` bounds that ratio where it can be
+    trusted and gives inf elsewhere. Forming A squares the ratio: a nearly
+    rank-deficient Q has a computed A with λmin at the rounding floor,
+    about eps·tr(A), and a Gram bound near rows²/eps when the factor
+    succeeds at all. That is past the trusted range, so the SVD decides.
     """
     rows_side = Q.shape[0] <= Q.shape[1]
     d = np.linalg.norm(Q, axis=1 if rows_side else 0)
@@ -216,13 +213,7 @@ def _sv_ratio_bound(Q: np.ndarray) -> float:
     else:
         Qs = Q / d
         A = Qs.conj().T @ Qs
-    c, info = cholesky_upper(A)
-    if info != 0:
-        return np.inf
-    gram_bound = gram_cond_bound(A, factor=c)
-    if not gram_bound <= COND_BOUND_LIMIT:
-        return np.inf
-    return float(d.max() / d.min() * np.sqrt(gram_bound))
+    return float(d.max() / d.min() * np.sqrt(cholesky_cond_bound(A)))
 
 
 def rank_diagnostics(

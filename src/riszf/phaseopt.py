@@ -52,10 +52,6 @@ class PhaseConfig:
         if self.origin not in PHASE_ORIGINS:
             raise ValueError(f"unknown phase origin {self.origin!r}")
 
-    def reflect_diag(self, k: int) -> np.ndarray:
-        """Diagonal of the reflect matrix of RIS k: e^{j phi_k}."""
-        return np.exp(1j * self.phases[k])
-
 
 @dataclass(frozen=True)
 class AsymptoticArtifacts:
@@ -87,11 +83,6 @@ class OptimizeDiagnostics:
 def wrap_phase(phi: np.ndarray | float) -> np.ndarray | float:
     """Wrap angles into [-pi, pi)."""
     return (np.asarray(phi) + np.pi) % TWO_PI - np.pi
-
-
-def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max wrapped angular distance between two phase arrays."""
-    return float(np.max(np.abs(wrap_phase(np.asarray(a) - np.asarray(b)))))
 
 
 def principal_eigenvector(
@@ -202,7 +193,7 @@ def optimal_phases_bs_ue_zf(
         W = bs_ue_zf_precoder(chs, phases)
         trace.append(cfg.total_power / float(np.sum(np.abs(W) ** 2)))
         new = _phase_update_bs_ue_zf(chs, W)
-        change = phase_distance(new, phases)
+        change = float(np.max(np.abs(wrap_phase(new - phases))))
         phases = new
         iterations += 1
         if change < tol:
@@ -223,6 +214,8 @@ def optimal_phases_bs_ue_zf(
 
 
 NEWTON_RESIDUAL = 0.1  # a row below this residual takes Newton steps
+FIXED_POINT_DAMPING = 0.5  # share of the way to the update a damped step moves
+FIXED_POINT_MAX_ITER = 500  # updates per row before the fixed point stops
 
 
 def _delta_to_target(
@@ -285,8 +278,6 @@ def _fixed_point_rows(
     R: np.ndarray,
     init: np.ndarray | None = None,
     tol: float = 1e-8,
-    max_iter: int = 500,
-    damping: float = 0.5,
     first_ris: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed point of every row of `h` at once: damped iteration, finished
@@ -295,12 +286,12 @@ def _fixed_point_rows(
     h : (K, N) RIS-side channels, one row per RIS, all sharing the (N, N)
     correlation R; init : (K, N) start phases, zeros when None. A row
     whose residual (the max wrapped distance to one undamped update) is
-    at least NEWTON_RESIDUAL moves `damping` of the way to the update;
-    below it the row takes a `_newton_step`, which converges
+    at least NEWTON_RESIDUAL moves FIXED_POINT_DAMPING of the way to the
+    update; below it the row takes a `_newton_step`, which converges
     quadratically where the damped update creeps along nearly flat
     directions. A row stops when `residual <= tol` holds before an
-    update, or after `max_iter` updates with the residual of one more
-    update. A stopped row leaves the active set `rows`, so later
+    update, or after FIXED_POINT_MAX_ITER updates with the residual of
+    one more update. A stopped row leaves the active set `rows`, so later
     iterations compute only the rows still running, and every row gets
     the bits it would get solved alone. A zero fixed-point argument
     raises for the lowest active row that has one (RIS first_ris + row).
@@ -308,10 +299,10 @@ def _fixed_point_rows(
     """
     phases = np.zeros(h.shape) if init is None else wrap_phase(np.array(init, dtype=float))
     residual = np.empty(h.shape[0])
-    iterations = np.full(h.shape[0], max_iter)
+    iterations = np.full(h.shape[0], FIXED_POINT_MAX_ITER)
     rows = np.arange(h.shape[0])  # active rows; phi and h hold their data
     phi = phases.copy()
-    for it in range(max_iter):
+    for it in range(FIXED_POINT_MAX_ITER):
         delta, y, Ry = _delta_to_target(phi, h, R, rows, first_ris)
         res = np.abs(delta).max(axis=1)
         done = res <= tol
@@ -327,7 +318,7 @@ def _fixed_point_rows(
                 return phases, residual, iterations
         # wrapped interpolation toward the update keeps angle steps small
         # and prevents the undamped iteration's 2-cycles
-        step = damping * delta
+        step = FIXED_POINT_DAMPING * delta
         newton = res < NEWTON_RESIDUAL
         if newton.any():
             step[newton] = _newton_step(y[newton], Ry[newton], R)
@@ -342,8 +333,6 @@ def asymptotic_phases_bs_ue_zf(
     R_k: np.ndarray,
     init: np.ndarray | None = None,
     tol: float = 1e-8,
-    max_iter: int = 500,
-    damping: float = 0.5,
     ris_index: int = 0,
 ) -> tuple[np.ndarray, float, int]:
     """Large-M optimal phases for one RIS serving a single UE.
@@ -362,8 +351,6 @@ def asymptotic_phases_bs_ue_zf(
         R_k,
         None if init is None else np.asarray(init)[None, :],
         tol=tol,
-        max_iter=max_iter,
-        damping=damping,
         first_ris=ris_index,
     )
     return phases[0], float(residual[0]), int(iterations[0])

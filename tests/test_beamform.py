@@ -309,12 +309,38 @@ def test_gram_cond_bound_holds_and_is_tight_within_rows_squared():
         Qs = Q / np.linalg.norm(Q, axis=1)[:, None]
         A = Qs @ Qs.conj().T
         w = np.linalg.eigvalsh(A)
-        c, info = beamform.cholesky_upper(A)
-        assert info == 0
-        x, _ = beamform.cholesky_solve(c, np.eye(shape[0]))
-        for bound in (beamform.gram_cond_bound(A, factor=c),
-                      beamform.gram_cond_bound(A, inverse=x)):
-            assert w[-1] / w[0] <= bound <= shape[0] ** 2 * w[-1] / w[0] * (1 + 1e-9)
+        bound = beamform.cholesky_cond_bound(A)
+        assert w[-1] / w[0] <= bound <= shape[0] ** 2 * w[-1] / w[0] * (1 + 1e-9)
+
+
+def test_cholesky_cond_bound_is_inf_where_it_cannot_be_trusted(lapack_route):
+    singular = np.diag([1.0, 0.0])
+    assert beamform.cholesky_upper(singular)[1] == 2  # potrf fails
+    assert beamform.cholesky_cond_bound(singular) == np.inf
+    # the factor succeeds, but the ratio is above COND_BOUND_LIMIT
+    Q, _ = _near_parallel_stack(5e-6)
+    assert beamform.COND_BOUND_LIMIT < _gram_cond(Q) < beamform.COND_LIMIT
+    Qs = Q / np.linalg.norm(Q, axis=1)[:, None]
+    A = Qs @ Qs.conj().T
+    assert beamform.cholesky_upper(A)[1] == 0
+    assert beamform.cholesky_cond_bound(A) == np.inf
+    assert beamform.gram_cond_bound(A, np.full_like(A, np.nan)) == np.inf
+
+
+def test_ris_side_right_inverse_bound_decides_at_benchmark_shapes(
+    lapack_route, eigvalsh_calls
+):
+    # the stacks of the ris_side_csi workload: N=8, K=4, U_d=2 gives 34 rows
+    for m in ("128", "256"):
+        for seed in range(3):
+            chs = _draw({"m": m, "n": "8", "k": "4", "u_d": "2"}, seed=seed, physical=True)
+            Q2 = stack_bs_ris(chs)
+            assert Q2.shape == (34, int(m))
+            G = gamma_matrix(8, 4, 2)
+            eigvalsh_calls.clear()
+            W = right_inverse_apply(Q2, G)
+            assert eigvalsh_calls == []
+            assert np.array_equal(W, _reference_right_inverse(Q2, G))
 
 
 @pytest.mark.parametrize("L", ["1,1,1,1", "2,1,3"])
