@@ -20,7 +20,7 @@ import os
 
 import numpy as np
 
-from riszf.channel import ChannelSet
+from riszf.channel import ChannelSet, read_only, ris_of_blocked_ue
 from riszf.sysconfig import SystemConfig
 
 # Largest eigenvalue ratio accepted for a Gram or correlation matrix.
@@ -51,12 +51,11 @@ def cascaded_rows(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:
     `phases` has shape (K, N); UEs served by the same RIS share its
     phase configuration. Row u is conj(H_k) x_u with x_u = conj(h_u)
     e^{j phi_k}, taken for every UE in one stacked product, which is
-    bit-identical to the per-UE vector-matrix product.
+    bit-identical to the per-UE vector-matrix product. The conj(H_k) of
+    each UE is gathered once per draw (`ChannelSet.H_conj_blocked`).
     """
-    cfg = chs.cfg
-    ris = np.repeat(np.arange(cfg.K), cfg.L)  # RIS serving each blocked UE
-    x = chs.h_b.conj() * np.exp(1j * phases)[ris]
-    return (chs.H.conj()[ris] @ x[:, :, None])[:, :, 0]
+    x = chs.h_b.conj() * np.exp(1j * phases)[ris_of_blocked_ue(chs.cfg.L)]
+    return (chs.H_conj_blocked @ x[:, :, None])[:, :, 0]
 
 
 def stack_bs_ue(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:
@@ -81,17 +80,19 @@ def stack_bs_ris(chs: ChannelSet) -> np.ndarray:
     return Q
 
 
+@functools.lru_cache(maxsize=32)
 def gamma_matrix(N: int, K: int, U_d: int) -> np.ndarray:
     """((N K + U_d) x (K + U_d)) per-stream target response.
 
     Column k asks for unit gain on all N elements of RIS k and zero
     everywhere else; the trailing columns pass the direct UEs through.
+    Cached per (N, K, U_d); the returned array is read-only and shared.
     """
     G = np.zeros((N * K + U_d, K + U_d))
     for k in range(K):
         G[k * N : (k + 1) * N, k] = 1.0
     G[N * K :, K:] = np.eye(U_d)
-    return G
+    return read_only(G)
 
 
 def right_inverse_apply(
@@ -120,8 +121,8 @@ def right_inverse_apply(
     that build they go through scipy's wrappers.
     """
     rows = Q.shape[0]
-    norms = np.linalg.norm(Q, axis=1)
-    if np.any(norms == 0.0):
+    norms = vector_norms(Q, axis=1)
+    if not norms.all():
         raise RankDeficiencyError(
             f"stacked channel of shape {Q.shape} has an all-zero row",
             cond=math.inf,
@@ -129,12 +130,14 @@ def right_inverse_apply(
         )
     inv = 1.0 / norms
     Qs = Q * inv[:, None]
-    A = Qs @ Qs.conj().T
+    QsH = Qs.conj().T
+    A = Qs @ QsH
     identity_target = targets is None
-    if identity_target:
-        targets = np.eye(rows)
-    b = targets * inv[:, None]
-    finite = np.isfinite(A).all() and np.isfinite(b).all()
+    # the identity target scaled by inv, eye(rows) * inv[:, None] bit for bit
+    b = np.diag(inv) if identity_target else targets * inv[:, None]
+    # an identity target's b = diag(inv) is finite whenever A is: an
+    # infinite inv makes the row of Qs, and so A, infinite or NaN
+    finite = np.isfinite(A).all() and (identity_target or np.isfinite(b).all())
     bound = math.inf
     if finite:
         c, potrf_info = cholesky_upper(A)
@@ -156,7 +159,13 @@ def right_inverse_apply(
         )
     if potrs_info != 0:
         raise ValueError(f"illegal value in argument {-potrs_info} of LAPACK potrs")
-    return Qs.conj().T @ x
+    return QsH @ x
+
+
+def vector_norms(Q: np.ndarray, axis: int) -> np.ndarray:
+    """np.linalg.norm(Q, axis=axis) of a float or complex Q, bit for bit:
+    its own formula, without its argument handling."""
+    return np.sqrt(np.add.reduce((Q.conj() * Q).real, axis=axis))
 
 
 def _check_gram_condition(A: np.ndarray, shape: tuple[int, int]) -> None:

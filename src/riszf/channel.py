@@ -37,8 +37,8 @@ def complex_normal(
     rng: np.random.Generator, shape: tuple[int, ...], variance: float = 1.0
 ) -> np.ndarray:
     """Circularly symmetric complex Gaussian samples, E{|x|^2} = variance."""
-    scale = math.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    re = rng.standard_normal(shape)
+    return _scaled_complex(re, rng.standard_normal(shape), math.sqrt(variance / 2.0))
 
 
 def _complex_blocks(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -47,7 +47,17 @@ def _complex_blocks(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
     so the stream order, and every value, matches `complex_normal` called
     once per block."""
     z = rng.standard_normal((shape[0], 2, *shape[1:]))
-    return math.sqrt(0.5) * (z[:, 0] + 1j * z[:, 1])
+    return _scaled_complex(z[:, 0], z[:, 1], math.sqrt(0.5))
+
+
+def _scaled_complex(re: np.ndarray, im: np.ndarray, scale: float) -> np.ndarray:
+    """scale * (re + 1j * im), each part scaled straight into place: the
+    complex expression rounds every nonzero part to these same bits, but
+    builds three complex temporaries on the way."""
+    out = np.empty(re.shape, dtype=np.complex128)
+    np.multiply(re, scale, out=out.real)
+    np.multiply(im, scale, out=out.imag)
+    return out
 
 
 def _correlate(sqrt_C: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -105,7 +115,8 @@ def content_cache(maxsize: int):
     return decorate
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
+def read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, marked read-only: the form every cached array is shared in."""
     a.flags.writeable = False
     return a
 
@@ -125,12 +136,12 @@ def correlation_matrix(
     Cached per argument tuple; the returned array is read-only and shared.
     """
     if model == "iid":
-        return _read_only(np.eye(N))
+        return read_only(np.eye(N))
     if model != "sinc":
         raise ValueError(f"unknown correlation model {model!r}")
     pos = element_positions(N, spacing, grid_cols)
     dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    return _read_only(np.sinc(2.0 * dist / wavelength))
+    return read_only(np.sinc(2.0 * dist / wavelength))
 
 
 @content_cache(maxsize=32)
@@ -143,7 +154,14 @@ def matrix_sqrt_psd(C: np.ndarray, clip_tol: float = 1e-12) -> np.ndarray:
     """
     w, V = np.linalg.eigh(C)
     w = np.where(w > clip_tol * max(w[-1], 0.0), w, 0.0)
-    return _read_only((V * np.sqrt(w)) @ V.conj().T)
+    return read_only((V * np.sqrt(w)) @ V.conj().T)
+
+
+@functools.lru_cache(maxsize=32)
+def ris_of_blocked_ue(L: tuple[int, ...]) -> np.ndarray:
+    """(U_b,) index of the RIS serving each blocked UE in RIS-major order:
+    k repeated L[k] times. Cached per L; the returned array is read-only."""
+    return read_only(np.repeat(np.arange(len(L)), L))
 
 
 @dataclass(frozen=True)
@@ -160,6 +178,11 @@ class ChannelSet:
     sqrt_C : (N, N) its PSD square root, reused for error redraws.
         Both are read-only arrays shared by every draw with the same N
         and channel config.
+
+    `R` and `H_conj_blocked` are computed on first access and kept for
+    the draw's lifetime, read-only. They derive only from `cfg`, `ch`,
+    `C` and `H`, which nothing edits in place; `dataclasses.replace` gives a new
+    set that computes its own.
     """
 
     cfg: SystemConfig
@@ -170,10 +193,18 @@ class ChannelSet:
     C: np.ndarray
     sqrt_C: np.ndarray
 
-    @property
+    @functools.cached_property
     def R(self) -> np.ndarray:
         """Per-BS-antenna RIS correlation: E{H_k^H H_k} = M * R."""
-        return self.ch.ris_element_scale * self.C
+        return read_only(self.ch.ris_element_scale * self.C)
+
+    @functools.cached_property
+    def H_conj_blocked(self) -> np.ndarray:
+        """(U_b, M, N) conj(H_k) of the RIS serving each blocked UE, in
+        blocked-UE order: the stacked operand of every cascaded product.
+        Conjugated in place after the gather, so it costs one allocation."""
+        out = self.H[ris_of_blocked_ue(self.cfg.L)]
+        return read_only(np.conjugate(out, out=out))
 
     def h_block(self, k: int, ell: int = 0) -> np.ndarray:
         """RIS-side channel of blocked UE (k, ell), shape (N,)."""

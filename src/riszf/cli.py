@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="check a config and print a report")
-    p_val.add_argument("--config", required=True, help="key=value config file")
+    p_val.add_argument("--config", help="key=value config file")
     p_val.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
     p_val.set_defaults(func=_cmd_validate)

@@ -4,6 +4,7 @@ diagnostics, and the closed-form multiplication counts of both schemes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,8 +14,9 @@ from riszf.beamform import (
     cholesky_cond_bound,
     stack_bs_ris,
     stack_bs_ue,
+    vector_norms,
 )
-from riszf.channel import ChannelSet
+from riszf.channel import ChannelSet, read_only
 from riszf.phaseopt import PhaseConfig
 from riszf.sysconfig import SystemConfig
 
@@ -97,22 +99,31 @@ def effective_matrix(
     return stack_bs_ue(chs, phi) @ W
 
 
+@functools.lru_cache(maxsize=64)
 def _desired_columns(cfg: SystemConfig, n_streams: int) -> np.ndarray:
     """Stream carried to each UE, in UE row order (blocked then direct).
 
     With one stream per UE the map is the identity. With one stream per
     RIS (RIS-side nulling; only defined for a single UE per RIS) blocked
     UE (k, 0) listens to stream k and direct UE u to stream K + u.
+    Cached per (config, stream count); the returned array is read-only.
     """
     n_ue = cfg.U_b + cfg.U_d
     if n_streams == n_ue:
-        return np.arange(n_ue)
+        return read_only(np.arange(n_ue))
     if n_streams == cfg.K + cfg.U_d and all(l == 1 for l in cfg.L):
-        return np.concatenate([np.arange(cfg.K), cfg.K + np.arange(cfg.U_d)])
+        return read_only(np.concatenate([np.arange(cfg.K), cfg.K + np.arange(cfg.U_d)]))
     raise ValueError(
         f"cannot map {n_streams} streams onto U_b={cfg.U_b}, U_d={cfg.U_d}, "
         f"K={cfg.K}, L={list(cfg.L)}"
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _noise_variances(cfg: SystemConfig) -> np.ndarray:
+    """Every UE's noise variance in UE row order, cached per config;
+    the returned array is read-only."""
+    return read_only(np.concatenate([cfg.noise_variance_blocked, cfg.noise_variance_direct]))
 
 
 def sinr_exact(
@@ -130,8 +141,7 @@ def sinr_exact(
     power = np.abs(E) ** 2
     sig = power[np.arange(power.shape[0]), desired]
     interference = power.sum(axis=1) - sig
-    noise = np.concatenate([cfg.noise_variance_blocked, cfg.noise_variance_direct])
-    sinr = sig / (interference + noise)
+    sinr = sig / (interference + _noise_variances(cfg))
     return sinr[: cfg.U_b], sinr[cfg.U_b :]
 
 
@@ -147,7 +157,7 @@ def nulling_residual(
     desired = _desired_columns(cfg, W.shape[1])
     leak = np.abs(E)
     leak[np.arange(leak.shape[0]), desired] = 0.0
-    return float(np.max(leak))
+    return float(leak.max())
 
 
 def sinr_bs_ris_zf(
@@ -204,14 +214,16 @@ def _sv_ratio_bound(Q: np.ndarray) -> float:
     succeeds at all. That is past the trusted range, so the SVD decides.
     """
     rows_side = Q.shape[0] <= Q.shape[1]
-    d = np.linalg.norm(Q, axis=1 if rows_side else 0)
+    d = vector_norms(Q, axis=1 if rows_side else 0)
     if d.size == 0 or not (d.min() > 0.0 and d.max() < np.inf):
         return np.inf
+    # scaled by the reciprocals: a complex-by-real division costs about
+    # three times the product, and only the bound's last bits differ
     if rows_side:
-        Qs = Q / d[:, None]
+        Qs = Q * (1.0 / d)[:, None]
         A = Qs @ Qs.conj().T
     else:
-        Qs = Q / d
+        Qs = Q * (1.0 / d)
         A = Qs.conj().T @ Qs
     return float(d.max() / d.min() * np.sqrt(cholesky_cond_bound(A)))
 

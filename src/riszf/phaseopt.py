@@ -13,13 +13,20 @@ Four rules are implemented, all returning angles in [-pi, pi):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from riszf.beamform import COND_LIMIT, bs_ris_zf_precoder, bs_ue_zf_precoder
-from riszf.channel import ChannelSet, content_cache, spawn_rng
+from riszf.channel import (
+    ChannelSet,
+    content_cache,
+    read_only,
+    ris_of_blocked_ue,
+    spawn_rng,
+)
 from riszf.sysconfig import SystemConfig
 
 PHASE_ORIGINS = ("optimal", "closed_form", "asymptotic", "random")
@@ -85,6 +92,12 @@ def wrap_phase(phi: np.ndarray | float) -> np.ndarray | float:
     return (np.asarray(phi) + np.pi) % TWO_PI - np.pi
 
 
+def wrapped_angle(z: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """wrap_phase(sign * np.angle(z)) of a complex array, bit for bit:
+    np.angle is arctan2 of the parts, without its argument handling."""
+    return wrap_phase(sign * np.arctan2(z.imag, z.real))
+
+
 def principal_eigenvector(
     A: np.ndarray, tol: float = 1e-10, max_iter: int = 1000
 ) -> np.ndarray:
@@ -123,37 +136,45 @@ def random_phases(cfg: SystemConfig, seed: int) -> PhaseConfig:
     )
 
 
+@functools.lru_cache(maxsize=32)
+def _ue_layout(L: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Index tables of the blocked-UE layout L, cached per L (arrays
+    read-only): every blocked UE's flat index, the flat index of each
+    RIS's first blocked UE, and (k, first, stop) of every RIS serving
+    several UEs."""
+    counts = np.array(L)
+    first = np.cumsum(counts) - counts
+    multi = tuple((int(k), int(first[k]), int(first[k] + counts[k]))
+                  for k in np.flatnonzero(counts != 1))
+    return read_only(np.arange(sum(L))), read_only(first), multi
+
+
 def _phase_update_bs_ue_zf(chs: ChannelSet, W: np.ndarray) -> np.ndarray:
     """One sweep of per-RIS phase updates against a frozen precoder.
 
-    T_k = H_k^H W for every RIS comes from one stacked product and the
-    alignment vector q of every blocked UE from one gather; RISs serving
-    one UE take -angle(q) directly, the others the dominant eigenvector
-    of sum q q^H. Stacking is bit-identical to the per-RIS products, so
-    the phases are too. A zero entry raises for the lowest RIS, then the
-    lowest element, as a RIS-by-RIS sweep would.
+    T_k = H_k^H W for every RIS comes from one stacked product over the
+    conj(H_k) of each RIS's first UE in the draw's `H_conj_blocked`, and
+    the alignment vector q of every blocked UE from one gather; RISs
+    serving one UE take -angle(q) directly, the others the dominant
+    eigenvector of sum q q^H. Stacking is bit-identical to the per-RIS
+    products, so the phases are too. A zero entry raises for the lowest
+    RIS, then the lowest element, as a RIS-by-RIS sweep would.
     """
-    cfg = chs.cfg
-    L = np.array(cfg.L)
-    first = np.cumsum(L) - L  # flat index of each RIS's first blocked UE
-    ris = np.repeat(np.arange(cfg.K), L)  # RIS serving each blocked UE
-    T = chs.H.conj().transpose(0, 2, 1) @ W  # (K, N, U)
-    Q = chs.h_b.conj() * T[ris, :, np.arange(cfg.U_b)]  # (U_b, N)
-    single = L == 1
-    aligned = np.empty((cfg.K, cfg.N), dtype=np.complex128)
-    aligned[single] = Q[first[single]]
-    for k in np.flatnonzero(~single):
-        A = np.zeros((cfg.N, cfg.N), dtype=np.complex128)
-        for q in Q[first[k] : first[k] + L[k]]:
+    ue, first, multi = _ue_layout(chs.cfg.L)
+    T = chs.H_conj_blocked[first].transpose(0, 2, 1) @ W  # (K, N, U)
+    Q = chs.h_b.conj() * T[ris_of_blocked_ue(chs.cfg.L), :, ue]  # (U_b, N)
+    aligned = Q[first]
+    for k, start, stop in multi:
+        A = np.zeros((chs.cfg.N, chs.cfg.N), dtype=np.complex128)
+        for q in Q[start:stop]:
             A += np.outer(q, q.conj())
         aligned[k] = principal_eigenvector(A)
-    zeros = np.argwhere(np.abs(aligned) == 0.0)
-    if zeros.size:
-        k, i = (int(v) for v in zeros[0])
+    if not aligned.all():
+        k, i = (int(v) for v in np.argwhere(np.abs(aligned) == 0.0)[0])
         raise UndefinedPhaseError(
-            k, i, "alignment product" if single[k] else "eigenvector entry"
+            k, i, "alignment product" if chs.cfg.L[k] == 1 else "eigenvector entry"
         )
-    return wrap_phase(-np.angle(aligned))
+    return wrapped_angle(aligned, -1.0)
 
 
 def optimal_phases_bs_ue_zf(
@@ -191,16 +212,16 @@ def optimal_phases_bs_ue_zf(
     iterations = 0
     for _ in range(max_iter):
         W = bs_ue_zf_precoder(chs, phases)
-        trace.append(cfg.total_power / float(np.sum(np.abs(W) ** 2)))
+        trace.append(cfg.total_power / float((np.abs(W) ** 2).sum()))
         new = _phase_update_bs_ue_zf(chs, W)
-        change = float(np.max(np.abs(wrap_phase(new - phases))))
+        change = float(np.abs(wrap_phase(new - phases)).max())
         phases = new
         iterations += 1
         if change < tol:
             converged = True
             break
     W = bs_ue_zf_precoder(chs, phases)
-    trace.append(cfg.total_power / float(np.sum(np.abs(W) ** 2)))
+    trace.append(cfg.total_power / float((np.abs(W) ** 2).sum()))
 
     return (
         PhaseConfig(phases=wrap_phase(phases), origin="optimal"),
@@ -232,10 +253,7 @@ def _delta_to_target(
         raise UndefinedPhaseError(
             first_ris + int(rows[row]), element, "fixed-point argument"
         )
-    # wrap_phase(-np.angle(c)) and wrap_phase(target - phi), inlined as
-    # this runs every iteration; pi - a is -a + pi bit for bit
-    target = (np.pi - np.arctan2(c.imag, c.real)) % TWO_PI - np.pi
-    return (target - phi + np.pi) % TWO_PI - np.pi, y, Ry
+    return wrap_phase(wrapped_angle(c, -1.0) - phi), y, Ry
 
 
 def _gradient_hessian(
@@ -245,8 +263,9 @@ def _gradient_hessian(
     f = y^H R y, the `quadratic_form_objective`, per row of
     y = e^{-j phi} h, with Ry = R y. With s = conj(y) * (R y):
     g = -2 Im s and H = 2 Re(diag(conj y) R diag y) - 2 diag(Re s)."""
-    s = y.conj() * Ry
-    H = 2.0 * (y.conj()[:, :, None] * R * y[:, None, :]).real
+    y_conj = y.conj()
+    s = y_conj * Ry
+    H = 2.0 * (y_conj[:, :, None] * R * y[:, None, :]).real
     diag = np.arange(y.shape[1])
     H[:, diag, diag] -= 2.0 * s.real
     return -2.0 * s.imag, H
@@ -265,7 +284,7 @@ def _newton_step(y: np.ndarray, Ry: np.ndarray, R: np.ndarray) -> np.ndarray:
     bits it would get alone.
     """
     g, H = _gradient_hessian(y, Ry, R)
-    c = np.abs(np.trace(H, axis1=1, axis2=2)) / y.shape[1]
+    c = np.abs(H.trace(axis1=1, axis2=2)) / y.shape[1]
     w, V = np.linalg.eigh(c[:, None, None] - H)
     mag = np.abs(w)
     inv = 1.0 / np.maximum(mag, 1e-9 * mag.max(axis=1, keepdims=True))
@@ -322,7 +341,7 @@ def _fixed_point_rows(
         newton = res < NEWTON_RESIDUAL
         if newton.any():
             step[newton] = _newton_step(y[newton], Ry[newton], R)
-        phi = (phi + step + np.pi) % TWO_PI - np.pi
+        phi = wrap_phase(phi + step)
     phases[rows] = phi
     residual[rows] = np.abs(_delta_to_target(phi, h, R, rows, first_ris)[0]).max(axis=1)
     return phases, residual, iterations
@@ -368,12 +387,13 @@ def asymptotic_phase_config_bs_ue_zf(
             f"got L={list(cfg.L)}"
         )
     phases, residual, iterations = _fixed_point_rows(chs.h_b, chs.R, tol=tol)
+    worst = float(residual.max())
     return (
         PhaseConfig(phases=phases, origin="asymptotic"),
         AsymptoticArtifacts(
-            fixed_point_residual=float(np.max(residual)),
-            iterations=int(np.max(iterations)),
-            converged=bool(np.max(residual) <= tol),
+            fixed_point_residual=worst,
+            iterations=int(iterations.max()),
+            converged=worst <= tol,
         ),
     )
 
@@ -405,7 +425,7 @@ def optimal_phases_bs_ris_zf(chs: ChannelSet) -> PhaseConfig:
         zeros = np.flatnonzero(np.abs(q) == 0.0)
         if zeros.size:
             raise UndefinedPhaseError(k, int(zeros[0]), "alignment product")
-        phases[k] = wrap_phase(-np.angle(q))
+        phases[k] = wrapped_angle(q, -1.0)
     return PhaseConfig(phases=phases, origin="closed_form")
 
 
@@ -436,9 +456,8 @@ def asymptotic_phases_and_sinr_bs_ris_zf(
             f"(eigenvalue range [{w_min:.3e}, {w_max:.3e}])"
         )
     mag = np.abs(h_k1)
-    zeros = np.flatnonzero(mag == 0.0)
-    if zeros.size:
-        raise UndefinedPhaseError(k, int(zeros[0]), "UE channel entry")
-    phases = wrap_phase(np.angle(h_k1))
-    sinr_star = float(np.sum(mag)) ** 2 / sigma2_k
+    if not mag.all():
+        raise UndefinedPhaseError(k, int(np.flatnonzero(mag == 0.0)[0]), "UE channel entry")
+    phases = wrapped_angle(h_k1)
+    sinr_star = float(mag.sum()) ** 2 / sigma2_k
     return phases, sinr_star

@@ -10,6 +10,7 @@ parallel workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -60,7 +61,7 @@ class SystemConfig:
     power_mode: str = "paper_literal"
     bandwidth: float = 1.0e7
 
-    @property
+    @cached_property
     def U_b(self) -> int:
         return sum(self.L)
 
@@ -104,9 +105,10 @@ class ChannelModelConfig:
             return self.element_area
         return self.element_spacing**2
 
-    @property
+    @cached_property
     def ris_element_scale(self) -> float:
-        """Per-element intensity scale mu * A applied to the BS-RIS channels."""
+        """Per-element intensity scale mu * A applied to the BS-RIS channels;
+        computed on first access, as the config is immutable."""
         return self.mu * self.area
 
     @property

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from riszf.beamform import (
     stack_bs_ue,
 )
 from riszf.channel import sample_channels, spawn_rng
+from riszf.phaseopt import _phase_update_bs_ue_zf
 from riszf.sysconfig import build_configs, default_configs
 
 
@@ -443,3 +445,20 @@ def test_normalize_power_modes():
     assert beta3 == 1.0
     assert W3 is W
 
+
+@pytest.mark.parametrize("L", ["1,1,1,1", "2,1,3"])
+def test_in_place_edit_of_h_b_reaches_rows_and_phase_update(L):
+    chs = _draw({"m": "16", "k": str(len(L.split(","))), "l": L}, seed=8)
+    phases = spawn_rng(4).uniform(-np.pi, np.pi, size=(chs.cfg.K, chs.cfg.N))
+    W = bs_ue_zf_precoder(chs, phases)
+    rows = cascaded_rows(chs, phases)
+    update = _phase_update_bs_ue_zf(chs, W)
+    chs.h_b[-1] *= np.exp(0.7j * np.arange(1, chs.cfg.N + 1))  # edits the draw itself
+    fresh = replace(chs, h_b=chs.h_b.copy())  # a new set, with no per-draw arrays yet
+    edited_rows = cascaded_rows(chs, phases)
+    assert np.array_equal(edited_rows, _reference_cascaded_rows(chs, phases))
+    assert np.array_equal(edited_rows[:-1], rows[:-1])
+    assert not np.array_equal(edited_rows[-1], rows[-1])
+    edited_update = _phase_update_bs_ue_zf(chs, W)
+    assert np.array_equal(edited_update, _phase_update_bs_ue_zf(fresh, W))
+    assert not np.array_equal(edited_update[-1], update[-1])

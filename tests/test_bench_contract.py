@@ -2,9 +2,9 @@
 
 perfbench/tracing.py wraps riszf functions by module and name and checks
 each one's call count against the grid; a renamed function or a changed
-call structure fails the benchmark run. This test runs one traced worker
-on the benchmark's own self-test grid, reading perfbench/ without
-changing it.
+call structure fails the benchmark run. These tests run one traced
+worker on the benchmark's own self-test grid, and on a grid with several
+UEs per RIS, reading perfbench/ without changing it.
 """
 
 import ast
@@ -13,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -29,9 +31,24 @@ def _selftest_grid():
     raise AssertionError("perfbench/run.py defines no SELFTEST_GRID")
 
 
-def test_traced_selftest_grid_matches_call_counts(tmp_path):
+# UE-side nulling with L = (2, 1, 3) and a CSI-error slice (the multi_ue_csi
+# grid of tests/test_golden.py): the L_k > 1 path of the phase update and
+# cascaded rows, and points skipped for L_k > N
+MULTI_UE_GRID = {
+    "k": "3",
+    "l": "2,1,3",
+    "schemes": "bs_ue_zf",
+    "sweep_m": "16,64",
+    "sweep_n": "2,4",
+    "csi_tau": "0.0,0.2",
+    "trials": "2",
+}
+
+
+def _traced_worker(config: dict, tmp_path: Path) -> dict:
+    """Result JSON of one traced serial sweep of `config` by perfbench's worker."""
     req = {
-        "config": dict(_selftest_grid(), master_seed="1"),
+        "config": config,
         "threads": 1,
         "out": str(tmp_path / "out"),
         "result": str(tmp_path / "result.json"),
@@ -47,6 +64,20 @@ def test_traced_selftest_grid_matches_call_counts(tmp_path):
     assert proc.returncode == 0, proc.stderr
     res = json.loads((tmp_path / "result.json").read_text())
     assert Path(res["riszf_file"]).resolve().is_relative_to(ROOT / "src")
+    return res
+
+
+def test_traced_selftest_grid_matches_call_counts(tmp_path):
+    res = _traced_worker(dict(_selftest_grid(), master_seed="1"), tmp_path)
     assert res["trace_problems"] == []
     assert res["attempted"] > 0
+    assert res["failed"] == 0
+
+
+@pytest.mark.parametrize("seed", ["1", "7"])
+def test_traced_multi_ue_grid_matches_call_counts(seed, tmp_path):
+    res = _traced_worker(dict(MULTI_UE_GRID, master_seed=seed), tmp_path)
+    assert res["trace_problems"] == []
+    # 2 rules x 2 M x 2 tau at N=4 run; N=2 (L_k > N) and the asymptotic rule skip
+    assert res["attempted"] == 16
     assert res["failed"] == 0

@@ -1,6 +1,7 @@
 """Geometry, correlation, channel statistics, and seed discipline."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -290,3 +291,35 @@ def test_draws_share_the_cached_correlation():
     a = sample_channels(cfg, ch, spawn_rng(1, 0))
     b = sample_channels(cfg, ch, spawn_rng(1, 1))
     assert a.C is b.C and a.sqrt_C is b.sqrt_C
+
+
+@pytest.mark.parametrize("L", ["1,1,1,1", "2,1,3"])
+def test_per_draw_arrays_are_read_only_and_exact(L):
+    cfg, ch, _ = build_configs({"m": "16", "n": "4", "k": str(len(L.split(","))), "l": L})
+    ris = np.repeat(np.arange(cfg.K), cfg.L)
+    # many draws in a row: a freed draw's memory, and so its id, is reused,
+    # and every draw must still see its own arrays
+    for seed in range(12):
+        chs = sample_channels(cfg, ch, spawn_rng(seed, 0))
+        for name, want in (
+            ("H_conj_blocked", chs.H.conj()[ris]),
+            ("R", ch.ris_element_scale * chs.C),
+        ):
+            got = getattr(chs, name)
+            assert got is getattr(chs, name)  # computed once per draw
+            assert not got.flags.writeable
+            assert got.dtype == want.dtype and np.array_equal(got, want), (name, seed)
+            with pytest.raises(ValueError):
+                got.flat[0] = 0.0
+
+
+def test_replaced_draw_gets_fresh_per_draw_arrays():
+    cfg, ch, _ = build_configs({"m": "16", "n": "4", "k": "3", "l": "2,1,3"})
+    chs = sample_channels(cfg, ch, spawn_rng(3, 0))
+    before = chs.H_conj_blocked
+    noisy = apply_estimation_error(chs, 0.3, seed=11)
+    copy = replace(chs, H=2.0 * chs.H)
+    for other in (noisy, copy):
+        assert np.array_equal(other.H_conj_blocked, other.H.conj()[[0, 0, 1, 2, 2, 2]])
+        assert not np.array_equal(other.H_conj_blocked, before)
+    assert chs.H_conj_blocked is before

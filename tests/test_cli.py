@@ -126,6 +126,17 @@ def test_validate_more_ues_than_elements_on_a_ris_exits_two(tmp_path, capsys):
     assert "[FAIL] ues_per_ris_within_n" in capsys.readouterr().out
 
 
+def test_validate_takes_set_without_config(capsys):
+    # like `run`, every key has a default, so --set alone is a config
+    assert main(["validate", "--set", "n=4"]) == 0
+    out = capsys.readouterr().out
+    assert "# scheme bs_ue_zf" in out and "[FAIL]" not in out
+    assert main(["validate", "--set", "k=3", "--set", "l=2,1,3", "--set", "n=2",
+                 "--set", "schemes=bs_ue_zf"]) == 2
+    assert "[FAIL] ues_per_ris_within_n" in capsys.readouterr().out
+    assert main(["validate"]) == 0  # the all-defaults scenario
+
+
 def test_complexity_table_matches_library(capsys):
     assert main(["complexity", "--M", "8..24..8", "--N", "1,4"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

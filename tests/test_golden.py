@@ -1,5 +1,6 @@
 """Golden outputs: sha256 of every CSV from small versions of both
-benchmark grids at seed 1, serial and on two workers.
+benchmark grids and of a multi-UE grid with a CSI-error slice at seed 1,
+serial and on two workers.
 
 The hashes pin the output bits of numpy 2.4.6 on a CPU whose bundled
 OpenBLAS picks its SkylakeX kernels (an AVX-512 x86-64 core). OpenBLAS
@@ -49,6 +50,17 @@ GRIDS = {
         "csi_tau": "0.0,0.1,0.3",
         "trials": "3",
     },
+    # several UEs on one RIS with a CSI-error slice: the per-UE gather,
+    # principal_eigenvector, apply_estimation_error and skipped points
+    "multi_ue_csi": {
+        "k": "3",
+        "l": "2,1,3",
+        "schemes": "bs_ue_zf",
+        "sweep_m": "16,64",
+        "sweep_n": "2,4",
+        "csi_tau": "0.0,0.2",
+        "trials": "2",
+    },
 }
 
 GOLDEN = {
@@ -62,6 +74,11 @@ GOLDEN = {
         "summary.csv": "7e0b12ae498097bd17856a22f1a2101780866c30d334e1791dbfe8d36cbb3f39",
         "trials.csv": "c5a5ab57d0ee7ce841d1869c67a46ed5380c2e34d3f2c8985a7c1f5b7664add3",
         "plotdata_bs_ris_zf.csv": "84bf564efe3e75891e6f02cb9c4de90965254e43735078c9d84718db48e018d5",
+    },
+    "multi_ue_csi": {
+        "summary.csv": "62de47305f7e0019c3999d0ac3fdc18a86761ad0c7771cdfc97b5adcec438780",
+        "trials.csv": "c7e976401adbfa4b204f1bd7dcecbabd9a948a75a9061c0b13937761f690633c",
+        "plotdata_bs_ue_zf.csv": "08c5d1c65b6ca36107d31eb574aaa1034bf311ce6d679ea3cfabca1c3dee110f",
     },
 }
 

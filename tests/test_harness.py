@@ -383,3 +383,22 @@ def test_importing_the_cli_loads_no_process_pool():
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_numpy_random():
+    # numpy.random loads at a sweep's first draw, so the commands that draw
+    # nothing (validate, complexity) never pay for it; a module-level use
+    # of np.random in riszf would load it at import
+    code = (
+        "import sys, riszf.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    )
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
