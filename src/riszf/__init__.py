@@ -37,7 +37,6 @@ from riszf.metrics import (
     sum_rate,
 )
 from riszf.phaseopt import (
-    PhaseConfig,
     UndefinedPhaseError,
     asymptotic_phase_config_bs_ue_zf,
     asymptotic_phases_and_sinr_bs_ris_zf,
@@ -78,7 +77,6 @@ __all__ = [
     "ChannelModelConfig",
     "ChannelSet",
     "ConfigError",
-    "PhaseConfig",
     "PointSummary",
     "ProbeTable",
     "RankDeficiencyError",

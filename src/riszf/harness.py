@@ -9,7 +9,8 @@ a reproducibility contract:
     (dims_index, trial, 0) -> channel draw
     (dims_index, trial, 1) -> estimation error draw
     (dims_index, trial, 2) -> random phase rule
-    (dims_index, trial, 3) -> alternating-optimization starting point
+    (dims_index, trial, 3) -> alternating-optimization starting point,
+                              drawn here and passed to the solver as `init`
 
 Results merge deterministically by grid-point position, so serial and
 parallel runs emit byte-identical files.
@@ -49,7 +50,6 @@ from .metrics import (
     trial_csv_row,
 )
 from .phaseopt import (
-    PhaseConfig,
     UndefinedPhaseError,
     asymptotic_phase_config_bs_ue_zf,
     asymptotic_phases_and_sinr_bs_ris_zf,
@@ -147,7 +147,7 @@ def _design_phases(
     chs_hat,
     master_seed: int,
     trial: int,
-) -> tuple[PhaseConfig, int, bool, float]:
+) -> tuple[np.ndarray, int, bool, float]:
     """Phase shifts for one trial from the (possibly estimated) channels,
     with the solver's iterations, whether it met its tolerance, and its
     final residual: the fixed point's worst row residual, the alternating
@@ -159,20 +159,20 @@ def _design_phases(
         return random_phases(cfg, seed), 0, True, 0.0
     if point.phase_rule == "optimal":
         if point.scheme == BS_UE_ZF:
-            init_seed = derive_seed(master_seed, point.dims_index, trial, 3)
-            pc, diag = optimal_phases_bs_ue_zf(chs_hat, init_seed=init_seed)
-            return pc, diag.iterations, diag.converged, diag.final_phase_change
+            init = random_phases(cfg, derive_seed(master_seed, point.dims_index, trial, 3))
+            phases, diag = optimal_phases_bs_ue_zf(chs_hat, init)
+            return phases, diag.iterations, diag.converged, diag.final_phase_change
         return optimal_phases_bs_ris_zf(chs_hat), 0, True, 0.0
     if point.phase_rule == "asymptotic":
         if point.scheme == BS_UE_ZF:
-            pc, art = asymptotic_phase_config_bs_ue_zf(chs_hat)
-            return pc, art.iterations, art.converged, art.fixed_point_residual
+            phases, art = asymptotic_phase_config_bs_ue_zf(chs_hat)
+            return phases, art.iterations, art.converged, art.fixed_point_residual
         phases = np.empty((cfg.K, cfg.N))
         for k in range(cfg.K):
             phases[k], _ = asymptotic_phases_and_sinr_bs_ris_zf(
                 chs_hat.h_block(k), chs_hat.R, cfg.noise_variance_blocked[k], k
             )
-        return PhaseConfig(phases=phases, origin="asymptotic"), 0, True, 0.0
+        return phases, 0, True, 0.0
     raise ValueError(f"unknown phase rule {point.phase_rule!r}")
 
 
@@ -223,28 +223,26 @@ def run_point(
             chs_hat = apply_estimation_error(
                 chs, point.tau, derive_seed(run.master_seed, point.dims_index, t, 1)
             )
-            pc, iters, converged, residual = _design_phases(
+            phases, iters, converged, residual = _design_phases(
                 point, chs_hat, run.master_seed, t
             )
             if point.scheme == BS_UE_ZF:
-                W = bs_ue_zf_precoder(chs_hat, pc.phases)
+                W = bs_ue_zf_precoder(chs_hat, phases)
             else:
                 W = bs_ris_zf_precoder(chs_hat)
             W, _ = normalize_power(W, cfg_point)
-            sb, sd = sinr_exact(chs, pc, W, cfg_point)
+            sb, sd = sinr_exact(chs, phases, W, cfg_point)
             if want_analytic:
                 analytic_vals.append(_analytic_sum_rate(chs, cfg_point))
         except (RankDeficiencyError, UndefinedPhaseError, np.linalg.LinAlgError):
             failures += 1
             continue
-        sinrs = np.concatenate([sb, sd])
         results.append(
             TrialResult(
                 sinr_blocked=sb,
                 sinr_direct=sd,
-                rates=np.log2(1.0 + sinrs),
-                sum_rate=sum_rate(sinrs),
-                nulling_residual=nulling_residual(chs, pc, W, cfg_point),
+                sum_rate=sum_rate(np.concatenate([sb, sd])),
+                nulling_residual=nulling_residual(chs, phases, W, cfg_point),
                 fixed_point_residual=residual,
                 phase_iterations=iters,
                 phase_converged=converged,

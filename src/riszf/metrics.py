@@ -17,7 +17,6 @@ from riszf.beamform import (
     vector_norms,
 )
 from riszf.channel import ChannelSet, read_only
-from riszf.phaseopt import PhaseConfig
 from riszf.sysconfig import SystemConfig
 
 RANK_SV_THRESHOLD = 1e-10  # relative to the largest singular value
@@ -31,15 +30,13 @@ class TrialResult:
     """Everything measured in one Monte Carlo trial.
 
     Per-UE arrays are RIS-major for blocked UEs. Context fields (trial
-    index, scheme, rule, dimensions) are stamped by the sweep runner;
-    rank_q2 is -1 when the RIS-side stack was not evaluated. The phase
-    rule's solver fills phase_iterations, phase_converged and
+    index, scheme, rule, dimensions) are stamped by the sweep runner. The
+    phase rule's solver fills phase_iterations, phase_converged and
     fixed_point_residual; rules without an iteration give 0, True, 0.0.
     """
 
     sinr_blocked: np.ndarray
     sinr_direct: np.ndarray
-    rates: np.ndarray
     sum_rate: float
     nulling_residual: float
     fixed_point_residual: float
@@ -90,13 +87,12 @@ def trial_csv_row(t: TrialResult) -> str:
 
 
 def effective_matrix(
-    chs: ChannelSet, phases: PhaseConfig | np.ndarray, W: np.ndarray
+    chs: ChannelSet, phases: np.ndarray, W: np.ndarray
 ) -> np.ndarray:
     """((U_b + U_d) x streams) received-gain matrix: every UE's channel row
     (cascaded for blocked UEs, direct otherwise) times every precoder
     column. Entry (u, j) is the complex gain of stream j at UE u."""
-    phi = phases.phases if isinstance(phases, PhaseConfig) else phases
-    return stack_bs_ue(chs, phi) @ W
+    return stack_bs_ue(chs, phases) @ W
 
 
 @functools.lru_cache(maxsize=64)
@@ -127,7 +123,7 @@ def _noise_variances(cfg: SystemConfig) -> np.ndarray:
 
 
 def sinr_exact(
-    chs: ChannelSet, phases: PhaseConfig | np.ndarray, W: np.ndarray, cfg: SystemConfig
+    chs: ChannelSet, phases: np.ndarray, W: np.ndarray, cfg: SystemConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-UE SINRs with the provided (possibly rescaled) precoder.
 
@@ -146,7 +142,7 @@ def sinr_exact(
 
 
 def nulling_residual(
-    chs: ChannelSet, phases: PhaseConfig | np.ndarray, W: np.ndarray, cfg: SystemConfig
+    chs: ChannelSet, phases: np.ndarray, W: np.ndarray, cfg: SystemConfig
 ) -> float:
     """Largest leaked cross-stream gain |E_{u,j}|, j not the UE's stream.
 
@@ -161,15 +157,14 @@ def nulling_residual(
 
 
 def sinr_bs_ris_zf(
-    chs: ChannelSet, phases: PhaseConfig | np.ndarray, k: int, sigma2_k: float
+    chs: ChannelSet, phases: np.ndarray, k: int, sigma2_k: float
 ) -> float:
     """Blocked-UE SINR under RIS-side nulling, from the scheme's own
     closed form: the per-element responses are pinned by the precoder, so
     the SINR is the coherently summed reflection divided by noise."""
-    phi = phases.phases if isinstance(phases, PhaseConfig) else phases
     W = bs_ris_zf_precoder(chs)
     a = chs.H[k].conj().T @ W[:, k]
-    gain = np.sum(np.exp(1j * phi[k]) * chs.h_block(k).conj() * a)
+    gain = np.sum(np.exp(1j * phases[k]) * chs.h_block(k).conj() * a)
     return float(np.abs(gain) ** 2 / sigma2_k)
 
 

@@ -1,6 +1,7 @@
 """Phase-shift design rules for the RIS elements.
 
-Four rules are implemented, all returning angles in [-pi, pi):
+Four rules are implemented, each returning a (K, N) array of angles in
+[-pi, pi), one row per RIS:
 
 * alternating eigenvector optimization for UE-side nulling, which reduces
   to a closed form when each RIS serves one UE;
@@ -29,7 +30,6 @@ from riszf.channel import (
 )
 from riszf.sysconfig import SystemConfig
 
-PHASE_ORIGINS = ("optimal", "closed_form", "asymptotic", "random")
 TWO_PI = 2.0 * np.pi
 
 
@@ -46,18 +46,6 @@ class UndefinedPhaseError(ValueError):
         )
         self.ris = ris
         self.element = element
-
-
-@dataclass(frozen=True)
-class PhaseConfig:
-    """Per-RIS phase vectors, (K, N), each entry in [-pi, pi)."""
-
-    phases: np.ndarray
-    origin: str
-
-    def __post_init__(self):
-        if self.origin not in PHASE_ORIGINS:
-            raise ValueError(f"unknown phase origin {self.origin!r}")
 
 
 @dataclass(frozen=True)
@@ -127,13 +115,9 @@ def principal_eigenvector(
     return v
 
 
-def random_phases(cfg: SystemConfig, seed: int) -> PhaseConfig:
-    """I.i.d. uniform phases on [-pi, pi), deterministic per seed."""
-    rng = spawn_rng(seed)
-    return PhaseConfig(
-        phases=rng.uniform(-np.pi, np.pi, size=(cfg.K, cfg.N)),
-        origin="random",
-    )
+def random_phases(cfg: SystemConfig, seed: int) -> np.ndarray:
+    """I.i.d. uniform (K, N) phases on [-pi, pi), deterministic per seed."""
+    return spawn_rng(seed).uniform(-np.pi, np.pi, size=(cfg.K, cfg.N))
 
 
 @functools.lru_cache(maxsize=32)
@@ -179,12 +163,12 @@ def _phase_update_bs_ue_zf(chs: ChannelSet, W: np.ndarray) -> np.ndarray:
 
 def optimal_phases_bs_ue_zf(
     chs: ChannelSet,
-    init: PhaseConfig | np.ndarray | None = None,
+    init: np.ndarray,
     tol: float = 1e-6,
     max_iter: int = 20,
-    init_seed: int = 0,
-) -> tuple[PhaseConfig, OptimizeDiagnostics]:
-    """Alternating phase optimization under UE-side nulling.
+) -> tuple[np.ndarray, OptimizeDiagnostics]:
+    """Alternating phase optimization under UE-side nulling, from the
+    (K, N) start phases `init`.
 
     The per-UE alignment vector q depends on the precoder, which depends
     on the phases being chosen, so the scheme alternates: freeze the
@@ -199,13 +183,7 @@ def optimal_phases_bs_ue_zf(
     in the diagnostics, not raised.
     """
     cfg = chs.cfg
-    if init is None:
-        phases = random_phases(cfg, init_seed).phases.copy()
-    elif isinstance(init, PhaseConfig):
-        phases = init.phases.copy()
-    else:
-        phases = np.array(init, dtype=float)
-
+    phases = np.array(init, dtype=float)
     trace: list[float] = []
     converged = False
     change = math.inf
@@ -224,7 +202,7 @@ def optimal_phases_bs_ue_zf(
     trace.append(cfg.total_power / float((np.abs(W) ** 2).sum()))
 
     return (
-        PhaseConfig(phases=wrap_phase(phases), origin="optimal"),
+        wrap_phase(phases),
         OptimizeDiagnostics(
             objective_trace=tuple(trace),
             iterations=iterations,
@@ -377,7 +355,7 @@ def asymptotic_phases_bs_ue_zf(
 
 def asymptotic_phase_config_bs_ue_zf(
     chs: ChannelSet, tol: float = 1e-8
-) -> tuple[PhaseConfig, AsymptoticArtifacts]:
+) -> tuple[np.ndarray, AsymptoticArtifacts]:
     """Fixed-point phases for every RIS, solved as one (K, N) block of
     rows; requires one UE per RIS, so row k of h_b is RIS k's UE."""
     cfg = chs.cfg
@@ -389,7 +367,7 @@ def asymptotic_phase_config_bs_ue_zf(
     phases, residual, iterations = _fixed_point_rows(chs.h_b, chs.R, tol=tol)
     worst = float(residual.max())
     return (
-        PhaseConfig(phases=phases, origin="asymptotic"),
+        phases,
         AsymptoticArtifacts(
             fixed_point_residual=worst,
             iterations=int(iterations.max()),
@@ -405,7 +383,7 @@ def quadratic_form_objective(h: np.ndarray, R: np.ndarray, phases: np.ndarray) -
     return float(np.real(y.conj() @ (R @ y)))
 
 
-def optimal_phases_bs_ris_zf(chs: ChannelSet) -> PhaseConfig:
+def optimal_phases_bs_ris_zf(chs: ChannelSet) -> np.ndarray:
     """Closed-form phases under RIS-side nulling (one UE per RIS).
 
     Aligns every element's cascaded contribution: the precoder fixes the
@@ -426,7 +404,7 @@ def optimal_phases_bs_ris_zf(chs: ChannelSet) -> PhaseConfig:
         if zeros.size:
             raise UndefinedPhaseError(k, int(zeros[0]), "alignment product")
         phases[k] = wrapped_angle(q, -1.0)
-    return PhaseConfig(phases=phases, origin="closed_form")
+    return phases
 
 
 @content_cache(maxsize=32)

@@ -3,8 +3,9 @@ key=value config-file format.
 
 Every scenario constant (antenna/element/user counts, powers, noise,
 channel-model parameters) lives in one of the three config dataclasses
-defined here. Configs are immutable after load and safe to share across
-parallel workers.
+defined here. Their defaults live only in `_KEY_DEFAULTS`: build the
+default scenario with `build_configs({})`. Configs are immutable after
+load and safe to share across parallel workers.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ class SystemConfig:
     U_d: int
     noise_variance_blocked: tuple[float, ...]
     noise_variance_direct: tuple[float, ...]
-    total_power: float = 1.0
-    power_mode: str = "paper_literal"
-    bandwidth: float = 1.0e7
+    total_power: float
+    power_mode: str
+    bandwidth: float
 
     @cached_property
     def U_b(self) -> int:
@@ -80,14 +81,14 @@ class ChannelModelConfig:
     intensity attenuation the BS-RIS links carry.
     """
 
-    carrier_frequency: float = 1.8e9
-    element_spacing: float = SPEED_OF_LIGHT / 1.8e9 / 4.0
-    element_area: float | None = None
-    attenuation_mu_lambda2_db: float = -75.0
-    grid_cols: int | None = None
-    direct_link_variance: float = 1.0
-    ris_ue_link_variance: float | None = None
-    correlation_model: str = "sinc"
+    carrier_frequency: float
+    element_spacing: float
+    element_area: float | None
+    attenuation_mu_lambda2_db: float
+    grid_cols: int | None
+    direct_link_variance: float
+    ris_ue_link_variance: float | None
+    correlation_model: str
 
     @property
     def wavelength(self) -> float:
@@ -122,15 +123,15 @@ class ChannelModelConfig:
 class RunConfig:
     """Sweep grid and Monte Carlo controls for the batch harness."""
 
-    sweep_M: tuple[int, ...] = (8, 16, 32, 64, 128, 256)
-    sweep_N: tuple[int, ...] = (1, 4, 8)
-    schemes: tuple[str, ...] = SCHEMES
-    phase_rules: tuple[str, ...] = PHASE_RULES
-    trials: int = 500
-    master_seed: int = 0
-    csi_tau: tuple[float, ...] = (0.0,)
-    output_dir: str = "out"
-    threads: int = 1
+    sweep_M: tuple[int, ...]
+    sweep_N: tuple[int, ...]
+    schemes: tuple[str, ...]
+    phase_rules: tuple[str, ...]
+    trials: int
+    master_seed: int
+    csi_tau: tuple[float, ...]
+    output_dir: str
+    threads: int
 
 
 @dataclass(frozen=True)
@@ -553,7 +554,12 @@ def serialize_configs(
         f"power_mode={cfg.power_mode}",
         f"bandwidth={fmt(cfg.bandwidth)}",
         "noise_variance_blocked=" + ",".join(fmt(v) for v in cfg.noise_variance_blocked),
-        "noise_variance_direct=" + ",".join(fmt(v) for v in cfg.noise_variance_direct),
+    ]
+    if cfg.U_d:  # an empty list does not parse; U_d = 0 loads as no variances
+        lines.append(
+            "noise_variance_direct=" + ",".join(fmt(v) for v in cfg.noise_variance_direct)
+        )
+    lines += [
         "# channel model",
         f"carrier_frequency={fmt(ch.carrier_frequency)}",
         f"element_spacing={fmt(ch.element_spacing)}",

@@ -69,9 +69,9 @@ def test_criterion_01_ue_side_nulling():
     worst = 0.0
     for i in range(100):
         chs = _unit_draw({"m": "32"}, seed=100 + i)
-        pc = random_phases(chs.cfg, seed=1100 + i)
-        W = bs_ue_zf_precoder(chs, pc.phases)
-        E = stack_bs_ue(chs, pc.phases) @ W - np.eye(6)
+        phases = random_phases(chs.cfg, seed=1100 + i)
+        W = bs_ue_zf_precoder(chs, phases)
+        E = stack_bs_ue(chs, phases) @ W - np.eye(6)
         worst = max(worst, float(np.abs(E).max()))
     dt = time.time() - t0
     ok = worst < NULLING_TOL and dt < 10.0

@@ -25,7 +25,7 @@ from riszf.harness import (
     run_sweep,
 )
 from riszf.metrics import TRIAL_CSV_HEADER
-from riszf.sysconfig import RunConfig, build_configs
+from riszf.sysconfig import build_configs
 
 
 def _configs(extra=None):
@@ -266,7 +266,7 @@ def test_emit_empty_summary_writes_header_only(tmp_path):
 
 
 def test_runconfig_with_no_schemes_yields_empty_grid():
-    run = RunConfig(schemes=(), trials=1)
+    run = replace(build_configs({})[2], schemes=())
     assert enumerate_grid(run) == []
 
 

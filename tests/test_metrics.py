@@ -55,7 +55,7 @@ def _draw(overrides, seed=0, unit=True):
 def test_bs_ue_zf_sinr_is_inverse_noise():
     chs = _draw({"m": "32", "n": "4", "k": "4", "u_d": "2", "noise_variance_blocked": "0.5", "noise_variance_direct": "0.25"})
     phases = random_phases(chs.cfg, seed=3)
-    W = bs_ue_zf_precoder(chs, phases.phases)
+    W = bs_ue_zf_precoder(chs, phases)
     sb, sd = sinr_exact(chs, phases, W, chs.cfg)
     np.testing.assert_allclose(sb, 2.0, rtol=1e-9)
     np.testing.assert_allclose(sd, 4.0, rtol=1e-9)
@@ -66,7 +66,7 @@ def test_bs_ue_zf_sinr_at_physical_scales_near_inverse_noise():
     # direct UEs; they stay a small fraction of the noise floor
     chs = _draw({"m": "32"}, unit=False)
     phases = random_phases(chs.cfg, seed=3)
-    W = bs_ue_zf_precoder(chs, phases.phases)
+    W = bs_ue_zf_precoder(chs, phases)
     sb, sd = sinr_exact(chs, phases, W, chs.cfg)
     target = 1.0 / chs.cfg.noise_variance_blocked[0]
     np.testing.assert_allclose(np.concatenate([sb, sd]), target, rtol=0.2)
@@ -94,7 +94,7 @@ def test_sinr_scales_with_beta_under_normalization():
     kv = {"m": "24", "n": "2", "k": "2", "u_d": "1", "power_mode": "sum_power_normalized", "noise_variance_blocked": "1e-3", "noise_variance_direct": "1e-3"}
     chs = _draw(kv)
     phases = random_phases(chs.cfg, seed=1)
-    W = bs_ue_zf_precoder(chs, phases.phases)
+    W = bs_ue_zf_precoder(chs, phases)
     W2, beta = normalize_power(W, chs.cfg)
     sb, sd = sinr_exact(chs, phases, W2, chs.cfg)
     np.testing.assert_allclose(
@@ -105,29 +105,29 @@ def test_sinr_scales_with_beta_under_normalization():
 def test_ris_zf_sinr_consistency_between_routes():
     kv = {"m": "24", "n": "4", "k": "2", "u_d": "2", "noise_variance_blocked": "1.0", "noise_variance_direct": "1.0"}
     chs = _draw(kv, seed=5)
-    pc = optimal_phases_bs_ris_zf(chs)
+    phases = optimal_phases_bs_ris_zf(chs)
     W = bs_ris_zf_precoder(chs)
-    sb, _ = sinr_exact(chs, pc, W, chs.cfg)
+    sb, _ = sinr_exact(chs, phases, W, chs.cfg)
     for k in range(chs.cfg.K):
-        closed = sinr_bs_ris_zf(chs, pc, k, 1.0)
+        closed = sinr_bs_ris_zf(chs, phases, k, 1.0)
         assert closed == pytest.approx(sb[k], rel=1e-8)
 
 
 def test_ris_zf_sinr_consistency_at_physical_scales():
     chs = _draw({"m": "40"}, seed=6, unit=False)
-    pc = optimal_phases_bs_ris_zf(chs)
+    phases = optimal_phases_bs_ris_zf(chs)
     W = bs_ris_zf_precoder(chs)
-    sb, _ = sinr_exact(chs, pc, W, chs.cfg)
+    sb, _ = sinr_exact(chs, phases, W, chs.cfg)
     for k in range(chs.cfg.K):
-        closed = sinr_bs_ris_zf(chs, pc, k, chs.cfg.noise_variance_blocked[k])
+        closed = sinr_bs_ris_zf(chs, phases, k, chs.cfg.noise_variance_blocked[k])
         assert closed == pytest.approx(sb[k], rel=1e-6)
 
 
 def test_ris_zf_sinr_invariant_to_global_phase_rotation():
     chs = _draw({"m": "24", "n": "4", "k": "2", "u_d": "1"}, seed=9)
-    pc = optimal_phases_bs_ris_zf(chs)
-    base = sinr_bs_ris_zf(chs, pc, 0, 1.0)
-    rotated = pc.phases.copy()
+    phases = optimal_phases_bs_ris_zf(chs)
+    base = sinr_bs_ris_zf(chs, phases, 0, 1.0)
+    rotated = phases.copy()
     rotated[0] += 1.234
     assert sinr_bs_ris_zf(chs, rotated, 0, 1.0) == pytest.approx(base, rel=1e-12)
 
@@ -146,10 +146,10 @@ def test_nulling_residual_perfect_vs_estimated_csi():
     kv = {"m": "24", "n": "2", "k": "2", "u_d": "1"}
     chs = _draw(kv, seed=12)
     phases = random_phases(chs.cfg, seed=2)
-    W = bs_ue_zf_precoder(chs, phases.phases)
+    W = bs_ue_zf_precoder(chs, phases)
     assert nulling_residual(chs, phases, W, chs.cfg) < 1e-10
     noisy = apply_estimation_error(chs, 0.2, seed=77)
-    W_hat = bs_ue_zf_precoder(noisy, phases.phases)
+    W_hat = bs_ue_zf_precoder(noisy, phases)
     # precoder nulls the estimated channels; true leakage is visible
     assert nulling_residual(chs, phases, W_hat, chs.cfg) > 1e-3
 
@@ -305,7 +305,6 @@ def test_trial_csv_schema():
     t = TrialResult(
         sinr_blocked=np.array([2.0, 3.0]),
         sinr_direct=np.array([1.0]),
-        rates=np.log2(1 + np.array([2.0, 3.0, 1.0])),
         sum_rate=4.584962500721156,
         nulling_residual=0.0,
         fixed_point_residual=2.5e-07,

@@ -133,25 +133,27 @@ def test_repeated_sweep_values_keep_first_occurrence():
 
 
 def test_roundtrip_identical(tmp_path):
-    cfg, ch, run = build_configs(
-        {
-            "m": "48",
-            "n": "8",
-            "k": "2",
-            "l": "1,2",
-            "u_d": "3",
-            "element_spacing": "lambda/4",
-            "csi_tau": "0.0,0.1",
-            "power_mode": "sum_power_normalized",
-            "master_seed": "7",
-        }
-    )
-    path = tmp_path / "cfg.txt"
-    path.write_text(serialize_configs(cfg, ch, run))
-    cfg2, ch2, run2 = load_config(str(path))
-    assert cfg2 == cfg
-    assert ch2 == ch
-    assert run2 == run
+    custom = {
+        "m": "48",
+        "n": "8",
+        "k": "2",
+        "l": "1,2",
+        "u_d": "3",
+        "element_spacing": "lambda/4",
+        "csi_tau": "0.0,0.1",
+        "power_mode": "sum_power_normalized",
+        "master_seed": "7",
+    }
+    # no direct UEs: an empty variance list must round-trip too
+    for kv in (custom, {"u_d": "0"}):
+        cfg, ch, run = build_configs(kv)
+        path = tmp_path / "cfg.txt"
+        path.write_text(serialize_configs(cfg, ch, run))
+        cfg2, ch2, run2 = load_config(str(path))
+        assert cfg2 == cfg
+        assert ch2 == ch
+        assert run2 == run
+    assert cfg2.noise_variance_direct == ()
 
 
 def test_validate_default_passes_both_schemes():
