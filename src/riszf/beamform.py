@@ -95,17 +95,68 @@ def gamma_matrix(N: int, K: int, U_d: int) -> np.ndarray:
     return read_only(G)
 
 
+class GramFactor:
+    """Equilibrated Gram factorization of a stacked channel Q, built in
+    the operation order of `right_inverse_apply`, which reads it.
+
+    Rows are scaled to unit norm, Qs = diag(inv) Q with inv = 1/norms, and
+    A = Qs Qs^H is factored by `cholesky_upper` into `c`. Each step runs
+    only when the one before it can: an all-zero row stops before the
+    scaling, a non-finite A before the factor. `bound` is
+    `gram_cond_bound` of A, with A^{-1} from one more solve on the factor,
+    computed on first access; it is inf when the factor or that solve
+    fails or A is not finite.
+
+    `ChannelSet.ris_gram` holds one per draw for the RIS-side stack, so
+    its precoders and `rank_q2` share a factor. Only what those callers
+    read is kept: `norms`, `inv`, `QsH` = Qs^H, `A` and `c`.
+    """
+
+    def __init__(self, Q: np.ndarray):
+        self.shape = Q.shape
+        self.norms = vector_norms(Q, axis=1)
+        self.inv = self.QsH = self.A = self.c = None
+        self.finite = False
+        self.potrf_info = 0
+        if not self.norms.all():
+            return
+        self.inv = 1.0 / self.norms
+        Qs = Q * self.inv[:, None]
+        self.QsH = Qs.conj().T
+        self.A = Qs @ self.QsH
+        self.finite = bool(np.isfinite(self.A).all())
+        if self.finite:
+            self.c, self.potrf_info = cholesky_upper(self.A)
+
+    def read_only(self) -> GramFactor:
+        """This factor with its arrays marked read-only: the form a draw
+        holds it in."""
+        for a in (self.norms, self.inv, self.QsH, self.A, self.c):
+            if a is not None:
+                a.flags.writeable = False
+        return self
+
+    @functools.cached_property
+    def bound(self) -> float:
+        """`gram_cond_bound` of A, or inf when it cannot be formed."""
+        if not self.finite or self.potrf_info != 0:
+            return math.inf
+        return _solved_cond_bound(self.A, self.c)
+
+
 def right_inverse_apply(
-    Q: np.ndarray,
+    Q: np.ndarray | GramFactor,
     targets: np.ndarray | None = None,
 ) -> np.ndarray:
     """Q^H (Q Q^H)^{-1} targets, via a Cholesky solve of the Gram matrix.
 
-    Rows are equilibrated to unit norm before forming the Gram matrix:
-    cascaded rows are tens of dB weaker than direct ones, which would push
-    the raw Gram past float64 otherwise. Scaling rows does not change the
-    result because the solution is the unique one whose columns lie in the
-    row space of Q, and that space is scale invariant.
+    `Q` is the stacked rows, or their `GramFactor`, which is then not
+    built again. Rows are equilibrated to unit norm before forming the
+    Gram matrix: cascaded rows are tens of dB weaker than direct ones,
+    which would push the raw Gram past float64 otherwise. Scaling rows
+    does not change the result because the solution is the unique one
+    whose columns lie in the row space of Q, and that space is scale
+    invariant.
 
     Raises RankDeficiencyError, for the batch layer to record, when the
     equilibrated Gram matrix is singular or its eigenvalue ratio (by
@@ -113,6 +164,8 @@ def right_inverse_apply(
     and when `gram_cond_bound` settles the ratio, `eigvalsh` would accept
     and is skipped; every case the bound cannot settle (a large bound, a
     failed factor or solve, a non-finite input) runs the `eigvalsh` check.
+    An identity target's solve, of diag(inv), yields A^{-1} = x diag(norms)
+    for the bound; any other target reads the factor's own `bound`.
     The factorization and solve call LAPACK's potrf/potrs directly, as
     `scipy.linalg.cho_factor`/`cho_solve` would, with the same checks: a
     non-finite Gram matrix or right-hand side raises ValueError, a
@@ -120,46 +173,37 @@ def right_inverse_apply(
     bundled OpenBLAS (`numpy_openblas`), so scipy is not imported; without
     that build they go through scipy's wrappers.
     """
-    rows = Q.shape[0]
-    norms = vector_norms(Q, axis=1)
-    if not norms.all():
+    gram = Q if isinstance(Q, GramFactor) else GramFactor(Q)
+    if not gram.norms.all():
         raise RankDeficiencyError(
-            f"stacked channel of shape {Q.shape} has an all-zero row",
+            f"stacked channel of shape {gram.shape} has an all-zero row",
             cond=math.inf,
-            shape=tuple(Q.shape),
+            shape=gram.shape,
         )
-    inv = 1.0 / norms
-    Qs = Q * inv[:, None]
-    QsH = Qs.conj().T
-    A = Qs @ QsH
     identity_target = targets is None
     # the identity target scaled by inv, eye(rows) * inv[:, None] bit for bit
-    b = np.diag(inv) if identity_target else targets * inv[:, None]
+    b = np.diag(gram.inv) if identity_target else targets * gram.inv[:, None]
     # an identity target's b = diag(inv) is finite whenever A is: an
     # infinite inv makes the row of Qs, and so A, infinite or NaN
-    finite = np.isfinite(A).all() and (identity_target or np.isfinite(b).all())
+    finite = gram.finite and (identity_target or np.isfinite(b).all())
     bound = math.inf
-    if finite:
-        c, potrf_info = cholesky_upper(A)
-        if potrf_info == 0:
-            x, potrs_info = cholesky_solve(c, b)
-            # the bound needs A^{-1}: an identity target's solve is
-            # A^{-1} diag(inv), any other target takes one more solve
-            inverse, info = ((x * norms, potrs_info) if identity_target
-                             else cholesky_solve(c, np.eye(rows)))
-            if info == 0:
-                bound = gram_cond_bound(A, inverse)
+    if finite and gram.potrf_info == 0:
+        x, potrs_info = cholesky_solve(gram.c, b)
+        if not identity_target:
+            bound = gram.bound
+        elif potrs_info == 0:
+            bound = gram_cond_bound(gram.A, x * gram.norms)
     if math.isinf(bound):
-        _check_gram_condition(A, Q.shape)
+        _check_gram_condition(gram.A, gram.shape)
     if not finite:
         raise ValueError("array must not contain infs or NaNs")
-    if potrf_info > 0:
+    if gram.potrf_info > 0:
         raise np.linalg.LinAlgError(
-            f"{potrf_info}-th leading minor of the array is not positive definite"
+            f"{gram.potrf_info}-th leading minor of the array is not positive definite"
         )
     if potrs_info != 0:
         raise ValueError(f"illegal value in argument {-potrs_info} of LAPACK potrs")
-    return QsH @ x
+    return gram.QsH @ x
 
 
 def vector_norms(Q: np.ndarray, axis: int) -> np.ndarray:
@@ -203,8 +247,13 @@ def cholesky_cond_bound(A: np.ndarray) -> float:
     its Cholesky factor and an identity right-hand side; inf when potrf or
     potrs fails."""
     c, info = cholesky_upper(A)
-    if info == 0:
-        inverse, info = cholesky_solve(c, np.eye(A.shape[0]))
+    return _solved_cond_bound(A, c) if info == 0 else math.inf
+
+
+def _solved_cond_bound(A: np.ndarray, c: np.ndarray) -> float:
+    """`gram_cond_bound` of A given its factor c, with A^{-1} from one
+    potrs with an identity right-hand side; inf when that solve fails."""
+    inverse, info = cholesky_solve(c, np.eye(A.shape[0]))
     return gram_cond_bound(A, inverse) if info == 0 else math.inf
 
 
@@ -242,7 +291,12 @@ def numpy_openblas() -> ctypes.CDLL | None:
 def _fortran_ptr(a: np.ndarray):
     """Pointer to the Fortran-ordered `a`, for LAPACK to read and write.
     `a.T` is the C-contiguous view of the same memory that `from_buffer`
-    needs; the caller keeps `a` referenced while LAPACK runs."""
+    needs; the caller keeps `a` referenced while LAPACK runs. A read-only
+    `a`, which LAPACK only reads (a held `GramFactor`'s factor), goes
+    through `ndarray.ctypes`: `from_buffer`, about four times faster,
+    takes only writable memory."""
+    if not a.flags.writeable:
+        return a.ctypes.data_as(_MAT)
     return ctypes.byref(ctypes.c_char.from_buffer(a.T))
 
 
@@ -293,10 +347,11 @@ def bs_ue_zf_precoder(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:
 
 def bs_ris_zf_precoder(chs: ChannelSet) -> np.ndarray:
     """(M x (K + U_d)) precoder with one column per RIS plus one per direct
-    UE; independent of the RIS phases."""
+    UE; independent of the RIS phases. It right-inverts the draw's
+    factored RIS-side stack (`ChannelSet.ris_gram`), so every build for
+    one draw shares a factor."""
     cfg = chs.cfg
-    Q2 = stack_bs_ris(chs)
-    return right_inverse_apply(Q2, gamma_matrix(cfg.N, cfg.K, cfg.U_d))
+    return right_inverse_apply(chs.ris_gram, gamma_matrix(cfg.N, cfg.K, cfg.U_d))
 
 
 def normalize_power(

@@ -179,10 +179,10 @@ class ChannelSet:
         Both are read-only arrays shared by every draw with the same N
         and channel config.
 
-    `R` and `H_conj_blocked` are computed on first access and kept for
-    the draw's lifetime, read-only. They derive only from `cfg`, `ch`,
-    `C` and `H`, which nothing edits in place; `dataclasses.replace` gives a new
-    set that computes its own.
+    `R`, `H_conj_blocked` and `ris_gram` are computed on first access and
+    kept for the draw's lifetime, read-only. They derive only from `cfg`,
+    `ch`, `C`, `H` and `h_d`, which nothing edits in place;
+    `dataclasses.replace` gives a new set that computes its own.
     """
 
     cfg: SystemConfig
@@ -205,6 +205,15 @@ class ChannelSet:
         Conjugated in place after the gather, so it costs one allocation."""
         out = self.H[ris_of_blocked_ue(self.cfg.L)]
         return read_only(np.conjugate(out, out=out))
+
+    @functools.cached_property
+    def ris_gram(self):
+        """`beamform.GramFactor` of the RIS-side stack
+        (`beamform.stack_bs_ris`): the one factorization that `rank_q2`
+        and every RIS-side precoder of the draw read."""
+        from riszf.beamform import GramFactor, stack_bs_ris  # beamform imports channel
+
+        return GramFactor(stack_bs_ris(self)).read_only()
 
     def h_block(self, k: int, ell: int = 0) -> np.ndarray:
         """RIS-side channel of blocked UE (k, ell), shape (N,)."""

@@ -1,6 +1,7 @@
 """Command line entry points for sweeps, config checks, and cost tables."""
 
 import argparse
+import os
 import sys
 
 from .harness import (
@@ -62,6 +63,8 @@ def _cmd_run(args) -> int:
              "trials": args.trials, "threads": args.threads}
     kv.update({k: str(v) for k, v in flags.items() if v is not None})
     cfg, ch, run_cfg = build_configs(kv)
+    # an output directory that cannot be made fails here, not after the sweep
+    os.makedirs(run_cfg.output_dir, exist_ok=True)
 
     summary = run_sweep(run_cfg, cfg, ch)
     written = emit_outputs(summary, run_cfg.output_dir)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from riszf.beamform import (
+    GramFactor,
     bs_ris_zf_precoder,
     cholesky_cond_bound,
     stack_bs_ris,
@@ -177,7 +178,21 @@ def sum_rate(sinrs: np.ndarray) -> float:
 
 
 def rank_q2(chs: ChannelSet) -> int:
-    """Numerical rank of the RIS-side stack: its singular values above
+    """Numerical rank of the RIS-side stack (`stack_rank`). When the stack
+    has no more rows than columns, its bound reads the draw's factor
+    (`ChannelSet.ris_gram`), which the RIS-side precoders share, and the
+    stack itself is built only for the SVD."""
+    cfg = chs.cfg
+    rows = cfg.N * cfg.K + cfg.U_d
+    if rows > cfg.M:
+        return stack_rank(stack_bs_ris(chs))
+    if _rows_ratio_bound(chs.ris_gram) <= RANK_BOUND_LIMIT:
+        return rows
+    return _svd_rank(stack_bs_ris(chs))
+
+
+def stack_rank(Q: np.ndarray) -> int:
+    """Numerical rank of the stack Q: its singular values above
     RANK_SV_THRESHOLD times the largest.
 
     The stack is min(rows, M) singular values wide. When the bound on its
@@ -186,9 +201,13 @@ def rank_q2(chs: ChannelSet) -> int:
     width is returned without it; every case the bound cannot settle runs
     the SVD.
     """
-    Q = stack_bs_ris(chs)
     if _sv_ratio_bound(Q) <= RANK_BOUND_LIMIT:
         return min(Q.shape)
+    return _svd_rank(Q)
+
+
+def _svd_rank(Q: np.ndarray) -> int:
+    """The singular values of Q above RANK_SV_THRESHOLD times the largest."""
     sv = np.linalg.svd(Q, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
@@ -202,25 +221,38 @@ def _sv_ratio_bound(Q: np.ndarray) -> float:
     The shorter side is equilibrated, Q = D Qs with D the diagonal of its
     norms (row norms when rows <= M, column norms otherwise); then
     σmax/σmin <= (max D / min D) sqrt(λmax/λmin) of the Gram matrix A of
-    Qs, and `cholesky_cond_bound` bounds that ratio where it can be
-    trusted and gives inf elsewhere. Forming A squares the ratio: a nearly
-    rank-deficient Q has a computed A with λmin at the rounding floor,
-    about eps·tr(A), and a Gram bound near rows²/eps when the factor
-    succeeds at all. That is past the trusted range, so the SVD decides.
+    Qs, and the Gram bound (`GramFactor.bound` on the rows side,
+    `cholesky_cond_bound` on the columns side) bounds that ratio where it
+    can be trusted and gives inf elsewhere. Forming A squares the ratio: a
+    nearly rank-deficient Q has a computed A with λmin at the rounding
+    floor, about eps·tr(A), and a Gram bound near rows²/eps when the
+    factor succeeds at all. That is past the trusted range, so the SVD
+    decides.
     """
-    rows_side = Q.shape[0] <= Q.shape[1]
-    d = vector_norms(Q, axis=1 if rows_side else 0)
-    if d.size == 0 or not (d.min() > 0.0 and d.max() < np.inf):
+    if Q.shape[0] <= Q.shape[1]:
+        return _rows_ratio_bound(GramFactor(Q))
+    d = vector_norms(Q, axis=0)
+    if not _positive_finite(d):
         return np.inf
     # scaled by the reciprocals: a complex-by-real division costs about
     # three times the product, and only the bound's last bits differ
-    if rows_side:
-        Qs = Q * (1.0 / d)[:, None]
-        A = Qs @ Qs.conj().T
-    else:
-        Qs = Q * (1.0 / d)
-        A = Qs.conj().T @ Qs
-    return float(d.max() / d.min() * np.sqrt(cholesky_cond_bound(A)))
+    Qs = Q * (1.0 / d)
+    return float(d.max() / d.min() * np.sqrt(cholesky_cond_bound(Qs.conj().T @ Qs)))
+
+
+def _rows_ratio_bound(gram: GramFactor) -> float:
+    """`_sv_ratio_bound` of a stack with no more rows than columns, from
+    its `GramFactor`: the row norms and the Gram bound."""
+    d = gram.norms
+    if not _positive_finite(d):
+        return np.inf
+    return float(d.max() / d.min() * np.sqrt(gram.bound))
+
+
+def _positive_finite(d: np.ndarray) -> bool:
+    """Whether the norms `d` can equilibrate a stack: at least one, all
+    positive and finite."""
+    return d.size > 0 and d.min() > 0.0 and d.max() < np.inf
 
 
 def rank_diagnostics(

@@ -11,7 +11,9 @@ import scipy.linalg
 
 import riszf
 import riszf.beamform as beamform
+import riszf.metrics as metrics
 from riszf.beamform import (
+    GramFactor,
     RankDeficiencyError,
     bs_ris_zf_precoder,
     bs_ue_zf_precoder,
@@ -24,6 +26,7 @@ from riszf.beamform import (
     stack_bs_ue,
 )
 from riszf.channel import sample_channels, spawn_rng
+from riszf.metrics import rank_q2
 from riszf.phaseopt import _phase_update_bs_ue_zf
 from riszf.sysconfig import build_configs, default_configs
 
@@ -343,6 +346,78 @@ def test_ris_side_right_inverse_bound_decides_at_benchmark_shapes(
             W = right_inverse_apply(Q2, G)
             assert eigvalsh_calls == []
             assert np.array_equal(W, _reference_right_inverse(Q2, G))
+
+
+def _reference_sv_ratio_bound(Q):
+    """The rows-side rank bound of the raw stack Q, from its own Gram
+    matrix and `cholesky_cond_bound`."""
+    d = beamform.vector_norms(Q, axis=1)
+    Qs = Q * (1.0 / d)[:, None]
+    return float(d.max() / d.min() * np.sqrt(beamform.cholesky_cond_bound(Qs @ Qs.conj().T)))
+
+
+@pytest.mark.parametrize("m", ["64", "256"])
+def test_cached_ris_side_factor_matches_a_fresh_one(lapack_route, eigvalsh_calls, m):
+    # rank_q2 and repeated precoder builds read the draw's one factor and
+    # give the bits of a right inverse and a bound built from the raw stack
+    for seed in range(3):
+        chs = _draw({"m": m, "n": "8", "k": "4", "u_d": "2"}, seed=seed, physical=True)
+        fresh = replace(chs)  # the same draw, with no per-draw values yet
+        Q2 = stack_bs_ris(fresh)
+        G = gamma_matrix(8, 4, 2)
+        want = right_inverse_apply(Q2, G)
+        assert np.array_equal(want, _reference_right_inverse(Q2, G))
+        assert rank_q2(chs) == min(Q2.shape)
+        for _ in range(2):
+            assert np.array_equal(bs_ris_zf_precoder(chs), want)
+        assert eigvalsh_calls == []
+        bound = metrics._rows_ratio_bound(chs.ris_gram)
+        assert bound == metrics._sv_ratio_bound(Q2) == _reference_sv_ratio_bound(Q2)
+        assert bound <= metrics.RANK_BOUND_LIMIT
+
+
+def _raised(fn):
+    """(type, message, cond, shape) of the exception `fn` raises."""
+    with pytest.raises(Exception) as exc:
+        fn()
+    e = exc.value
+    return type(e), str(e), getattr(e, "cond", None), getattr(e, "shape", None)
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("zero_row", RankDeficiencyError),
+    # eigvalsh checks the NaN Gram matrix first and does not converge
+    ("non_finite_channel", np.linalg.LinAlgError),
+    ("non_finite_target", ValueError),
+    ("not_positive_definite", RankDeficiencyError),
+    ("ill_conditioned", RankDeficiencyError),
+])
+def test_factored_stack_raises_as_the_raw_stack(lapack_route, eigvalsh_calls, fault, error):
+    # the draw's factor, a GramFactor handed in and the raw stack give the
+    # same exception after the same eigvalsh checks
+    m = "9" if fault == "not_positive_definite" else "64"  # 10 rows
+    chs = _draw({"m": m, "n": "4", "k": "2", "l": "1,1"}, seed=3)
+    H, h_d = chs.H.copy(), chs.h_d.copy()
+    G = np.array(gamma_matrix(4, 2, 2))
+    if fault == "zero_row":
+        h_d[1] = 0.0
+    elif fault == "non_finite_channel":
+        H[1, 5, 2] = np.nan
+    elif fault == "non_finite_target":
+        G[3, 0] = np.inf
+    elif fault == "ill_conditioned":
+        h_d[1] = h_d[0] + 1e-7 * spawn_rng(5).standard_normal(h_d.shape[1])
+    bad = replace(chs, H=H, h_d=h_d)
+    want = _raised(lambda: right_inverse_apply(stack_bs_ris(bad), G))
+    assert want[0] is error
+    checks = eigvalsh_calls.copy()
+    eigvalsh_calls.clear()
+    assert _raised(lambda: right_inverse_apply(GramFactor(stack_bs_ris(bad)), G)) == want
+    assert eigvalsh_calls == checks
+    if fault != "non_finite_target":  # the precoder's target is gamma_matrix
+        eigvalsh_calls.clear()
+        assert _raised(lambda: bs_ris_zf_precoder(bad)) == want
+        assert eigvalsh_calls == checks
 
 
 @pytest.mark.parametrize("L", ["1,1,1,1", "2,1,3"])

@@ -2,10 +2,12 @@
 
 import math
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
+from riszf.beamform import GramFactor, stack_bs_ris
 from riszf.channel import (
     apply_estimation_error,
     complex_normal,
@@ -293,20 +295,29 @@ def test_draws_share_the_cached_correlation():
     assert a.C is b.C and a.sqrt_C is b.sqrt_C
 
 
+GRAM_ARRAYS = ("norms", "inv", "QsH", "A", "c")
+
+
 @pytest.mark.parametrize("L", ["1,1,1,1", "2,1,3"])
 def test_per_draw_arrays_are_read_only_and_exact(L):
+    # the RIS-side stack has 18 rows at L=1,1,1,1, more than M, so its
+    # factor fails; at L=2,1,3 it has 14 and the factor succeeds
     cfg, ch, _ = build_configs({"m": "16", "n": "4", "k": str(len(L.split(","))), "l": L})
     ris = np.repeat(np.arange(cfg.K), cfg.L)
     # many draws in a row: a freed draw's memory, and so its id, is reused,
     # and every draw must still see its own arrays
     for seed in range(12):
         chs = sample_channels(cfg, ch, spawn_rng(seed, 0))
+        gram = GramFactor(stack_bs_ris(chs))  # built afresh, not read from chs
+        assert chs.ris_gram is chs.ris_gram
+        assert chs.ris_gram.bound == gram.bound
         for name, want in (
             ("H_conj_blocked", chs.H.conj()[ris]),
             ("R", ch.ris_element_scale * chs.C),
+            *((f"ris_gram.{a}", getattr(gram, a)) for a in GRAM_ARRAYS),
         ):
-            got = getattr(chs, name)
-            assert got is getattr(chs, name)  # computed once per draw
+            got = attrgetter(name)(chs)
+            assert got is attrgetter(name)(chs)  # computed once per draw
             assert not got.flags.writeable
             assert got.dtype == want.dtype and np.array_equal(got, want), (name, seed)
             with pytest.raises(ValueError):
@@ -317,9 +328,13 @@ def test_replaced_draw_gets_fresh_per_draw_arrays():
     cfg, ch, _ = build_configs({"m": "16", "n": "4", "k": "3", "l": "2,1,3"})
     chs = sample_channels(cfg, ch, spawn_rng(3, 0))
     before = chs.H_conj_blocked
+    gram = chs.ris_gram
     noisy = apply_estimation_error(chs, 0.3, seed=11)
     copy = replace(chs, H=2.0 * chs.H)
     for other in (noisy, copy):
         assert np.array_equal(other.H_conj_blocked, other.H.conj()[[0, 0, 1, 2, 2, 2]])
         assert not np.array_equal(other.H_conj_blocked, before)
+        assert np.array_equal(other.ris_gram.norms, GramFactor(stack_bs_ris(other)).norms)
+        assert not np.array_equal(other.ris_gram.norms, gram.norms)
     assert chs.H_conj_blocked is before
+    assert chs.ris_gram is gram

@@ -3,6 +3,7 @@
 import subprocess
 import sys
 
+import riszf.cli as cli
 import riszf.harness as harness
 from riszf.beamform import RankDeficiencyError
 from riszf.cli import main
@@ -86,6 +87,17 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["run", *FAST, "--threads", "0"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+def test_unwritable_output_dir_exits_two_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", *FAST, "--trials", "1", "--out", str(blocker / "o")]) == 2
+    assert "config error: [Errno 20] Not a directory" in capsys.readouterr().err
 
 
 def test_negative_seed_is_a_config_error(tmp_path, capsys):

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import riszf.beamform as beamform
 import riszf.harness as harness
 from riszf.beamform import RankDeficiencyError
 from riszf.harness import (
@@ -216,6 +217,46 @@ def test_trial_records_carry_context():
     assert all(t.nulling_residual > 1e-6 for t in summary.trials)
 
 
+def _count_calls(monkeypatch, module, name):
+    """List that grows by one on every call of `module.name`."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("tau, per_trial", [("0.0", 1), ("0.1,0.3", 2)])
+def test_ris_side_trial_factors_each_draw_once(tau, per_trial, monkeypatch):
+    # the ris_side_csi grid: rank_q2 and both precoder builds of the
+    # optimal rule read one factor per draw, the true draw's and, when
+    # tau > 0, the estimated draw's
+    factors = _count_calls(monkeypatch, beamform, "cholesky_upper")
+    cfg, ch, run = build_configs({
+        "schemes": "bs_ris_zf", "phase_rules": "optimal,random", "sweep_m": "128,256",
+        "sweep_n": "8", "csi_tau": tau, "trials": "3",
+    })
+    summary = run_sweep(run, cfg, ch)
+    assert all(p.status == STATUS_OK and p.failures == 0 for p in summary.points)
+    assert len(factors) == per_trial * len(summary.trials) > 0
+
+
+def test_ue_side_trial_factors_once_per_right_inverse_and_rank(monkeypatch):
+    # the default grid's UE-side points: every precoder build and every
+    # rank_q2 factors its own Gram matrix
+    factors = _count_calls(monkeypatch, beamform, "cholesky_upper")
+    inverses = _count_calls(monkeypatch, beamform, "right_inverse_apply")
+    ranks = _count_calls(monkeypatch, harness, "rank_q2")
+    cfg, ch, run = build_configs({"schemes": "bs_ue_zf", "trials": "1"})
+    summary = run_sweep(run, cfg, ch)
+    assert len(ranks) == len(summary.trials) > 0
+    assert len(factors) == len(inverses) + len(ranks)
+
+
 def test_emit_headers_and_row_counts(tmp_path):
     cfg, ch, run = _configs({"sweep_m": "16,32", "sweep_n": "1",
                              "schemes": "bs_ue_zf", "phase_rules": "random"})
@@ -341,6 +382,7 @@ def test_pool_workers_run_on_one_blas_thread(openblas_at_two_threads, monkeypatc
 _FAULTS_AFTER_PIN = """
 import resource
 import numpy as np
+import riszf.beamform as beamform
 import riszf.harness as harness
 harness._pin_one_blas_thread()
 f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import riszf.beamform as beamform
-import riszf.metrics as metrics
 from riszf.beamform import (
     bs_ris_zf_precoder,
     bs_ue_zf_precoder,
@@ -30,6 +29,7 @@ from riszf.metrics import (
     rank_q2,
     sinr_bs_ris_zf,
     sinr_exact,
+    stack_rank,
     sum_rate,
     trial_csv_row,
 )
@@ -274,7 +274,8 @@ def test_rank_q2_nearly_dependent_stack_falls_back_to_svd(
     # times a random one: σmin/σmax is about 1e-13, so the SVD drops it. The
     # computed Gram matrix has λmin at the rounding floor and its factor
     # often succeeds; forming it squares the ratio past what a double can
-    # resolve, so its bound is not trusted and the SVD decides
+    # resolve, so its bound is not trusted and the SVD decides. stack_rank
+    # applies rank_q2's rule to any stack
     if scipy_route:
         monkeypatch.setattr(beamform, "numpy_openblas", lambda: None)
     for seed in range(40):
@@ -284,10 +285,9 @@ def test_rank_q2_nearly_dependent_stack_falls_back_to_svd(
             Q[-1] = Q[0] + 1e-13 * complex_normal(rng, m)
         else:
             Q[:, -1] = Q[:, 0] + 1e-13 * complex_normal(rng, rows)
-        monkeypatch.setattr(metrics, "stack_bs_ris", lambda chs, Q=Q: Q)
         sv = np.linalg.svd(Q, compute_uv=False)
         svd_calls.clear()
-        assert rank_q2(None) == np.count_nonzero(sv > RANK_SV_THRESHOLD * sv[0])
+        assert stack_rank(Q) == np.count_nonzero(sv > RANK_SV_THRESHOLD * sv[0])
         assert svd_calls == [Q.shape]
 
 def test_rank_diagnostics_single_identity_block():
