@@ -12,11 +12,8 @@ Both strategies right-invert a stacked channel matrix:
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import glob
 import math
-import os
 
 import numpy as np
 
@@ -96,28 +93,24 @@ def gamma_matrix(N: int, K: int, U_d: int) -> np.ndarray:
 
 
 class GramFactor:
-    """Equilibrated Gram factorization of a stacked channel Q, built in
-    the operation order of `right_inverse_apply`, which reads it.
+    """Equilibrated Gram matrix of a stacked channel Q, built in the
+    operation order of `right_inverse_apply`, which reads it.
 
     Rows are scaled to unit norm, Qs = diag(inv) Q with inv = 1/norms, and
-    A = Qs Qs^H is factored by `cholesky_upper` into `c`. Each step runs
-    only when the one before it can: an all-zero row stops before the
-    scaling, a non-finite A before the factor. `bound` is
-    `gram_cond_bound` of A, with A^{-1} from one more solve on the factor,
-    computed on first access; it is inf when the factor or that solve
-    fails or A is not finite.
+    A = Qs Qs^H; an all-zero row stops before the scaling. `bound` is
+    `inverse_cond_bound` of A, computed on first access; it is inf when A
+    is not finite.
 
     `ChannelSet.ris_gram` holds one per draw for the RIS-side stack, so
-    its precoders and `rank_q2` share a factor. Only what those callers
-    read is kept: `norms`, `inv`, `QsH` = Qs^H, `A` and `c`.
+    its precoders and `rank_q2` share a Gram matrix and its bound. Only
+    what those callers read is kept: `norms`, `inv`, `QsH` = Qs^H and `A`.
     """
 
     def __init__(self, Q: np.ndarray):
         self.shape = Q.shape
         self.norms = vector_norms(Q, axis=1)
-        self.inv = self.QsH = self.A = self.c = None
+        self.inv = self.QsH = self.A = None
         self.finite = False
-        self.potrf_info = 0
         if not self.norms.all():
             return
         self.inv = 1.0 / self.norms
@@ -125,30 +118,26 @@ class GramFactor:
         self.QsH = Qs.conj().T
         self.A = Qs @ self.QsH
         self.finite = bool(np.isfinite(self.A).all())
-        if self.finite:
-            self.c, self.potrf_info = cholesky_upper(self.A)
 
     def read_only(self) -> GramFactor:
         """This factor with its arrays marked read-only: the form a draw
         holds it in."""
-        for a in (self.norms, self.inv, self.QsH, self.A, self.c):
+        for a in (self.norms, self.inv, self.QsH, self.A):
             if a is not None:
                 a.flags.writeable = False
         return self
 
     @functools.cached_property
     def bound(self) -> float:
-        """`gram_cond_bound` of A, or inf when it cannot be formed."""
-        if not self.finite or self.potrf_info != 0:
-            return math.inf
-        return _solved_cond_bound(self.A, self.c)
+        """`inverse_cond_bound` of A, or inf when A is not finite."""
+        return inverse_cond_bound(self.A) if self.finite else math.inf
 
 
 def right_inverse_apply(
     Q: np.ndarray | GramFactor,
     targets: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Q^H (Q Q^H)^{-1} targets, via a Cholesky solve of the Gram matrix.
+    """Q^H (Q Q^H)^{-1} targets, via `np.linalg.solve` on the Gram matrix.
 
     `Q` is the stacked rows, or their `GramFactor`, which is then not
     built again. Rows are equilibrated to unit norm before forming the
@@ -156,22 +145,19 @@ def right_inverse_apply(
     which would push the raw Gram past float64 otherwise. Scaling rows
     does not change the result because the solution is the unique one
     whose columns lie in the row space of Q, and that space is scale
-    invariant.
+    invariant. The solve is LU with partial pivoting on A itself, not an
+    explicit inverse times the targets, which is not backward stable.
 
     Raises RankDeficiencyError, for the batch layer to record, when the
     equilibrated Gram matrix is singular or its eigenvalue ratio (by
-    `eigvalsh`) exceeds COND_LIMIT. The Cholesky factor is computed first,
-    and when `gram_cond_bound` settles the ratio, `eigvalsh` would accept
-    and is skipped; every case the bound cannot settle (a large bound, a
-    failed factor or solve, a non-finite input) runs the `eigvalsh` check.
+    `eigvalsh`) exceeds COND_LIMIT. The solve runs first, and when
+    `gram_cond_bound` settles the ratio, `eigvalsh` would accept and is
+    skipped; every case the bound cannot settle (a large bound, a failed
+    solve or inverse, a non-finite input) runs the `eigvalsh` check.
     An identity target's solve, of diag(inv), yields A^{-1} = x diag(norms)
     for the bound; any other target reads the factor's own `bound`.
-    The factorization and solve call LAPACK's potrf/potrs directly, as
-    `scipy.linalg.cho_factor`/`cho_solve` would, with the same checks: a
-    non-finite Gram matrix or right-hand side raises ValueError, a
-    factorization that fails raises LinAlgError. They run in numpy's
-    bundled OpenBLAS (`numpy_openblas`), so scipy is not imported; without
-    that build they go through scipy's wrappers.
+    After that check, a non-finite Gram matrix or target raises
+    ValueError, and a solve that failed raises its LinAlgError.
     """
     gram = Q if isinstance(Q, GramFactor) else GramFactor(Q)
     if not gram.norms.all():
@@ -187,22 +173,20 @@ def right_inverse_apply(
     # infinite inv makes the row of Qs, and so A, infinite or NaN
     finite = gram.finite and (identity_target or np.isfinite(b).all())
     bound = math.inf
-    if finite and gram.potrf_info == 0:
-        x, potrs_info = cholesky_solve(gram.c, b)
-        if not identity_target:
-            bound = gram.bound
-        elif potrs_info == 0:
-            bound = gram_cond_bound(gram.A, x * gram.norms)
+    error = None
+    if finite:
+        try:
+            x = np.linalg.solve(gram.A, b)
+        except np.linalg.LinAlgError as e:
+            error = e
+        else:
+            bound = gram_cond_bound(gram.A, x * gram.norms) if identity_target else gram.bound
     if math.isinf(bound):
         _check_gram_condition(gram.A, gram.shape)
     if not finite:
         raise ValueError("array must not contain infs or NaNs")
-    if gram.potrf_info > 0:
-        raise np.linalg.LinAlgError(
-            f"{gram.potrf_info}-th leading minor of the array is not positive definite"
-        )
-    if potrs_info != 0:
-        raise ValueError(f"illegal value in argument {-potrs_info} of LAPACK potrs")
+    if error is not None:
+        raise error
     return gram.QsH @ x
 
 
@@ -228,115 +212,34 @@ def _check_gram_condition(A: np.ndarray, shape: tuple[int, int]) -> None:
 
 
 def gram_cond_bound(A: np.ndarray, inverse: np.ndarray) -> float:
-    """Upper bound on λmax/λmin of the positive definite A, given its
-    inverse: tr(A)·||A^{-1}||_F (Higham 2002, ch. 10), or inf when that
-    exceeds COND_BOUND_LIMIT or is NaN.
+    """Upper bound on λmax/λmin of the Gram matrix A, given its inverse:
+    tr(A)·||A^{-1}||_F (Higham 2002, ch. 10), or inf when that exceeds
+    COND_BOUND_LIMIT or is NaN.
 
     λmax <= tr(A) and 1/λmin = ||A^{-1}||_2 <= ||A^{-1}||_F, so the bound
     is within a factor of rows^2 of the true ratio. It holds in exact
-    arithmetic; A and its computed inverse carry rounding of about
-    eps·tr(A), so in floating point it bounds the ratio only where that is
-    small against λmin, as it is up to COND_BOUND_LIMIT.
+    arithmetic for a positive definite A; A and its computed inverse carry
+    rounding of about eps·tr(A), so in floating point it bounds the ratio
+    only where that is small against λmin, as it is up to COND_BOUND_LIMIT.
+
+    No factorization certifies that A is positive definite, and none is
+    needed. A computed Gram matrix is within about eps·tr(A) of a positive
+    semidefinite one, so its eigenvalues lie within about eps·tr(A) of
+    [0, inf). A bound at most COND_BOUND_LIMIT = 1e11 keeps every
+    eigenvalue at least 1/||A^{-1}||_F >= tr(A)/1e11 away from zero, far
+    beyond that rounding, so every eigenvalue is positive.
     """
     bound = float(A.trace().real * np.linalg.norm(inverse))
     return bound if bound <= COND_BOUND_LIMIT else math.inf
 
 
-def cholesky_cond_bound(A: np.ndarray) -> float:
-    """`gram_cond_bound` of the Hermitian A, with A^{-1} from one potrs on
-    its Cholesky factor and an identity right-hand side; inf when potrf or
-    potrs fails."""
-    c, info = cholesky_upper(A)
-    return _solved_cond_bound(A, c) if info == 0 else math.inf
-
-
-def _solved_cond_bound(A: np.ndarray, c: np.ndarray) -> float:
-    """`gram_cond_bound` of A given its factor c, with A^{-1} from one
-    potrs with an identity right-hand side; inf when that solve fails."""
-    inverse, info = cholesky_solve(c, np.eye(A.shape[0]))
-    return gram_cond_bound(A, inverse) if info == 0 else math.inf
-
-
-# Fortran's hidden length argument of a one-character option.
-_CHAR_LEN = ctypes.c_size_t(1)
-
-# ILP64 LAPACK signatures: option characters, int64 sizes and info, a
-# complex matrix as bytes, and one hidden length per option character.
-_OPT, _INT, _MAT = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_char)
-_LAPACK_ARGS = {
-    "potrf": [_OPT, _INT, _MAT, _INT, _INT, ctypes.c_size_t],
-    "potrs": [_OPT, _INT, _INT, _MAT, _INT, _MAT, _INT, _INT, ctypes.c_size_t],
-}
-
-
-@functools.cache
-def numpy_openblas() -> ctypes.CDLL | None:
-    """The OpenBLAS that numpy's wheel bundles (ILP64, `scipy_*64_` symbols),
-    with the zpotrf and zpotrs that `cholesky_upper` and `cholesky_solve`
-    call, or None when numpy is built against another BLAS.
-
-    numpy has already loaded the library, so this is the handle numpy uses.
-    """
-    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so"))):
-        lib = ctypes.CDLL(path)
-        routines = {name: getattr(lib, f"scipy_z{name}_64_", None) for name in _LAPACK_ARGS}
-        if all(routines.values()):
-            for name, routine in routines.items():
-                routine.argtypes, routine.restype = _LAPACK_ARGS[name], None
-            return lib
-    return None
-
-
-def _fortran_ptr(a: np.ndarray):
-    """Pointer to the Fortran-ordered `a`, for LAPACK to read and write.
-    `a.T` is the C-contiguous view of the same memory that `from_buffer`
-    needs; the caller keeps `a` referenced while LAPACK runs. A read-only
-    `a`, which LAPACK only reads (a held `GramFactor`'s factor), goes
-    through `ndarray.ctypes`: `from_buffer`, about four times faster,
-    takes only writable memory."""
-    if not a.flags.writeable:
-        return a.ctypes.data_as(_MAT)
-    return ctypes.byref(ctypes.c_char.from_buffer(a.T))
-
-
-def cholesky_upper(A: np.ndarray) -> tuple[np.ndarray, int]:
-    """(c, info) from LAPACK zpotrf on the upper triangle of A: U in the
-    upper triangle of c, the strict lower triangle left as A's; info > 0
-    when A is not positive definite.
-
-    The operand is the Fortran-ordered copy scipy's f2py wrappers make,
-    so the factor has the bits of `scipy.linalg.cho_factor`.
-    """
-    lib = numpy_openblas()
-    if lib is None:
-        import scipy.linalg
-
-        potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (A,))
-        return potrf(A, lower=False, clean=False)
-    c = np.array(A, dtype=np.complex128, order="F")
-    n = ctypes.byref(ctypes.c_int64(c.shape[0]))
-    info = ctypes.c_int64()
-    lib.scipy_zpotrf_64_(b"U", n, _fortran_ptr(c), n, ctypes.byref(info), _CHAR_LEN)
-    return c, info.value
-
-
-def cholesky_solve(c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """(A^{-1} b, info) from LAPACK zpotrs with the factor of
-    `cholesky_upper`, as `scipy.linalg.cho_solve` computes it."""
-    lib = numpy_openblas()
-    if lib is None:
-        import scipy.linalg
-
-        potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (c, b))
-        return potrs(c, b, lower=False)
-    x = np.array(b, dtype=np.complex128, order="F")
-    n = ctypes.byref(ctypes.c_int64(x.shape[0]))
-    nrhs = ctypes.byref(ctypes.c_int64(x.shape[1]))
-    info = ctypes.c_int64()
-    lib.scipy_zpotrs_64_(b"U", n, nrhs, _fortran_ptr(c), n, _fortran_ptr(x), n,
-                         ctypes.byref(info), _CHAR_LEN)
-    return x, info.value
+def inverse_cond_bound(A: np.ndarray) -> float:
+    """`gram_cond_bound` of A with A^{-1} from `np.linalg.inv`; inf when
+    that raises LinAlgError (an exactly singular pivot)."""
+    try:
+        return gram_cond_bound(A, np.linalg.inv(A))
+    except np.linalg.LinAlgError:
+        return math.inf
 
 
 def bs_ue_zf_precoder(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:

@@ -17,13 +17,12 @@ parallel runs emit byte-identical files.
 
 Every sweep process runs numpy's bundled OpenBLAS on one thread, so the
 process pool (`threads`) is the sweep's only parallelism. The sweep's BLAS
-and LAPACK calls all go through that build; scipy's bundled build is
-pinned too only when numpy has none and the right inverse falls back to
-scipy. Each sweep process also warms up the allocator (see
-`_pin_one_blas_thread`).
+and LAPACK calls all go through numpy, and so through that build. Each
+sweep process also warms up the allocator (see `_pin_one_blas_thread`).
 """
 
 import ctypes
+import functools
 import glob
 import math
 import os
@@ -37,7 +36,6 @@ from .beamform import (
     bs_ris_zf_precoder,
     bs_ue_zf_precoder,
     normalize_power,
-    numpy_openblas,
 )
 from .channel import apply_estimation_error, derive_seed, sample_channels, spawn_rng
 from .metrics import (
@@ -301,34 +299,34 @@ def _run_point_star(args):
     return run_point(*args)
 
 
-def _openblas_thread_controls() -> list[tuple]:
-    """(get, set) thread-count functions of the bundled OpenBLAS the sweep
-    calls: numpy's (`beamform.numpy_openblas`), or scipy's when numpy has
-    none and the right inverse falls back to scipy; empty for any other
-    BLAS (system OpenBLAS, MKL).
+@functools.cache
+def numpy_openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS that numpy's wheel bundles (ILP64, `scipy_*64_` symbols),
+    or None when numpy is built against another BLAS.
 
-    Their helper threads slow down the sweep's small matrices (Gram
+    numpy has already loaded the library, so this is the handle numpy uses.
+    """
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths = sorted(glob.glob(os.path.join(libdir, "libscipy_openblas64_*.so")))
+    return ctypes.CDLL(paths[0]) if paths else None
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS
+    (`numpy_openblas`), which every BLAS and LAPACK call of the sweep
+    runs in; empty for any other BLAS (system OpenBLAS, MKL).
+
+    Its helper threads slow down the sweep's small matrices (Gram
     matrices of at most tens of rows) and oversubscribe the pool's cores.
     """
     lib = numpy_openblas()
-    if lib is not None:
-        libs = [(lib, "64_")]
-    else:
-        import scipy.linalg  # loads scipy's OpenBLAS, which the fallback uses
-
-        libdir = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
-        libs = [(ctypes.CDLL(path), "")  # already loaded: the handle scipy uses
-                for path in glob.glob(os.path.join(libdir, "libscipy_openblas-*.so"))]
-    controls = []
-    for lib, suffix in libs:
-        get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-        set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-        if get_threads is None or set_threads is None:
-            continue
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        controls.append((get_threads, set_threads))
-    return controls
+    get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get_threads is None or set_threads is None:
+        return []
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return [(get_threads, set_threads)]
 
 
 # Size of the allocation that raises glibc's dynamic mmap threshold.
@@ -336,7 +334,7 @@ _ALLOCATOR_WARMUP_BYTES = 8 << 20
 
 
 def _pin_one_blas_thread() -> list[tuple]:
-    """Set every bundled OpenBLAS build to one thread; returns the
+    """Set numpy's bundled OpenBLAS to one thread; returns the
     (set, previous count) pairs that undo it. Also the pool's initializer.
 
     It also allocates and frees one untouched 8 MiB block. glibc then

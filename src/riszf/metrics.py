@@ -12,7 +12,7 @@ import numpy as np
 from riszf.beamform import (
     GramFactor,
     bs_ris_zf_precoder,
-    cholesky_cond_bound,
+    inverse_cond_bound,
     stack_bs_ris,
     stack_bs_ue,
     vector_norms,
@@ -222,11 +222,11 @@ def _sv_ratio_bound(Q: np.ndarray) -> float:
     norms (row norms when rows <= M, column norms otherwise); then
     σmax/σmin <= (max D / min D) sqrt(λmax/λmin) of the Gram matrix A of
     Qs, and the Gram bound (`GramFactor.bound` on the rows side,
-    `cholesky_cond_bound` on the columns side) bounds that ratio where it
+    `inverse_cond_bound` on the columns side) bounds that ratio where it
     can be trusted and gives inf elsewhere. Forming A squares the ratio: a
     nearly rank-deficient Q has a computed A with λmin at the rounding
     floor, about eps·tr(A), and a Gram bound near rows²/eps when the
-    factor succeeds at all. That is past the trusted range, so the SVD
+    inverse succeeds at all. That is past the trusted range, so the SVD
     decides.
     """
     if Q.shape[0] <= Q.shape[1]:
@@ -237,7 +237,7 @@ def _sv_ratio_bound(Q: np.ndarray) -> float:
     # scaled by the reciprocals: a complex-by-real division costs about
     # three times the product, and only the bound's last bits differ
     Qs = Q * (1.0 / d)
-    return float(d.max() / d.min() * np.sqrt(cholesky_cond_bound(Qs.conj().T @ Qs)))
+    return float(d.max() / d.min() * np.sqrt(inverse_cond_bound(Qs.conj().T @ Qs)))
 
 
 def _rows_ratio_bound(gram: GramFactor) -> float:

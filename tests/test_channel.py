@@ -295,13 +295,14 @@ def test_draws_share_the_cached_correlation():
     assert a.C is b.C and a.sqrt_C is b.sqrt_C
 
 
-GRAM_ARRAYS = ("norms", "inv", "QsH", "A", "c")
+GRAM_ARRAYS = ("norms", "inv", "QsH", "A")
 
 
 @pytest.mark.parametrize("L", ["1,1,1,1", "2,1,3"])
 def test_per_draw_arrays_are_read_only_and_exact(L):
     # the RIS-side stack has 18 rows at L=1,1,1,1, more than M, so its
-    # factor fails; at L=2,1,3 it has 14 and the factor succeeds
+    # Gram matrix is singular and its bound inf; at L=2,1,3 it has 14 and
+    # the bound is finite
     cfg, ch, _ = build_configs({"m": "16", "n": "4", "k": str(len(L.split(","))), "l": L})
     ris = np.repeat(np.arange(cfg.K), cfg.L)
     # many draws in a row: a freed draw's memory, and so its id, is reused,
@@ -311,6 +312,7 @@ def test_per_draw_arrays_are_read_only_and_exact(L):
         gram = GramFactor(stack_bs_ris(chs))  # built afresh, not read from chs
         assert chs.ris_gram is chs.ris_gram
         assert chs.ris_gram.bound == gram.bound
+        assert (gram.bound == np.inf) == (L == "1,1,1,1")
         for name, want in (
             ("H_conj_blocked", chs.H.conj()[ris]),
             ("R", ch.ris_element_scale * chs.C),

@@ -4,7 +4,7 @@ serial and on two workers.
 
 The hashes pin the output bits of numpy 2.4.6 on a CPU whose bundled
 OpenBLAS picks its SkylakeX kernels (an AVX-512 x86-64 core). OpenBLAS
-chooses its zgemm/zpotrf kernels by CPU model at run time, and a last-bit
+chooses its zgemm/zgesv kernels by CPU model at run time, and a last-bit
 change moves BS-UE-ZF rates, so on another numpy or another OpenBLAS core
 the test skips and names both. A change that claims byte-identical output
 must keep them. Regenerate them with `python tests/test_golden.py` only
@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riszf.beamform import numpy_openblas
-from riszf.harness import emit_outputs, run_sweep
+from riszf.harness import emit_outputs, numpy_openblas, run_sweep
 from riszf.sysconfig import build_configs
 
 GOLDEN_NUMPY = "2.4.6"
@@ -65,20 +64,20 @@ GRIDS = {
 
 GOLDEN = {
     "default_sweep": {
-        "summary.csv": "2f07beb44ae9b6d8f0bd2aa9834bd35d5d5fdac3a83077bdc8d05140d094c7ce",
-        "trials.csv": "f060dadddf3b6d822bd4ed7152300eba14b2d49900b038bd0b9351cc4396716a",
-        "plotdata_bs_ue_zf.csv": "5364ba27165216836bfa9f9ddea454b06064135a8326fa190295c71939ece74e",
-        "plotdata_bs_ris_zf.csv": "bb17644a565a60e26df08103b3483d52db2a2acf08046668717a9cec2d862d52",
+        "summary.csv": "7cf1bffb80cd6a947a694250e0015f4ead18b5aff64c506f96a2a865e13ff7d0",
+        "trials.csv": "963034257656b647c78c1ae08c0fb6f31b844b21613e1ae973658d082dd7643c",
+        "plotdata_bs_ue_zf.csv": "9b564dbad20e00e795adb2a02d6887bae7bcd5a580d7c982a2290039e116a292",
+        "plotdata_bs_ris_zf.csv": "7541eefd26c6e9e1942ea2dd0ab62981f7712ece640b076ef80693e6cc5b09ea",
     },
     "ris_side_csi": {
-        "summary.csv": "7e0b12ae498097bd17856a22f1a2101780866c30d334e1791dbfe8d36cbb3f39",
-        "trials.csv": "c5a5ab57d0ee7ce841d1869c67a46ed5380c2e34d3f2c8985a7c1f5b7664add3",
-        "plotdata_bs_ris_zf.csv": "84bf564efe3e75891e6f02cb9c4de90965254e43735078c9d84718db48e018d5",
+        "summary.csv": "41503ad5d0554d64a7459b5b7747c30c207403e8c508b1cd467996f3fbb32c36",
+        "trials.csv": "fd706123c8e707a5b1b40fce033fa54c2af9e2856ebbaaf621d2e5b3201c1e50",
+        "plotdata_bs_ris_zf.csv": "7af4d25773e90b45ac649724df4b36d451f884a90c636c0d7a770bc2e004a05f",
     },
     "multi_ue_csi": {
-        "summary.csv": "62de47305f7e0019c3999d0ac3fdc18a86761ad0c7771cdfc97b5adcec438780",
-        "trials.csv": "c7e976401adbfa4b204f1bd7dcecbabd9a948a75a9061c0b13937761f690633c",
-        "plotdata_bs_ue_zf.csv": "08c5d1c65b6ca36107d31eb574aaa1034bf311ce6d679ea3cfabca1c3dee110f",
+        "summary.csv": "448ea33fc11bacb150947b490809b15452bd712419fe83c7b5727d46dc9baa64",
+        "trials.csv": "f6f5747240b70631c47416fa375558f544f6156673c9f5f93f6829d47d3076ea",
+        "plotdata_bs_ue_zf.csv": "a622a9a376dee9538f28154fdcb8292f1583013f0f68ab6e5445e7a874e8b619",
     },
 }
 

@@ -233,28 +233,31 @@ def _count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize("tau, per_trial", [("0.0", 1), ("0.1,0.3", 2)])
 def test_ris_side_trial_factors_each_draw_once(tau, per_trial, monkeypatch):
     # the ris_side_csi grid: rank_q2 and both precoder builds of the
-    # optimal rule read one factor per draw, the true draw's and, when
-    # tau > 0, the estimated draw's
-    factors = _count_calls(monkeypatch, beamform, "cholesky_upper")
+    # optimal rule read one Gram matrix and one bound per draw, the true
+    # draw's and, when tau > 0, the estimated draw's
+    factors = _count_calls(monkeypatch, beamform.GramFactor, "__init__")
+    inverses = _count_calls(monkeypatch, np.linalg, "inv")
     cfg, ch, run = build_configs({
         "schemes": "bs_ris_zf", "phase_rules": "optimal,random", "sweep_m": "128,256",
         "sweep_n": "8", "csi_tau": tau, "trials": "3",
     })
     summary = run_sweep(run, cfg, ch)
     assert all(p.status == STATUS_OK and p.failures == 0 for p in summary.points)
-    assert len(factors) == per_trial * len(summary.trials) > 0
+    assert len(factors) == len(inverses) == per_trial * len(summary.trials) > 0
 
 
 def test_ue_side_trial_factors_once_per_right_inverse_and_rank(monkeypatch):
-    # the default grid's UE-side points: every precoder build and every
-    # rank_q2 factors its own Gram matrix
-    factors = _count_calls(monkeypatch, beamform, "cholesky_upper")
-    inverses = _count_calls(monkeypatch, beamform, "right_inverse_apply")
+    # the default grid's UE-side points: every precoder build solves its
+    # own Gram matrix, and every rank_q2 inverts one for its bound
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    inverses = _count_calls(monkeypatch, np.linalg, "inv")
+    right_inverses = _count_calls(monkeypatch, beamform, "right_inverse_apply")
     ranks = _count_calls(monkeypatch, harness, "rank_q2")
     cfg, ch, run = build_configs({"schemes": "bs_ue_zf", "trials": "1"})
     summary = run_sweep(run, cfg, ch)
     assert len(ranks) == len(summary.trials) > 0
-    assert len(factors) == len(inverses) + len(ranks)
+    assert len(solves) == len(right_inverses)
+    assert len(inverses) == len(ranks)
 
 
 def test_emit_headers_and_row_counts(tmp_path):
@@ -322,10 +325,10 @@ def _blas_threads_in_worker(args):
 
 @pytest.fixture
 def openblas_at_two_threads():
-    """Every bundled OpenBLAS build set to 2 threads; the counts are restored after."""
+    """numpy's bundled OpenBLAS set to 2 threads; the count is restored after."""
     controls = harness._openblas_thread_controls()
     if not controls:
-        pytest.skip("numpy and scipy bundle no OpenBLAS here; run_sweep leaves "
+        pytest.skip("numpy bundles no OpenBLAS here; run_sweep leaves "
                     "other BLAS builds alone")
     saved = [get() for get, _ in controls]
     for _, set_threads in controls:

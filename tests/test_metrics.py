@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import riszf.beamform as beamform
 from riszf.beamform import (
     bs_ris_zf_precoder,
     bs_ue_zf_precoder,
@@ -236,14 +235,14 @@ def _svd_rank(chs):
     return int(np.count_nonzero(sv > RANK_SV_THRESHOLD * sv[0]))
 
 
-@pytest.mark.parametrize("scipy_route", [False, True])
+@pytest.mark.parametrize("scipy_blocked", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 @pytest.mark.parametrize("m", [4, 6, 8, 18, 34, 64, 256])
-def test_rank_q2_bound_matches_svd_count(m, n, scipy_route, svd_calls, monkeypatch):
+def test_rank_q2_bound_matches_svd_count(m, n, scipy_blocked, svd_calls, block_scipy):
     # K=4, U_d=2 stacks 4n+2 rows: fewer than, as many as (6, 18, 34) and
     # more than the m columns; physical link scales spread the row norms
-    if scipy_route:  # the factor as it runs when numpy bundles no OpenBLAS
-        monkeypatch.setattr(beamform, "numpy_openblas", lambda: None)
+    if scipy_blocked:  # the bound needs only numpy
+        block_scipy()
     for seed in (0, 1):
         chs = _draw({"m": str(m), "n": str(n)}, seed=seed, unit=False)
         rank = rank_q2(chs)
@@ -256,8 +255,8 @@ def test_rank_q2_bound_matches_svd_count(m, n, scipy_route, svd_calls, monkeypat
 def test_rank_q2_near_rank_deficient_correlation_falls_back_to_svd(m, n, svd_calls):
     # elements 1 um apart are almost fully correlated: at n=1 the row norms
     # spread by about 1e9, so the bound exceeds RANK_BOUND_LIMIT (by less
-    # than 10x); at n=2 the Gram bound exceeds COND_BOUND_LIMIT, and at
-    # n=8 the factor fails. Each time the SVD counts
+    # than 10x); at n=2 and n=8 the Gram bound exceeds COND_BOUND_LIMIT.
+    # Each time the SVD counts
     chs = _draw({"m": str(m), "n": str(n), "element_spacing": "1e-6"}, unit=False)
     rank = rank_q2(chs)
     assert svd_calls == [stack_bs_ris(chs).shape]
@@ -265,19 +264,19 @@ def test_rank_q2_near_rank_deficient_correlation_falls_back_to_svd(m, n, svd_cal
 
 
 
-@pytest.mark.parametrize("scipy_route", [False, True])
+@pytest.mark.parametrize("scipy_blocked", [False, True])
 @pytest.mark.parametrize("rows, m", [(3, 8), (6, 6), (10, 64), (34, 256), (40, 8)])
 def test_rank_q2_nearly_dependent_stack_falls_back_to_svd(
-    rows, m, scipy_route, svd_calls, monkeypatch
+    rows, m, scipy_blocked, svd_calls, block_scipy
 ):
     # the last row (the last column when rows > m) is the first plus 1e-13
     # times a random one: σmin/σmax is about 1e-13, so the SVD drops it. The
-    # computed Gram matrix has λmin at the rounding floor and its factor
-    # often succeeds; forming it squares the ratio past what a double can
-    # resolve, so its bound is not trusted and the SVD decides. stack_rank
-    # applies rank_q2's rule to any stack
-    if scipy_route:
-        monkeypatch.setattr(beamform, "numpy_openblas", lambda: None)
+    # computed Gram matrix has λmin at the rounding floor and its
+    # inverse often succeeds; forming it squares the ratio past what a
+    # double can resolve, so its bound is not trusted and the SVD decides.
+    # stack_rank applies rank_q2's rule to any stack
+    if scipy_blocked:
+        block_scipy()
     for seed in range(40):
         rng = np.random.default_rng(seed)
         Q = complex_normal(rng, (rows, m))
