@@ -93,44 +93,63 @@ def gamma_matrix(N: int, K: int, U_d: int) -> np.ndarray:
 
 
 class GramFactor:
-    """Equilibrated Gram matrix of a stacked channel Q, built in the
-    operation order of `right_inverse_apply`, which reads it.
+    """Equilibrated Gram matrix of a stacked channel Q and its one solve
+    toward `targets` (None for the identity), built in the operation
+    order of `right_inverse_apply`, which reads it.
 
     Rows are scaled to unit norm, Qs = diag(inv) Q with inv = 1/norms, and
-    A = Qs Qs^H; an all-zero row stops before the scaling. `bound` is
-    `inverse_cond_bound` of A, computed on first access; it is inf when A
-    is not finite.
+    A = Qs Qs^H; an all-zero row stops before the scaling. One
+    `np.linalg.solve` has right-hand sides diag(inv), behind
+    targets·diag(inv) for a target; `x` is the target's columns. The
+    diag(inv) columns times diag(norms) are A^{-1}, and `bound` is its
+    `gram_cond_bound`. When A or the target is not finite (ValueError) or
+    the solve raises (LinAlgError), `x` is None, `bound` inf and `error`
+    that exception, for `right_inverse_apply` to raise in its order.
 
-    `ChannelSet.ris_gram` holds one per draw for the RIS-side stack, so
-    its precoders and `rank_q2` share a Gram matrix and its bound. Only
-    what those callers read is kept: `norms`, `inv`, `QsH` = Qs^H and `A`.
+    `ChannelSet.ris_gram` holds one per draw for the RIS-side stack and
+    `gamma_matrix`, so its precoders and `rank_q2` share one solve.
     """
 
-    def __init__(self, Q: np.ndarray):
+    def __init__(self, Q: np.ndarray, targets: np.ndarray | None = None):
         self.shape = Q.shape
-        self.norms = vector_norms(Q, axis=1)
+        self.targets = targets
+        # np.linalg.norm(Q, axis=1) bit for bit, without its argument handling
+        self.norms = np.sqrt(np.add.reduce((Q.conj() * Q).real, axis=1))
         self.inv = self.QsH = self.A = None
         self.finite = False
-        if not self.norms.all():
-            return
-        self.inv = 1.0 / self.norms
-        Qs = Q * self.inv[:, None]
-        self.QsH = Qs.conj().T
-        self.A = Qs @ self.QsH
-        self.finite = bool(np.isfinite(self.A).all())
+        if self.norms.all():
+            self.inv = 1.0 / self.norms
+            Qs = Q * self.inv[:, None]
+            self.QsH = Qs.conj().T
+            self.A = Qs @ self.QsH
+            self.finite = bool(np.isfinite(self.A).all())
+        self.x, self.bound, self.error = self._solve()
+
+    def _solve(self) -> tuple[np.ndarray | None, float, Exception | None]:
+        """(x, bound, error); see the class docstring."""
+        # inv is finite whenever A is: an infinite inv makes the row of Qs,
+        # and so A, infinite or NaN
+        if not (self.finite and (self.targets is None or np.isfinite(self.targets).all())):
+            return None, math.inf, ValueError("array must not contain infs or NaNs")
+        # the identity target scaled by inv, eye(rows) * inv[:, None] bit for bit
+        b = np.diag(self.inv)
+        if self.targets is not None:
+            b = np.concatenate([self.targets * self.inv[:, None], b], axis=1)
+        try:
+            solved = np.linalg.solve(self.A, b)
+        except np.linalg.LinAlgError as e:
+            return None, math.inf, e
+        rows = self.shape[0]
+        x = solved if self.targets is None else solved[:, :-rows]
+        return x, gram_cond_bound(self.A, solved[:, -rows:] * self.norms), None
 
     def read_only(self) -> GramFactor:
-        """This factor with its arrays marked read-only: the form a draw
-        holds it in."""
-        for a in (self.norms, self.inv, self.QsH, self.A):
+        """This factor with its arrays, `x` included, marked read-only: the
+        form a draw holds it in."""
+        for a in (self.norms, self.inv, self.QsH, self.A, self.x):
             if a is not None:
                 a.flags.writeable = False
         return self
-
-    @functools.cached_property
-    def bound(self) -> float:
-        """`inverse_cond_bound` of A, or inf when A is not finite."""
-        return inverse_cond_bound(self.A) if self.finite else math.inf
 
 
 def right_inverse_apply(
@@ -139,61 +158,44 @@ def right_inverse_apply(
 ) -> np.ndarray:
     """Q^H (Q Q^H)^{-1} targets, via `np.linalg.solve` on the Gram matrix.
 
-    `Q` is the stacked rows, or their `GramFactor`, which is then not
-    built again. Rows are equilibrated to unit norm before forming the
-    Gram matrix: cascaded rows are tens of dB weaker than direct ones,
-    which would push the raw Gram past float64 otherwise. Scaling rows
-    does not change the result because the solution is the unique one
-    whose columns lie in the row space of Q, and that space is scale
-    invariant. The solve is LU with partial pivoting on A itself, not an
-    explicit inverse times the targets, which is not backward stable.
+    `Q` is the stacked rows, or their `GramFactor`, which carries its own
+    target and its solve and is then not built again; passing `targets`
+    with a factor raises TypeError. Rows are equilibrated to unit norm
+    before forming the Gram matrix: cascaded rows are tens of dB weaker
+    than direct ones, which would push the raw Gram past float64
+    otherwise. Scaling rows does not change the result because the
+    solution is the unique one whose columns lie in the row space of Q,
+    and that space is scale invariant. The solve is LU with partial
+    pivoting on A itself, not an explicit inverse times the targets,
+    which is not backward stable.
 
-    Raises RankDeficiencyError, for the batch layer to record, when the
-    equilibrated Gram matrix is singular or its eigenvalue ratio (by
-    `eigvalsh`) exceeds COND_LIMIT. The solve runs first, and when
-    `gram_cond_bound` settles the ratio, `eigvalsh` would accept and is
-    skipped; every case the bound cannot settle (a large bound, a failed
-    solve or inverse, a non-finite input) runs the `eigvalsh` check.
-    An identity target's solve, of diag(inv), yields A^{-1} = x diag(norms)
-    for the bound; any other target reads the factor's own `bound`.
-    After that check, a non-finite Gram matrix or target raises
-    ValueError, and a solve that failed raises its LinAlgError.
+    Raises RankDeficiencyError, for the batch layer to record, when a row
+    is all zero, or when the equilibrated Gram matrix is singular or its
+    eigenvalue ratio (by `eigvalsh`) exceeds COND_LIMIT. The solve runs
+    first, and when `gram_cond_bound` of its A^{-1} settles the ratio,
+    `eigvalsh` would accept and is skipped; every case the bound cannot
+    settle (a large bound, a failed solve, a non-finite input) runs the
+    `eigvalsh` check. After that check, a non-finite Gram matrix or
+    target raises ValueError, and a solve that failed raises its
+    LinAlgError.
     """
-    gram = Q if isinstance(Q, GramFactor) else GramFactor(Q)
+    if not isinstance(Q, GramFactor):
+        gram = GramFactor(Q, targets)
+    elif targets is None:
+        gram = Q
+    else:
+        raise TypeError("a GramFactor carries its own targets")
     if not gram.norms.all():
         raise RankDeficiencyError(
             f"stacked channel of shape {gram.shape} has an all-zero row",
             cond=math.inf,
             shape=gram.shape,
         )
-    identity_target = targets is None
-    # the identity target scaled by inv, eye(rows) * inv[:, None] bit for bit
-    b = np.diag(gram.inv) if identity_target else targets * gram.inv[:, None]
-    # an identity target's b = diag(inv) is finite whenever A is: an
-    # infinite inv makes the row of Qs, and so A, infinite or NaN
-    finite = gram.finite and (identity_target or np.isfinite(b).all())
-    bound = math.inf
-    error = None
-    if finite:
-        try:
-            x = np.linalg.solve(gram.A, b)
-        except np.linalg.LinAlgError as e:
-            error = e
-        else:
-            bound = gram_cond_bound(gram.A, x * gram.norms) if identity_target else gram.bound
-    if math.isinf(bound):
+    if math.isinf(gram.bound):
         _check_gram_condition(gram.A, gram.shape)
-    if not finite:
-        raise ValueError("array must not contain infs or NaNs")
-    if error is not None:
-        raise error
-    return gram.QsH @ x
-
-
-def vector_norms(Q: np.ndarray, axis: int) -> np.ndarray:
-    """np.linalg.norm(Q, axis=axis) of a float or complex Q, bit for bit:
-    its own formula, without its argument handling."""
-    return np.sqrt(np.add.reduce((Q.conj() * Q).real, axis=axis))
+    if gram.error is not None:
+        raise gram.error
+    return gram.QsH @ gram.x
 
 
 def _check_gram_condition(A: np.ndarray, shape: tuple[int, int]) -> None:
@@ -233,15 +235,6 @@ def gram_cond_bound(A: np.ndarray, inverse: np.ndarray) -> float:
     return bound if bound <= COND_BOUND_LIMIT else math.inf
 
 
-def inverse_cond_bound(A: np.ndarray) -> float:
-    """`gram_cond_bound` of A with A^{-1} from `np.linalg.inv`; inf when
-    that raises LinAlgError (an exactly singular pivot)."""
-    try:
-        return gram_cond_bound(A, np.linalg.inv(A))
-    except np.linalg.LinAlgError:
-        return math.inf
-
-
 def bs_ue_zf_precoder(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:
     """(M x (U_b + U_d)) precoder with one column per UE; the stacked rows
     times this precoder equal the identity."""
@@ -251,10 +244,9 @@ def bs_ue_zf_precoder(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:
 def bs_ris_zf_precoder(chs: ChannelSet) -> np.ndarray:
     """(M x (K + U_d)) precoder with one column per RIS plus one per direct
     UE; independent of the RIS phases. It right-inverts the draw's
-    factored RIS-side stack (`ChannelSet.ris_gram`), so every build for
-    one draw shares a factor."""
-    cfg = chs.cfg
-    return right_inverse_apply(chs.ris_gram, gamma_matrix(cfg.N, cfg.K, cfg.U_d))
+    factored RIS-side stack toward `gamma_matrix` (`ChannelSet.ris_gram`),
+    so every build for one draw shares one solve."""
+    return right_inverse_apply(chs.ris_gram)
 
 
 def normalize_power(

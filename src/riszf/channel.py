@@ -209,11 +209,14 @@ class ChannelSet:
     @functools.cached_property
     def ris_gram(self):
         """`beamform.GramFactor` of the RIS-side stack
-        (`beamform.stack_bs_ris`): the one factorization that `rank_q2`
-        and every RIS-side precoder of the draw read."""
-        from riszf.beamform import GramFactor, stack_bs_ris  # beamform imports channel
+        (`beamform.stack_bs_ris`) toward `beamform.gamma_matrix`: the one
+        Gram matrix and solve that `rank_q2` and every RIS-side precoder
+        of the draw read."""
+        # a local import: beamform imports channel
+        from riszf.beamform import GramFactor, gamma_matrix, stack_bs_ris
 
-        return GramFactor(stack_bs_ris(self)).read_only()
+        cfg = self.cfg
+        return GramFactor(stack_bs_ris(self), gamma_matrix(cfg.N, cfg.K, cfg.U_d)).read_only()
 
     def h_block(self, k: int, ell: int = 0) -> np.ndarray:
         """RIS-side channel of blocked UE (k, ell), shape (N,)."""

@@ -12,10 +12,8 @@ import numpy as np
 from riszf.beamform import (
     GramFactor,
     bs_ris_zf_precoder,
-    inverse_cond_bound,
     stack_bs_ris,
     stack_bs_ue,
-    vector_norms,
 )
 from riszf.channel import ChannelSet, read_only
 from riszf.sysconfig import SystemConfig
@@ -186,7 +184,7 @@ def rank_q2(chs: ChannelSet) -> int:
     rows = cfg.N * cfg.K + cfg.U_d
     if rows > cfg.M:
         return stack_rank(stack_bs_ris(chs))
-    if _rows_ratio_bound(chs.ris_gram) <= RANK_BOUND_LIMIT:
+    if _sv_ratio_bound(chs.ris_gram) <= RANK_BOUND_LIMIT:
         return rows
     return _svd_rank(stack_bs_ris(chs))
 
@@ -196,12 +194,14 @@ def stack_rank(Q: np.ndarray) -> int:
     RANK_SV_THRESHOLD times the largest.
 
     The stack is min(rows, M) singular values wide. When the bound on its
-    σmax/σmin (`_sv_ratio_bound`, from the Gram matrix's inverse) is at
-    most RANK_BOUND_LIMIT, the SVD would count every one of them, so that
+    σmax/σmin (`_sv_ratio_bound` of its shorter side: the rows, or the
+    rows of Q^H, which has the same singular values) is at most
+    RANK_BOUND_LIMIT, the SVD would count every one of them, so that
     width is returned without it; every case the bound cannot settle runs
     the SVD.
     """
-    if _sv_ratio_bound(Q) <= RANK_BOUND_LIMIT:
+    shorter = Q if Q.shape[0] <= Q.shape[1] else Q.conj().T
+    if _sv_ratio_bound(GramFactor(shorter)) <= RANK_BOUND_LIMIT:
         return min(Q.shape)
     return _svd_rank(Q)
 
@@ -214,45 +214,24 @@ def _svd_rank(Q: np.ndarray) -> int:
     return int(np.count_nonzero(sv > RANK_SV_THRESHOLD * sv[0]))
 
 
-def _sv_ratio_bound(Q: np.ndarray) -> float:
-    """Upper bound on σmax/σmin of Q (σmin the min(rows, M)-th singular
-    value), or inf when it cannot be formed or trusted.
+def _sv_ratio_bound(gram: GramFactor) -> float:
+    """Upper bound on σmax/σmin of a stack with no more rows than columns
+    (σmin the rows-th singular value) from its `GramFactor`, or inf when
+    it cannot be formed or trusted.
 
-    The shorter side is equilibrated, Q = D Qs with D the diagonal of its
-    norms (row norms when rows <= M, column norms otherwise); then
-    σmax/σmin <= (max D / min D) sqrt(λmax/λmin) of the Gram matrix A of
-    Qs, and the Gram bound (`GramFactor.bound` on the rows side,
-    `inverse_cond_bound` on the columns side) bounds that ratio where it
-    can be trusted and gives inf elsewhere. Forming A squares the ratio: a
-    nearly rank-deficient Q has a computed A with λmin at the rounding
-    floor, about eps·tr(A), and a Gram bound near rows²/eps when the
-    inverse succeeds at all. That is past the trusted range, so the SVD
-    decides.
+    With D the diagonal of the row norms and A the Gram matrix of the
+    equilibrated rows, σmax/σmin <= (max D / min D) sqrt(λmax/λmin of A),
+    and `GramFactor.bound` bounds that ratio where it can be trusted and
+    gives inf elsewhere. The norms must be at least one, all positive and
+    finite. Forming A squares the ratio: a nearly rank-deficient stack has
+    a computed A with λmin at the rounding floor, about eps·tr(A), and a
+    Gram bound near rows²/eps when the solve succeeds at all. That is past
+    the trusted range, so the SVD decides.
     """
-    if Q.shape[0] <= Q.shape[1]:
-        return _rows_ratio_bound(GramFactor(Q))
-    d = vector_norms(Q, axis=0)
-    if not _positive_finite(d):
-        return np.inf
-    # scaled by the reciprocals: a complex-by-real division costs about
-    # three times the product, and only the bound's last bits differ
-    Qs = Q * (1.0 / d)
-    return float(d.max() / d.min() * np.sqrt(inverse_cond_bound(Qs.conj().T @ Qs)))
-
-
-def _rows_ratio_bound(gram: GramFactor) -> float:
-    """`_sv_ratio_bound` of a stack with no more rows than columns, from
-    its `GramFactor`: the row norms and the Gram bound."""
     d = gram.norms
-    if not _positive_finite(d):
+    if not (d.size > 0 and d.min() > 0.0 and d.max() < np.inf):
         return np.inf
     return float(d.max() / d.min() * np.sqrt(gram.bound))
-
-
-def _positive_finite(d: np.ndarray) -> bool:
-    """Whether the norms `d` can equilibrate a stack: at least one, all
-    positive and finite."""
-    return d.size > 0 and d.min() > 0.0 and d.max() < np.inf
 
 
 def rank_diagnostics(

@@ -86,35 +86,6 @@ def wrapped_angle(z: np.ndarray, sign: float = 1.0) -> np.ndarray:
     return wrap_phase(sign * np.arctan2(z.imag, z.real))
 
 
-def principal_eigenvector(
-    A: np.ndarray, tol: float = 1e-10, max_iter: int = 1000
-) -> np.ndarray:
-    """Dominant eigenvector of a Hermitian PSD matrix by power iteration.
-
-    Deterministic all-ones start; converged when the iterate moves less
-    than `tol` (vector change, not the Rayleigh quotient, whose error is
-    only the square root of the vector error). The global phase is fixed
-    by rotating the first nonzero entry to be real positive.
-    """
-    n = A.shape[0]
-    v = np.ones(n, dtype=np.complex128) / math.sqrt(n)
-    for _ in range(max_iter):
-        w = A @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            break
-        w = w / norm
-        step = float(np.linalg.norm(w - v))
-        v = w
-        if step <= tol:
-            break
-    for i in range(n):
-        if abs(v[i]) > 1e-12:
-            v = v * (v[i].conjugate() / abs(v[i]))
-            break
-    return v
-
-
 def random_phases(cfg: SystemConfig, seed: int) -> np.ndarray:
     """I.i.d. uniform (K, N) phases on [-pi, pi), deterministic per seed."""
     return spawn_rng(seed).uniform(-np.pi, np.pi, size=(cfg.K, cfg.N))
@@ -140,9 +111,10 @@ def _phase_update_bs_ue_zf(chs: ChannelSet, W: np.ndarray) -> np.ndarray:
     conj(H_k) of each RIS's first UE in the draw's `H_conj_blocked`, and
     the alignment vector q of every blocked UE from one gather; RISs
     serving one UE take -angle(q) directly, the others the dominant
-    eigenvector of sum q q^H. Stacking is bit-identical to the per-RIS
-    products, so the phases are too. A zero entry raises for the lowest
-    RIS, then the lowest element, as a RIS-by-RIS sweep would.
+    eigenvector of sum q q^H from `np.linalg.eigh`, its first nonzero
+    entry rotated to real positive. Stacking is bit-identical to the
+    per-RIS products, so the phases are too. A zero entry raises for the
+    lowest RIS, then the lowest element, as a RIS-by-RIS sweep would.
     """
     ue, first, multi = _ue_layout(chs.cfg.L)
     T = chs.H_conj_blocked[first].transpose(0, 2, 1) @ W  # (K, N, U)
@@ -152,7 +124,10 @@ def _phase_update_bs_ue_zf(chs: ChannelSet, W: np.ndarray) -> np.ndarray:
         A = np.zeros((chs.cfg.N, chs.cfg.N), dtype=np.complex128)
         for q in Q[start:stop]:
             A += np.outer(q, q.conj())
-        aligned[k] = principal_eigenvector(A)
+        v = np.linalg.eigh(A)[1][:, -1]
+        # the global phase: the first nonzero entry rotated to real positive
+        lead = v[np.flatnonzero(np.abs(v) > 1e-12)[0]]
+        aligned[k] = v * (lead.conjugate() / abs(lead))
     if not aligned.all():
         k, i = (int(v) for v in np.argwhere(np.abs(aligned) == 0.0)[0])
         raise UndefinedPhaseError(
@@ -388,7 +363,10 @@ def optimal_phases_bs_ris_zf(chs: ChannelSet) -> np.ndarray:
 
     Aligns every element's cascaded contribution: the precoder fixes the
     per-element response a = H_k^H w_k, and phi_{k,i} = -angle(h_i^* a_i)
-    turns the sum into one of nonnegative terms.
+    turns the sum into one of nonnegative terms. Under `gamma_matrix`'s
+    unit element gains a is all ones up to round-off, so these are the
+    asymptotic phases angle(h). A zero product raises for the lowest RIS,
+    then the lowest element.
     """
     cfg = chs.cfg
     if any(l != 1 for l in cfg.L):
@@ -396,15 +374,14 @@ def optimal_phases_bs_ris_zf(chs: ChannelSet) -> np.ndarray:
             f"RIS-side nulling serves one UE per RIS, got L={list(cfg.L)}"
         )
     W = bs_ris_zf_precoder(chs)
-    phases = np.empty((cfg.K, cfg.N))
-    for k in range(cfg.K):
-        a = chs.H[k].conj().T @ W[:, k]
-        q = chs.h_block(k).conj() * a
-        zeros = np.flatnonzero(np.abs(q) == 0.0)
-        if zeros.size:
-            raise UndefinedPhaseError(k, int(zeros[0]), "alignment product")
-        phases[k] = wrapped_angle(q, -1.0)
-    return phases
+    # a_k = H_k^H w_k of every RIS in one stacked product: with one UE per
+    # RIS, row k of H_conj_blocked is conj(H_k)
+    a = (W[:, : cfg.K].T[:, None, :] @ chs.H_conj_blocked)[:, 0, :]
+    q = chs.h_b.conj() * a
+    if not q.all():
+        k, i = (int(v) for v in np.argwhere(np.abs(q) == 0.0)[0])
+        raise UndefinedPhaseError(k, i, "alignment product")
+    return wrapped_angle(q, -1.0)
 
 
 @content_cache(maxsize=32)

@@ -313,32 +313,43 @@ def test_right_inverse_of_a_real_stack(lapack_route):
         np.testing.assert_allclose(W, want, atol=1e-12)
 
 
+def _solved_inverse(Q):
+    """A^{-1} of the equilibrated Gram matrix of Q, written out as the
+    factor takes it: the solve of diag(inv), times diag(norms)."""
+    norms = np.linalg.norm(Q, axis=1)
+    Qs = Q * (1.0 / norms)[:, None]
+    A = Qs @ Qs.conj().T
+    return A, np.linalg.solve(A, np.diag(1.0 / norms)) * norms
+
+
 def test_gram_cond_bound_holds_and_is_tight_within_rows_squared():
     for shape in [(1, 8), (6, 16), (6, 64), (34, 256)]:
-        Q, _ = _random_stack(shape)
-        Qs = Q / np.linalg.norm(Q, axis=1)[:, None]
-        A = Qs @ Qs.conj().T
+        Q, targets = _random_stack(shape)
+        A, inverse = _solved_inverse(Q)
         w = np.linalg.eigvalsh(A)
-        bound = beamform.inverse_cond_bound(A)
-        assert bound == GramFactor(Q).bound
+        bound = beamform.gram_cond_bound(A, inverse)
+        # the bound reads the factor's one solve, with or without a target
+        assert bound == GramFactor(Q).bound == GramFactor(Q, targets).bound
         assert w[-1] / w[0] <= bound <= shape[0] ** 2 * w[-1] / w[0] * (1 + 1e-9)
 
 
 def test_gram_bound_is_inf_where_it_cannot_be_trusted(lapack_route):
-    singular = np.diag([1.0, 0.0])
-    with pytest.raises(np.linalg.LinAlgError):  # an exactly zero pivot
-        np.linalg.inv(singular)
-    assert beamform.inverse_cond_bound(singular) == np.inf
-    # the inverse succeeds, but the ratio is above COND_BOUND_LIMIT
-    Q, _ = _near_parallel_stack(5e-6)
+    # an exactly zero pivot: the solve raises and the factor keeps its error
+    singular = GramFactor(np.array([[1.0, 0.0], [2.0, 0.0]]))
+    assert singular.x is None and singular.bound == np.inf
+    assert isinstance(singular.error, np.linalg.LinAlgError)
+    # the solve succeeds, but the ratio is above COND_BOUND_LIMIT
+    Q, targets = _near_parallel_stack(5e-6)
     assert beamform.COND_BOUND_LIMIT < _gram_cond(Q) < beamform.COND_LIMIT
-    Qs = Q / np.linalg.norm(Q, axis=1)[:, None]
-    A = Qs @ Qs.conj().T
-    assert np.isfinite(np.linalg.inv(A)).all()
-    assert beamform.inverse_cond_bound(A) == np.inf
-    assert GramFactor(Q).bound == np.inf
+    A, inverse = _solved_inverse(Q)
+    assert np.isfinite(inverse).all()
+    assert beamform.gram_cond_bound(A, inverse) == np.inf
+    assert GramFactor(Q).bound == GramFactor(Q, targets).bound == np.inf
+    assert GramFactor(Q, targets).x is not None
     assert beamform.gram_cond_bound(A, np.full_like(A, np.nan)) == np.inf
-    # a non-finite Gram matrix has no bound, and no inverse is tried
+    # a non-finite Gram matrix or target has no bound, and no solve is tried
+    targets[0, 0] = np.nan
+    assert isinstance(GramFactor(Q, targets).error, ValueError)
     Q[1, 2] = np.nan
     gram = GramFactor(Q)
     assert not gram.finite and gram.bound == np.inf
@@ -362,10 +373,9 @@ def test_ris_side_right_inverse_bound_decides_at_benchmark_shapes(
 
 def _reference_sv_ratio_bound(Q):
     """The rows-side rank bound of the raw stack Q, from its own Gram
-    matrix and `inverse_cond_bound`."""
-    d = beamform.vector_norms(Q, axis=1)
-    Qs = Q * (1.0 / d)[:, None]
-    return float(d.max() / d.min() * np.sqrt(beamform.inverse_cond_bound(Qs @ Qs.conj().T)))
+    matrix and solve."""
+    d = np.linalg.norm(Q, axis=1)
+    return float(d.max() / d.min() * np.sqrt(beamform.gram_cond_bound(*_solved_inverse(Q))))
 
 
 @pytest.mark.parametrize("m", ["64", "256"])
@@ -383,9 +393,70 @@ def test_cached_ris_side_factor_matches_a_fresh_one(lapack_route, eigvalsh_calls
         for _ in range(2):
             assert np.array_equal(bs_ris_zf_precoder(chs), want)
         assert eigvalsh_calls == []
-        bound = metrics._rows_ratio_bound(chs.ris_gram)
-        assert bound == metrics._sv_ratio_bound(Q2) == _reference_sv_ratio_bound(Q2)
+        bound = metrics._sv_ratio_bound(chs.ris_gram)
+        assert bound == metrics._sv_ratio_bound(GramFactor(Q2)) == _reference_sv_ratio_bound(Q2)
         assert bound <= metrics.RANK_BOUND_LIMIT
+
+
+_numpy_solve = np.linalg.solve
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Names of the np.linalg.solve and np.linalg.inv calls made."""
+    calls = []
+    for name in ("solve", "inv"):
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", ["4", "8"])
+@pytest.mark.parametrize("m", ["64", "128", "256"])
+def test_ris_side_draw_makes_one_solve(linalg_calls, m, n):
+    # rank_q2 and repeated precoder builds of a draw cost one solve and no
+    # inverse, and the factor's x is a separate solve of its target alone,
+    # bit for bit: the extra diag(inv) columns change no bit of it
+    G = gamma_matrix(int(n), 4, 2)
+    for seed in range(40):
+        chs = _draw({"m": m, "n": n, "k": "4", "u_d": "2"}, seed=seed, physical=True)
+        linalg_calls.clear()
+        for _ in range(2):
+            assert rank_q2(chs) == 4 * int(n) + 2
+            bs_ris_zf_precoder(chs)
+        assert linalg_calls == ["solve"]
+        gram = chs.ris_gram
+        assert gram.targets is G
+        assert np.array_equal(gram.x, _numpy_solve(gram.A, G * gram.inv[:, None]))
+
+
+@pytest.mark.parametrize("shape", RIGHT_INVERSE_SHAPES)
+def test_ue_side_factor_makes_one_solve(linalg_calls, shape):
+    for seed in range(40):
+        Q, targets = _random_stack(shape, seed)
+        for t in (None, targets):
+            linalg_calls.clear()
+            gram = GramFactor(Q, t)
+            W = right_inverse_apply(gram)
+            assert gram.bound < np.inf
+            assert linalg_calls == ["solve"]
+            b = np.diag(gram.inv) if t is None else t * gram.inv[:, None]
+            assert np.array_equal(gram.x, _numpy_solve(gram.A, b))
+            assert np.array_equal(W, right_inverse_apply(Q, t))
+
+
+def test_held_factor_carries_its_target():
+    Q, targets = _random_stack((6, 16))
+    gram = GramFactor(Q, targets).read_only()
+    with pytest.raises(TypeError):
+        right_inverse_apply(gram, targets)
+    assert not gram.x.flags.writeable
+    assert np.array_equal(right_inverse_apply(gram), right_inverse_apply(Q, targets))
 
 
 def _raised(fn):
@@ -424,7 +495,7 @@ def test_factored_stack_raises_as_the_raw_stack(lapack_route, eigvalsh_calls, fa
     assert want[0] is error
     checks = eigvalsh_calls.copy()
     eigvalsh_calls.clear()
-    assert _raised(lambda: right_inverse_apply(GramFactor(stack_bs_ris(bad)), G)) == want
+    assert _raised(lambda: right_inverse_apply(GramFactor(stack_bs_ris(bad), G))) == want
     assert eigvalsh_calls == checks
     if fault != "non_finite_target":  # the precoder's target is gamma_matrix
         eigvalsh_calls.clear()

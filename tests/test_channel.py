@@ -7,7 +7,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from riszf.beamform import GramFactor, stack_bs_ris
+from riszf.beamform import GramFactor, gamma_matrix, stack_bs_ris
 from riszf.channel import (
     apply_estimation_error,
     complex_normal,
@@ -309,7 +309,8 @@ def test_per_draw_arrays_are_read_only_and_exact(L):
     # and every draw must still see its own arrays
     for seed in range(12):
         chs = sample_channels(cfg, ch, spawn_rng(seed, 0))
-        gram = GramFactor(stack_bs_ris(chs))  # built afresh, not read from chs
+        # built afresh, not read from chs
+        gram = GramFactor(stack_bs_ris(chs), gamma_matrix(cfg.N, cfg.K, cfg.U_d))
         assert chs.ris_gram is chs.ris_gram
         assert chs.ris_gram.bound == gram.bound
         assert (gram.bound == np.inf) == (L == "1,1,1,1")
@@ -324,6 +325,10 @@ def test_per_draw_arrays_are_read_only_and_exact(L):
             assert got.dtype == want.dtype and np.array_equal(got, want), (name, seed)
             with pytest.raises(ValueError):
                 got.flat[0] = 0.0
+        # the draw's one solve toward gamma_matrix, kept read-only
+        if L == "2,1,3":
+            assert not chs.ris_gram.x.flags.writeable
+            assert np.array_equal(chs.ris_gram.x, gram.x)
 
 
 def test_replaced_draw_gets_fresh_per_draw_arrays():

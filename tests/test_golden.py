@@ -50,7 +50,7 @@ GRIDS = {
         "trials": "3",
     },
     # several UEs on one RIS with a CSI-error slice: the per-UE gather,
-    # principal_eigenvector, apply_estimation_error and skipped points
+    # eigh's dominant eigenvector, apply_estimation_error and skipped points
     "multi_ue_csi": {
         "k": "3",
         "l": "2,1,3",
@@ -75,9 +75,9 @@ GOLDEN = {
         "plotdata_bs_ris_zf.csv": "7af4d25773e90b45ac649724df4b36d451f884a90c636c0d7a770bc2e004a05f",
     },
     "multi_ue_csi": {
-        "summary.csv": "448ea33fc11bacb150947b490809b15452bd712419fe83c7b5727d46dc9baa64",
-        "trials.csv": "f6f5747240b70631c47416fa375558f544f6156673c9f5f93f6829d47d3076ea",
-        "plotdata_bs_ue_zf.csv": "a622a9a376dee9538f28154fdcb8292f1583013f0f68ab6e5445e7a874e8b619",
+        "summary.csv": "f4c5c9be30fc7620e0bf18cc819e1518da32da3796b3126be0a3ef6fa53e446d",
+        "trials.csv": "97abf2e5064708e52f0c54da89d70a46f324b29039195038b7af032d571deadf",
+        "plotdata_bs_ue_zf.csv": "e9e7d0e08fc59413a887d1282efb1e73f773cc44c9c296ca4e9a87d14d79fab8",
     },
 }
 

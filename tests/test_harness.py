@@ -233,9 +233,10 @@ def _count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize("tau, per_trial", [("0.0", 1), ("0.1,0.3", 2)])
 def test_ris_side_trial_factors_each_draw_once(tau, per_trial, monkeypatch):
     # the ris_side_csi grid: rank_q2 and both precoder builds of the
-    # optimal rule read one Gram matrix and one bound per draw, the true
-    # draw's and, when tau > 0, the estimated draw's
+    # optimal rule read one Gram matrix and one solve per draw, the true
+    # draw's and, when tau > 0, the estimated draw's; nothing inverts
     factors = _count_calls(monkeypatch, beamform.GramFactor, "__init__")
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
     inverses = _count_calls(monkeypatch, np.linalg, "inv")
     cfg, ch, run = build_configs({
         "schemes": "bs_ris_zf", "phase_rules": "optimal,random", "sweep_m": "128,256",
@@ -243,12 +244,14 @@ def test_ris_side_trial_factors_each_draw_once(tau, per_trial, monkeypatch):
     })
     summary = run_sweep(run, cfg, ch)
     assert all(p.status == STATUS_OK and p.failures == 0 for p in summary.points)
-    assert len(factors) == len(inverses) == per_trial * len(summary.trials) > 0
+    assert len(factors) == len(solves) == per_trial * len(summary.trials) > 0
+    assert inverses == []
 
 
 def test_ue_side_trial_factors_once_per_right_inverse_and_rank(monkeypatch):
-    # the default grid's UE-side points: every precoder build solves its
-    # own Gram matrix, and every rank_q2 inverts one for its bound
+    # the default grid's UE-side points: every precoder build and every
+    # rank_q2 builds one Gram factor, and every factor makes one solve
+    factors = _count_calls(monkeypatch, beamform.GramFactor, "__init__")
     solves = _count_calls(monkeypatch, np.linalg, "solve")
     inverses = _count_calls(monkeypatch, np.linalg, "inv")
     right_inverses = _count_calls(monkeypatch, beamform, "right_inverse_apply")
@@ -256,8 +259,8 @@ def test_ue_side_trial_factors_once_per_right_inverse_and_rank(monkeypatch):
     cfg, ch, run = build_configs({"schemes": "bs_ue_zf", "trials": "1"})
     summary = run_sweep(run, cfg, ch)
     assert len(ranks) == len(summary.trials) > 0
-    assert len(solves) == len(right_inverses)
-    assert len(inverses) == len(ranks)
+    assert len(solves) == len(factors) == len(right_inverses) + len(ranks)
+    assert inverses == []
 
 
 def test_emit_headers_and_row_counts(tmp_path):

@@ -17,7 +17,6 @@ from riszf.phaseopt import (
     asymptotic_phases_bs_ue_zf,
     optimal_phases_bs_ris_zf,
     optimal_phases_bs_ue_zf,
-    principal_eigenvector,
     quadratic_form_objective,
     random_phases,
     wrap_phase,
@@ -60,21 +59,6 @@ def test_random_phases_deterministic_uniform():
     assert np.var(a) == pytest.approx(np.pi**2 / 3, rel=0.05)
 
 
-def test_principal_eigenvector_against_eigh():
-    rng = spawn_rng(31)
-    B = complex_normal(rng, (6, 3))
-    A = B @ B.conj().T
-    v = principal_eigenvector(A)
-    w, V = np.linalg.eigh(A)
-    top = V[:, -1]
-    # same direction up to a unit scalar
-    assert abs(abs(top.conj() @ v) - 1.0) < 1e-8
-    # Rayleigh quotient reaches the top eigenvalue
-    assert np.real(v.conj() @ A @ v) == pytest.approx(w[-1], rel=1e-8)
-    # global-phase convention: first nonzero entry real positive
-    assert abs(v[0].imag) < 1e-8 and v[0].real > 0
-
-
 def test_single_ue_update_matches_closed_form_angle():
     chs = _draw({"m": "16", "n": "4", "k": "2", "u_d": "1"}, seed=3)
     init = random_phases(chs.cfg, seed=8)
@@ -87,10 +71,18 @@ def test_single_ue_update_matches_closed_form_angle():
         np.testing.assert_allclose(phases[k], expected, atol=1e-12)
 
 
+def _dominant_eigenvector(A):
+    """The top eigenvector of the Hermitian A from eigh, its first entry
+    above 1e-12 in magnitude rotated to real positive."""
+    v = np.linalg.eigh(A)[1][:, -1]
+    lead = v[np.flatnonzero(np.abs(v) > 1e-12)[0]]
+    return v * (lead.conjugate() / abs(lead))
+
+
 def test_multi_ue_eigenvector_matches_dense_decomposition():
     # with two UEs on one RIS the update takes the dominant eigenvector of
-    # sum qq^H; verify the power-iteration route against numpy's dense
-    # solver on the same matrix, up to the arbitrary common rotation
+    # sum qq^H; check it against the top eigenpair, up to the common
+    # rotation, and check the rotation: the first entry's phase is zero
     chs = _draw({"m": "16", "n": "4", "k": "1", "l": "2", "u_d": "1"}, seed=6)
     init = np.zeros((1, 4))
     phases, _ = optimal_phases_bs_ue_zf(chs, init=init, tol=0.0, max_iter=1)
@@ -100,10 +92,13 @@ def test_multi_ue_eigenvector_matches_dense_decomposition():
     for ell in range(2):
         q = chs.h_b[ell].conj() * T[:, ell]
         A += np.outer(q, q.conj())
-    top = np.linalg.eigh(A)[1][:, -1]
-    expected = wrap_phase(-np.angle(top))
+    w, V = np.linalg.eigh(A)
+    expected = wrap_phase(-np.angle(V[:, -1]))
     delta = wrap_phase(phases[0] - expected)
     assert np.max(np.abs(wrap_phase(delta - delta[0]))) < 1e-6
+    v = _dominant_eigenvector(A)
+    assert np.real(v.conj() @ A @ v) == pytest.approx(w[-1], rel=1e-12)
+    assert abs(phases[0, 0]) < 1e-15
 
 
 def _reference_phase_update(chs, W):
@@ -123,7 +118,7 @@ def _reference_phase_update(chs, W):
                 u = cfg.blocked_index(k, ell)
                 q = chs.h_b[u].conj() * T[:, u]
                 A += np.outer(q, q.conj())
-            new[k] = wrap_phase(-np.angle(principal_eigenvector(A)))
+            new[k] = wrap_phase(-np.angle(_dominant_eigenvector(A)))
     return new
 
 
@@ -420,6 +415,57 @@ def test_bs_ris_zf_asymptotic_zero_channel_entry_names_element():
         asymptotic_phases_and_sinr_bs_ris_zf(h, np.eye(3), sigma2_k=1.0, k=2)
     assert exc.value.ris == 2
     assert exc.value.element == 1
+
+
+def _reference_closed_form_bs_ris_zf(chs):
+    """The RIS-by-RIS closed form the stacked product replaces: one
+    a = H_k^H w_k per RIS, raising for the first zero product."""
+    W = bs_ris_zf_precoder(chs)
+    phases = np.empty((chs.cfg.K, chs.cfg.N))
+    for k in range(chs.cfg.K):
+        q = chs.h_block(k).conj() * (chs.H[k].conj().T @ W[:, k])
+        zeros = np.flatnonzero(np.abs(q) == 0.0)
+        if zeros.size:
+            raise UndefinedPhaseError(k, int(zeros[0]), "alignment product")
+        phases[k] = wrap_phase(-np.angle(q))
+    return phases
+
+
+@pytest.mark.parametrize("m, n", [("8", "1"), ("64", "4"), ("256", "8")])
+def test_stacked_closed_form_matches_ris_by_ris_reference(m, n):
+    for seed in range(4):
+        chs = _draw({"m": m, "n": n, "k": "4", "u_d": "2"}, seed=seed)
+        assert np.array_equal(optimal_phases_bs_ris_zf(chs), _reference_closed_form_bs_ris_zf(chs))
+    # zeroed entries on two RISs: both routes name the lower RIS, then
+    # its lower element, with the same message
+    chs.h_b[3][0] = 0.0
+    chs.h_b[1][-1] = 0.0
+    if n != "1":
+        chs.h_b[1][0] = 0.0
+    raised = []
+    for rule in (optimal_phases_bs_ris_zf, _reference_closed_form_bs_ris_zf):
+        with pytest.raises(UndefinedPhaseError) as exc:
+            rule(chs)
+        raised.append((exc.value.ris, exc.value.element, str(exc.value)))
+    assert raised[0] == raised[1] == (1, 0, raised[0][2])
+
+
+@pytest.mark.parametrize("power_mode", ["paper_literal", "sum_power_normalized"])
+def test_bs_ris_zf_closed_form_is_the_asymptotic_rule(power_mode):
+    # gamma_matrix asks for unit gain on every element, so a = H_k^H w_k
+    # is all ones up to round-off and the closed form is angle(h): the
+    # optimal and asymptotic BS-RIS-ZF rules give the same phases
+    for m in (16, 64, 256):
+        for n in (1, 4, 8):
+            if 4 * n + 2 > m:
+                continue  # infeasible: more stacked rows than antennas
+            cfg, ch, _ = build_configs({"m": str(m), "n": str(n), "power_mode": power_mode})
+            for seed in range(5):
+                chs = sample_channels(cfg, ch, spawn_rng(seed, m, n))
+                phases = optimal_phases_bs_ris_zf(chs)
+                for k in range(cfg.K):
+                    want, _ = asymptotic_phases_and_sinr_bs_ris_zf(chs.h_block(k), chs.R, 1.0, k)
+                    assert np.abs(wrap_phase(phases[k] - want)).max() < 1e-13
 
 
 def test_zero_channel_entry_is_an_error_not_a_phase():
