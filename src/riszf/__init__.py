@@ -64,7 +64,6 @@ from riszf.sysconfig import (
     ValidationReport,
     default_configs,
     load_config,
-    save_config,
     validate_config,
 )
 
@@ -110,7 +109,6 @@ __all__ = [
     "rank_diagnostics",
     "run_sweep",
     "sample_channels",
-    "save_config",
     "schedule",
     "sinr_bs_ris_zf",
     "sinr_exact",

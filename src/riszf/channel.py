@@ -16,6 +16,9 @@ import numpy as np
 
 from riszf.sysconfig import ChannelModelConfig, SystemConfig
 
+CACHE_SIZE = 32  # entries of each `content_cache`, oldest evicted first
+CLIP_TOL = 1e-12  # eigenvalues of `matrix_sqrt_psd` below this times the largest are 0
+
 
 def spawn_rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
     """Independent generator for the stream identified by `spawn_key`.
@@ -34,35 +37,27 @@ def derive_seed(master_seed: int, *spawn_key: int) -> int:
 
 
 def complex_normal(
-    rng: np.random.Generator, shape: tuple[int, ...], variance: float = 1.0
+    rng: np.random.Generator, shape: int | tuple[int, ...], variance: float = 1.0
 ) -> np.ndarray:
-    """Circularly symmetric complex Gaussian samples, E{|x|^2} = variance."""
-    re = rng.standard_normal(shape)
-    return _scaled_complex(re, rng.standard_normal(shape), math.sqrt(variance / 2.0))
+    """Circularly symmetric complex Gaussian samples, E{|x|^2} = variance:
+    one block of `_complex_blocks`."""
+    dims = (shape,) if isinstance(shape, int) else tuple(shape)
+    return _complex_blocks(rng, (1, *dims), math.sqrt(variance / 2.0))[0]
 
 
-def _complex_blocks(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Unit-variance complex Gaussian blocks along the first axis, drawn in
-    one call. Each block reads its real parts and then its imaginary parts,
-    so the stream order, and every value, matches `complex_normal` called
-    once per block."""
+def _complex_blocks(
+    rng: np.random.Generator, shape: tuple[int, ...], scale: float = math.sqrt(0.5)
+) -> np.ndarray:
+    """scale * (re + 1j * im) blocks along the first axis (unit variance by
+    default), drawn in one call: each block reads its real parts, then its
+    imaginary parts, as one draw per block would. Both parts are scaled
+    straight into place, the bits of the complex expression without its
+    three complex temporaries."""
     z = rng.standard_normal((shape[0], 2, *shape[1:]))
-    return _scaled_complex(z[:, 0], z[:, 1], math.sqrt(0.5))
-
-
-def _scaled_complex(re: np.ndarray, im: np.ndarray, scale: float) -> np.ndarray:
-    """scale * (re + 1j * im), each part scaled straight into place: the
-    complex expression rounds every nonzero part to these same bits, but
-    builds three complex temporaries on the way."""
-    out = np.empty(re.shape, dtype=np.complex128)
-    np.multiply(re, scale, out=out.real)
-    np.multiply(im, scale, out=out.imag)
+    out = np.empty(shape, dtype=np.complex128)
+    np.multiply(z[:, 0], scale, out=out.real)
+    np.multiply(z[:, 1], scale, out=out.imag)
     return out
-
-
-def _correlate(sqrt_C: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sqrt_C @ z_i for every row z_i of `z`, as one stacked product."""
-    return (sqrt_C @ z[:, :, None])[:, :, 0]
 
 
 def default_grid_cols(N: int) -> int:
@@ -85,34 +80,30 @@ def element_positions(
     return spacing * np.stack([idx % cols, idx // cols], axis=1).astype(float)
 
 
-def content_cache(maxsize: int):
-    """Memoize a function whose first argument is an array, keyed on that
-    array's content (bytes, shape, dtype) plus the remaining arguments.
+def content_cache(fn):
+    """Memoize a function of one array, keyed on that array's content
+    (bytes, shape, dtype).
 
     Keys never use object identity, so an equal matrix built anew hits the
     cache and an edited copy misses it. The oldest entry is evicted past
-    `maxsize`. The function must return values its callers cannot change
-    (read-only arrays, numbers), since every hit shares them.
+    `CACHE_SIZE`. The function must return values its callers cannot
+    change (read-only arrays, numbers), since every hit shares them.
     """
+    cache: dict = {}
 
-    def decorate(fn):
-        cache: dict = {}
+    @functools.wraps(fn)
+    def wrapper(a: np.ndarray):
+        a = np.asarray(a)
+        key = (a.tobytes(), a.shape, a.dtype.str)
+        out = cache.get(key)
+        if out is None:
+            out = fn(a)
+            if len(cache) >= CACHE_SIZE:
+                cache.pop(next(iter(cache)), None)
+            cache[key] = out
+        return out
 
-        @functools.wraps(fn)
-        def wrapper(a: np.ndarray, *args, **kwargs):
-            a = np.asarray(a)
-            key = (a.tobytes(), a.shape, a.dtype.str, args, tuple(sorted(kwargs.items())))
-            out = cache.get(key)
-            if out is None:
-                out = fn(a, *args, **kwargs)
-                if len(cache) >= maxsize:
-                    cache.pop(next(iter(cache)), None)
-                cache[key] = out
-            return out
-
-        return wrapper
-
-    return decorate
+    return wrapper
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -144,16 +135,16 @@ def correlation_matrix(
     return read_only(np.sinc(2.0 * dist / wavelength))
 
 
-@content_cache(maxsize=32)
-def matrix_sqrt_psd(C: np.ndarray, clip_tol: float = 1e-12) -> np.ndarray:
+@content_cache
+def matrix_sqrt_psd(C: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues below `clip_tol` relative to the largest are treated as
+    Eigenvalues below `CLIP_TOL` relative to the largest are treated as
     exact zeros, which keeps rank-deficient correlation usable. Cached on
     the content of `C`; the returned array is read-only and shared.
     """
     w, V = np.linalg.eigh(C)
-    w = np.where(w > clip_tol * max(w[-1], 0.0), w, 0.0)
+    w = np.where(w > CLIP_TOL * max(w[-1], 0.0), w, 0.0)
     return read_only((V * np.sqrt(w)) @ V.conj().T)
 
 
@@ -223,63 +214,56 @@ class ChannelSet:
         return self.h_b[self.cfg.blocked_index(k, ell)]
 
 
+def _draw_links(
+    rng: np.random.Generator, cfg: SystemConfig, ch: ChannelModelConfig, sqrt_C: np.ndarray
+):
+    """Yield H, then h_b, then h_d of one draw: the only code that draws
+    links, so its order is the reproducibility contract.
+
+    The BS side of each RIS link is isotropic; correlation enters only on
+    the RIS side, so H_k = F_k D with F_k iid and D = (mu A C)^(1/2). All
+    BS-RIS blocks (H_1..H_K) come from one generator call, all blocked-UE
+    vectors (RIS-major) from another, then the direct UEs; within each
+    block the real parts come before the imaginary parts. Lazy, so a
+    caller can finish with one link before the next is drawn.
+    """
+    D = math.sqrt(ch.ris_element_scale) * sqrt_C
+    yield _complex_blocks(rng, (cfg.K, cfg.M, cfg.N)) @ D
+    z = _complex_blocks(rng, (cfg.U_b, cfg.N))
+    yield math.sqrt(ch.ris_ue_variance) * (sqrt_C @ z[:, :, None])[:, :, 0]
+    yield complex_normal(rng, (cfg.U_d, cfg.M), variance=ch.direct_link_variance)
+
+
 def sample_channels(
     cfg: SystemConfig, ch: ChannelModelConfig, rng: np.random.Generator
 ) -> ChannelSet:
-    """Draw one realization of all channels.
-
-    The BS side of each RIS link is isotropic; correlation enters only on
-    the RIS side, so H_k = F_k D with F_k iid and D = (mu A C)^(1/2). Draw
-    order is fixed (H_1..H_K, then blocked UEs RIS-major, then direct UEs)
-    and part of the reproducibility contract. Within each block the real
-    parts come before the imaginary parts; all BS-RIS blocks are drawn in
-    one call, and all blocked-UE vectors in another, which reads the
-    stream in that same order. C and sqrt_C come from the caches of
-    `correlation_matrix` and `matrix_sqrt_psd`.
-    """
-    M, N, K = cfg.M, cfg.N, cfg.K
+    """Draw one realization of all channels (`_draw_links`). C and sqrt_C
+    come from the caches of `correlation_matrix` and `matrix_sqrt_psd`."""
     C = correlation_matrix(
-        N, ch.element_spacing, ch.wavelength, ch.correlation_model, ch.grid_cols
+        cfg.N, ch.element_spacing, ch.wavelength, ch.correlation_model, ch.grid_cols
     )
     sqrt_C = matrix_sqrt_psd(C)
-    D = math.sqrt(ch.ris_element_scale) * sqrt_C
-
-    H = _complex_blocks(rng, (K, M, N)) @ D
-    h_b = math.sqrt(ch.ris_ue_variance) * _correlate(
-        sqrt_C, _complex_blocks(rng, (cfg.U_b, N))
-    )
-    h_d = complex_normal(rng, (cfg.U_d, M), variance=ch.direct_link_variance)
-
+    H, h_b, h_d = _draw_links(rng, cfg, ch, sqrt_C)
     return ChannelSet(cfg=cfg, ch=ch, H=H, h_b=h_b, h_d=h_d, C=C, sqrt_C=sqrt_C)
 
 
 def apply_estimation_error(chs: ChannelSet, tau: float, seed: int) -> ChannelSet:
     """Imperfect-CSI copy: each link becomes sqrt(1-tau) h + sqrt(tau) e.
 
-    The error term e is an independent draw from the same distribution as
-    the link it perturbs, correlation included, so channel statistics are
-    tau-invariant. tau = 0 returns the input set unchanged. The error
-    draws read the stream in the order of `sample_channels`.
+    The error term e is an independent draw by the recipe of
+    `sample_channels` (`_draw_links`, on the stream of `seed`), correlation
+    included, so channel statistics are tau-invariant. tau = 0 returns the
+    input set unchanged.
     """
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"estimation error fraction {tau} outside [0, 1)")
     if tau == 0.0:
         return chs
 
-    ch = chs.ch
-    rng = spawn_rng(seed)
     keep = math.sqrt(1.0 - tau)
     mix = math.sqrt(tau)
-
-    D = math.sqrt(ch.ris_element_scale) * chs.sqrt_C
-    H = keep * chs.H + mix * (_complex_blocks(rng, chs.H.shape) @ D)
-
-    e_b = math.sqrt(ch.ris_ue_variance) * _correlate(
-        chs.sqrt_C, _complex_blocks(rng, chs.h_b.shape)
-    )
-    h_b = keep * chs.h_b + mix * e_b
-
-    e_d = complex_normal(rng, chs.h_d.shape, variance=ch.direct_link_variance)
-    h_d = keep * chs.h_d + mix * e_d
-
+    errors = _draw_links(spawn_rng(seed), chs.cfg, chs.ch, chs.sqrt_C)
+    links = zip((chs.H, chs.h_b, chs.h_d), errors)
+    # mix * e + keep * x summed into e: keep * x + mix * e bit for bit, one temporary
+    H, h_b, h_d = (np.add(np.multiply(e, mix, out=e), keep * x, out=e) for x, e in links)
     return replace(chs, H=H, h_b=h_b, h_d=h_d)

@@ -9,11 +9,13 @@ from .harness import (
     EXIT_FLAGGED,
     EXIT_OK,
     STATUS_OK,
+    _point_skip_note,
     emit_outputs,
+    enumerate_grid,
     run_sweep,
 )
 from .metrics import complexity_counts
-from .sysconfig import ConfigError, build_configs, parse_kv_text, validate_config
+from .sysconfig import ConfigError, build_configs, parse_kv_text, validate_config, with_dimensions
 
 
 def _load_kv(path: str | None, sets: list[str]) -> dict[str, str]:
@@ -86,6 +88,13 @@ def _cmd_validate(args) -> int:
         print(f"# scheme {scheme}")
         print(report)
         all_ok = all_ok and report.ok
+    # the grid points `run` would skip, with their summary.csv note; tau
+    # decides no skip, so each (scheme, rule, M, N) is listed once
+    points = {(p.scheme, p.phase_rule, p.M, p.N): p for p in enumerate_grid(run_cfg)}
+    for (scheme, rule, M, N), point in points.items():
+        note = _point_skip_note(with_dimensions(cfg, M, N), ch, point)
+        if note is not None:
+            print(f"skip: {scheme}/{rule} M={M} N={N} ({note})")
     return EXIT_OK if all_ok else EXIT_CONFIG_ERROR
 
 

@@ -384,7 +384,7 @@ def optimal_phases_bs_ris_zf(chs: ChannelSet) -> np.ndarray:
     return wrapped_angle(q, -1.0)
 
 
-@content_cache(maxsize=32)
+@content_cache
 def _eigenvalue_range(R: np.ndarray) -> tuple[float, float]:
     """(smallest, largest) eigenvalue of the Hermitian R, cached on its
     content: every RIS of every trial at a grid point checks the same R."""

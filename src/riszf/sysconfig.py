@@ -310,8 +310,10 @@ _KEY_DEFAULTS: dict[str, str | None] = {
 
 
 def parse_kv_text(text: str, source: str = "<string>") -> dict[str, str]:
-    """Parse the flat ``key=value`` format (one key per line, # comments)."""
+    """Parse the flat ``key=value`` format (one key per line, # comments).
+    A key set on two lines is a config error."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -325,6 +327,10 @@ def parse_kv_text(text: str, source: str = "<string>") -> dict[str, str]:
             raise ConfigError(f"{source}:{lineno}: empty key")
         if key not in _KEY_DEFAULTS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{source}:{lineno}: key {key!r} repeated "
+                              f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
         out[key] = value
     return out
 
@@ -353,22 +359,19 @@ def _to_positive(key: str, value: str) -> float:
     return v
 
 
-def _split_list(value: str) -> list[str]:
-    return [p.strip() for p in value.split(",") if p.strip()]
+def _split_list(key: str, value: str) -> list[str]:
+    items = [p.strip() for p in value.split(",") if p.strip()]
+    if not items:
+        raise ConfigError(f"key {key!r}: empty list")
+    return items
 
 
 def _to_int_list(key: str, value: str, minimum: int | None = None) -> tuple[int, ...]:
-    items = _split_list(value)
-    if not items:
-        raise ConfigError(f"key {key!r}: empty list")
-    return tuple(_to_int(key, p, minimum) for p in items)
+    return tuple(_to_int(key, p, minimum) for p in _split_list(key, value))
 
 
 def _to_float_list(key: str, value: str) -> tuple[float, ...]:
-    items = _split_list(value)
-    if not items:
-        raise ConfigError(f"key {key!r}: empty list")
-    return tuple(_to_float(key, p) for p in items)
+    return tuple(_to_float(key, p) for p in _split_list(key, value))
 
 
 def _to_choice(key: str, value: str, choices: Sequence[str]) -> str:
@@ -378,9 +381,7 @@ def _to_choice(key: str, value: str, choices: Sequence[str]) -> str:
 
 
 def _to_choice_list(key: str, value: str, choices: Sequence[str]) -> tuple[str, ...]:
-    items = _split_list(value)
-    if not items:
-        raise ConfigError(f"key {key!r}: empty list")
+    items = _split_list(key, value)
     for p in items:
         if p not in choices:
             raise ConfigError(f"key {key!r}: {p!r} not in {tuple(choices)}")
@@ -406,6 +407,19 @@ def _resolve_spacing(value: str, wavelength: float) -> float:
 def psd_dbm_hz_to_variance(psd_dbm_hz: float, bandwidth: float) -> float:
     """Noise variance in W from a PSD in dBm/Hz over `bandwidth` Hz."""
     return 10.0 ** (psd_dbm_hz / 10.0) * 1e-3 * bandwidth
+
+
+def _noise_variances(kv: dict, key: str, count: int, default: float) -> tuple[float, ...]:
+    """Per-UE noise variances of `key`: `count` entries, or one value that
+    broadcasts to all of them; `default` for each when the key is absent."""
+    if key not in kv:
+        return (default,) * count
+    values = _to_float_list(key, kv[key])
+    if len(values) == 1 and count > 1:
+        values = values * count
+    if len(values) != count:
+        raise ConfigError(f"key {key!r}: expected {count} entries, got {len(values)}")
+    return values
 
 
 def build_configs(
@@ -466,26 +480,8 @@ def build_configs(
     psd = _to_float("noise_psd_dbm_hz", get("noise_psd_dbm_hz"))
     sigma2 = psd_dbm_hz_to_variance(psd, bandwidth)
 
-    if "noise_variance_blocked" in kv:
-        nb = _to_float_list("noise_variance_blocked", kv["noise_variance_blocked"])
-        if len(nb) == 1:
-            nb = nb * U_b
-        if len(nb) != U_b:
-            raise ConfigError(
-                f"key 'noise_variance_blocked': expected {U_b} entries, got {len(nb)}"
-            )
-    else:
-        nb = (sigma2,) * U_b
-    if "noise_variance_direct" in kv:
-        nd = _to_float_list("noise_variance_direct", kv["noise_variance_direct"])
-        if len(nd) == 1 and U_d > 1:
-            nd = nd * U_d
-        if len(nd) != U_d:
-            raise ConfigError(
-                f"key 'noise_variance_direct': expected {U_d} entries, got {len(nd)}"
-            )
-    else:
-        nd = (sigma2,) * U_d
+    nb = _noise_variances(kv, "noise_variance_blocked", U_b, sigma2)
+    nd = _noise_variances(kv, "noise_variance_direct", U_d, sigma2)
     if any(v <= 0 for v in nb + nd):
         raise ConfigError("noise variances must be strictly positive")
 
@@ -585,23 +581,11 @@ def serialize_configs(
     return "\n".join(lines) + "\n"
 
 
-def save_config(
-    path: str, cfg: SystemConfig, ch: ChannelModelConfig, run: RunConfig
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_configs(cfg, ch, run))
-
-
 def default_configs() -> tuple[SystemConfig, ChannelModelConfig, RunConfig]:
     """The all-defaults scenario (K=4, U_d=2, one blocked UE per RIS)."""
     return build_configs({})
 
 
-def with_dimensions(cfg: SystemConfig, M: int | None = None, N: int | None = None) -> SystemConfig:
-    """Copy of `cfg` with M and/or N replaced (sweep helper)."""
-    kwargs = {}
-    if M is not None:
-        kwargs["M"] = M
-    if N is not None:
-        kwargs["N"] = N
-    return replace(cfg, **kwargs)
+def with_dimensions(cfg: SystemConfig, M: int, N: int) -> SystemConfig:
+    """Copy of `cfg` with M and N replaced (sweep helper)."""
+    return replace(cfg, M=M, N=N)

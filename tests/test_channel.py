@@ -90,6 +90,13 @@ def test_complex_normal_moments():
     assert abs(np.mean(x**2)) < 0.09
 
 
+def test_complex_normal_int_shape_is_a_one_tuple():
+    for variance in (1.0, 3.0):
+        a = complex_normal(spawn_rng(5), 7, variance=variance)
+        b = complex_normal(spawn_rng(5), (7,), variance=variance)
+        assert a.shape == (7,) and np.array_equal(a, b)
+
+
 def test_spawn_rng_reproducible_and_streams_independent():
     a1 = spawn_rng(7, 1, 2).standard_normal(4)
     a2 = spawn_rng(7, 1, 2).standard_normal(4)
@@ -260,6 +267,31 @@ def test_stacked_draws_bit_identical_to_per_block_loops(N, L):
             assert np.array_equal(got, want), (M, N, L)
 
 
+@pytest.mark.parametrize("kv", [
+    {"l": "1,1,1,1", "u_d": "2"},
+    {"k": "3", "l": "2,1,3", "u_d": "0"},
+    {"k": "3", "l": "2,1,3", "u_d": "2", "direct_link_variance": "3.0",
+     "ris_ue_link_variance": "2.0"},
+    {"l": "1,1,1,1", "u_d": "0", "direct_link_variance": "0.5", "ris_ue_link_variance": "4.0"},
+])
+def test_estimation_error_is_a_second_draw_by_the_same_recipe(kv):
+    # e is the draw sample_channels makes on the error seed's stream
+    cfg, ch, _ = build_configs({"m": "32", "n": "4", **kv})
+    chs = sample_channels(cfg, ch, spawn_rng(9, 2, 5))
+    errors = sample_channels(cfg, ch, spawn_rng(41))
+    true_links = [a.copy() for a in (chs.H, chs.h_b, chs.h_d)]
+    for tau in (0.1, 0.3):
+        keep, mix = math.sqrt(1.0 - tau), math.sqrt(tau)
+        noisy = apply_estimation_error(chs, tau, seed=41)
+        for name in ("H", "h_b", "h_d"):
+            x, e = getattr(chs, name), getattr(errors, name)
+            assert np.array_equal(getattr(noisy, name), keep * x + mix * e), (name, tau)
+        assert noisy.C is chs.C and noisy.sqrt_C is chs.sqrt_C
+    # the estimate is mixed into the error's memory, never into the true links
+    for got, want in zip((chs.H, chs.h_b, chs.h_d), true_links):
+        assert np.array_equal(got, want)
+
+
 def test_correlation_and_root_are_cached_read_only():
     lam = 0.1666
     C = correlation_matrix(8, lam / 4, lam, "sinc", None)
@@ -285,7 +317,6 @@ def test_correlation_and_root_are_cached_read_only():
     S_edited = matrix_sqrt_psd(edited)
     assert S_edited is not S
     np.testing.assert_allclose(S_edited @ S_edited, edited, atol=1e-12)
-    assert matrix_sqrt_psd(C, clip_tol=1e-9) is not S
 
 
 def test_draws_share_the_cached_correlation():

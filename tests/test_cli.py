@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, overrides, exit codes."""
 
+import re
 import subprocess
 import sys
 
@@ -89,6 +90,19 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_repeated_config_key_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text("trials = 2\nsweep_m = 16\ntrials = 3\n")
+    for argv in (["run", "--config", str(cfg), "--out", str(tmp_path / "o")],
+                 ["validate", "--config", str(cfg)]):
+        assert main(argv) == 2
+        assert "dup.cfg:3: key 'trials' repeated (first set on line 1)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # --set after --config still overrides a key the file sets once
+    cfg.write_text("trials = 2\nsweep_m = 16\n")
+    assert main(["validate", "--config", str(cfg), "--set", "trials=3"]) == 0
+
+
 def test_unwritable_output_dir_exits_two_before_the_sweep(tmp_path, capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep ran before the output directory was made")
@@ -147,6 +161,30 @@ def test_validate_takes_set_without_config(capsys):
                  "--set", "schemes=bs_ue_zf"]) == 2
     assert "[FAIL] ues_per_ris_within_n" in capsys.readouterr().out
     assert main(["validate"]) == 0  # the all-defaults scenario
+
+
+def test_validate_lists_the_points_run_would_skip(tmp_path, capsys):
+    sweep = ["--set", "sweep_m=8", "--set", "sweep_n=1,4", "--set", "csi_tau=0,0.1"]
+    assert main(["validate", *sweep]) == 0  # skips are not failures
+    out = capsys.readouterr().out
+    assert "[FAIL]" not in out
+    skips = [line for line in out.splitlines() if line.startswith("skip: ")]
+    # M=8 > N*K+U_d holds at N=1 only; one line per (scheme, rule, M, N)
+    assert skips == [
+        f"skip: bs_ris_zf/{rule} M=8 N=4 (bs_ris_zf_feasible: requires M > N*K+U_d = 18, "
+        "got M=8; blocks bs_ris_zf)"
+        for rule in ("optimal", "asymptotic", "random")
+    ]
+    # the points and notes `run` reports, once per tau
+    assert main(["run", *sweep, "--trials", "1", "--out", str(tmp_path / "o")]) == 0
+    skipped = [re.sub(r"^skipped: (.*) tau=\S+ ", r"skip: \1 ", line)
+               for line in capsys.readouterr().out.splitlines() if line.startswith("skipped: ")]
+    assert skipped == [line for line in skips for _ in range(2)]
+    # the default grid skips points too, and still fails no check
+    assert main(["validate"]) == 0
+    out = capsys.readouterr().out
+    assert "skip: bs_ue_zf/" in out or "skip: bs_ris_zf/" in out
+    assert "[FAIL]" not in out
 
 
 def test_complexity_table_matches_library(capsys):

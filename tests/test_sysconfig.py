@@ -78,6 +78,16 @@ def test_parse_rejects_unknown_and_malformed():
     assert kv == {"m": "8"}
 
 
+def test_parse_rejects_a_repeated_key():
+    # the later line would silently override the earlier one
+    text = "# sweep\ntrials=2\nm = 8\nTRIALS = 3\n"
+    repeated = r"cfg.txt:4: key 'trials' repeated \(first set on line 2\)"
+    with pytest.raises(ConfigError, match=repeated):
+        parse_kv_text(text, source="cfg.txt")
+    # a repeated value within one line is not a repeated key
+    assert parse_kv_text("sweep_m=16,16\nm=8") == {"sweep_m": "16,16", "m": "8"}
+
+
 def test_range_errors():
     with pytest.raises(ConfigError, match="'m'"):
         build_configs({"m": "0"})
@@ -89,6 +99,9 @@ def test_range_errors():
         build_configs({"power_mode": "both"})
     with pytest.raises(ConfigError, match="csi_tau"):
         build_configs({"csi_tau": "0.0,1.5"})
+    for key in ("sweep_m", "csi_tau", "schemes"):  # int, float and choice lists
+        with pytest.raises(ConfigError, match=f"'{key}': empty list"):
+            build_configs({key: " , "})
 
 
 def test_removed_estimation_error_fraction_is_unknown():
@@ -114,6 +127,33 @@ def test_scalar_noise_broadcast():
     )
     assert cfg.noise_variance_blocked == (1e-13,) * 4
     assert cfg.noise_variance_direct == (2e-13,) * 2
+
+
+@pytest.mark.parametrize("key, count_keys", [
+    ("noise_variance_blocked", {"k": "2", "l": "1,2"}),  # U_b = 3
+    ("noise_variance_direct", {"u_d": "3"}),
+])
+def test_noise_lists_share_one_rule(key, count_keys):
+    # one value broadcasts, a full list is kept, any other length is an error
+    cfg, _, _ = build_configs({**count_keys, key: "1e-13"})
+    assert getattr(cfg, key) == (1e-13,) * 3
+    cfg, _, _ = build_configs({**count_keys, key: "1e-13,2e-13,3e-13"})
+    assert getattr(cfg, key) == (1e-13, 2e-13, 3e-13)
+    with pytest.raises(ConfigError, match=f"key '{key}': expected 3 entries, got 2"):
+        build_configs({**count_keys, key: "1e-13,2e-13"})
+    with pytest.raises(ConfigError, match="strictly positive"):
+        build_configs({**count_keys, key: "0"})
+
+
+def test_single_count_noise_lists():
+    # one UE: a single value is the list; no direct UEs: any value is too many
+    cfg, _, _ = build_configs({"k": "1", "u_d": "1", "noise_variance_blocked": "1e-13",
+                               "noise_variance_direct": "2e-13"})
+    assert (cfg.noise_variance_blocked, cfg.noise_variance_direct) == ((1e-13,), (2e-13,))
+    with pytest.raises(ConfigError, match="'noise_variance_direct': expected 0 entries, got 1"):
+        build_configs({"u_d": "0", "noise_variance_direct": "1e-13"})
+    with pytest.raises(ConfigError, match="'noise_variance_blocked': expected 1 entries, got 2"):
+        build_configs({"k": "1", "noise_variance_blocked": "1e-13,1e-13"})
 
 
 def test_repeated_sweep_values_keep_first_occurrence():
