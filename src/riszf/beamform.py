@@ -152,22 +152,18 @@ class GramFactor:
         return self
 
 
-def right_inverse_apply(
-    Q: np.ndarray | GramFactor,
-    targets: np.ndarray | None = None,
-) -> np.ndarray:
+def right_inverse_apply(Q: np.ndarray | GramFactor) -> np.ndarray:
     """Q^H (Q Q^H)^{-1} targets, via `np.linalg.solve` on the Gram matrix.
 
-    `Q` is the stacked rows, or their `GramFactor`, which carries its own
-    target and its solve and is then not built again; passing `targets`
-    with a factor raises TypeError. Rows are equilibrated to unit norm
-    before forming the Gram matrix: cascaded rows are tens of dB weaker
-    than direct ones, which would push the raw Gram past float64
-    otherwise. Scaling rows does not change the result because the
-    solution is the unique one whose columns lie in the row space of Q,
-    and that space is scale invariant. The solve is LU with partial
-    pivoting on A itself, not an explicit inverse times the targets,
-    which is not backward stable.
+    `Q` is the stacked rows, toward the identity, or their `GramFactor`,
+    which carries its own target and its solve and is then not built
+    again. Rows are equilibrated to unit norm before forming the Gram
+    matrix: cascaded rows are tens of dB weaker than direct ones, which
+    would push the raw Gram past float64 otherwise. Scaling rows does not
+    change the result because the solution is the unique one whose
+    columns lie in the row space of Q, and that space is scale invariant.
+    The solve is LU with partial pivoting on A itself, not an explicit
+    inverse times the targets, which is not backward stable.
 
     Raises RankDeficiencyError, for the batch layer to record, when a row
     is all zero, or when the equilibrated Gram matrix is singular or its
@@ -179,12 +175,7 @@ def right_inverse_apply(
     target raises ValueError, and a solve that failed raises its
     LinAlgError.
     """
-    if not isinstance(Q, GramFactor):
-        gram = GramFactor(Q, targets)
-    elif targets is None:
-        gram = Q
-    else:
-        raise TypeError("a GramFactor carries its own targets")
+    gram = Q if isinstance(Q, GramFactor) else GramFactor(Q)
     if not gram.norms.all():
         raise RankDeficiencyError(
             f"stacked channel of shape {gram.shape} has an all-zero row",

@@ -15,22 +15,14 @@ from .harness import (
     run_sweep,
 )
 from .metrics import complexity_counts
-from .sysconfig import ConfigError, build_configs, parse_kv_text, validate_config, with_dimensions
+from .sysconfig import (ConfigError, build_configs, parse_set_items, read_config,
+                        validate_config, with_dimensions)
 
 
 def _load_kv(path: str | None, sets: list[str]) -> dict[str, str]:
-    kv: dict[str, str] = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            kv.update(parse_kv_text(fh.read(), source=path))
-    for item in sets:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        key = key.strip().lower()
-        if not key:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        kv[key] = value.strip()
+    """The config file's keys, if any, with the `--set` keys over them."""
+    kv = {} if path is None else read_config(path)
+    kv.update(parse_set_items(sets))
     return kv
 
 
@@ -65,8 +57,12 @@ def _cmd_run(args) -> int:
              "trials": args.trials, "threads": args.threads}
     kv.update({k: str(v) for k, v in flags.items() if v is not None})
     cfg, ch, run_cfg = build_configs(kv)
-    # an output directory that cannot be made fails here, not after the sweep
-    os.makedirs(run_cfg.output_dir, exist_ok=True)
+    # an output directory that cannot be made is a config error here, not
+    # after the sweep, named as given rather than as the parent that failed
+    try:
+        os.makedirs(run_cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(str(OSError(exc.errno, exc.strerror, run_cfg.output_dir))) from exc
 
     summary = run_sweep(run_cfg, cfg, ch)
     written = emit_outputs(summary, run_cfg.output_dir)
@@ -160,9 +156,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

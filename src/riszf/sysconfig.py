@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -48,7 +48,6 @@ class SystemConfig:
     power_mode : "paper_literal" (precoder used as built, unit gain pinned at
         the receivers) or "sum_power_normalized" (precoder rescaled to meet
         ``total_power``).
-    bandwidth : Hz; converts a noise PSD into a variance at load time.
     """
 
     M: int
@@ -60,7 +59,6 @@ class SystemConfig:
     noise_variance_direct: tuple[float, ...]
     total_power: float
     power_mode: str
-    bandwidth: float
 
     @cached_property
     def U_b(self) -> int:
@@ -205,8 +203,8 @@ def validate_config(
     )
     add(
         "power_budget",
-        cfg.total_power > 0 and cfg.bandwidth > 0,
-        f"P={cfg.total_power} W, bandwidth={cfg.bandwidth} Hz",
+        cfg.total_power > 0,
+        f"P={cfg.total_power} W",
     )
     add(
         "power_mode",
@@ -309,30 +307,43 @@ _KEY_DEFAULTS: dict[str, str | None] = {
 }
 
 
-def parse_kv_text(text: str, source: str = "<string>") -> dict[str, str]:
-    """Parse the flat ``key=value`` format (one key per line, # comments).
-    A key set on two lines is a config error."""
+def _parse_kv(
+    items: Iterable[tuple[int, str]], source: str, first_set: str
+) -> dict[str, str]:
+    """Raw values of numbered ``key=value`` items by lower-case key. Each
+    item needs `=` and a known key no earlier item set; errors name it
+    ``source:number``, and a repeat the first item too."""
     out: dict[str, str] = {}
-    first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
+    first: dict[str, int] = {}
+    for n, item in items:
+        if "=" not in item:
+            raise ConfigError(f"{source}:{n}: expected key=value, got {item!r}")
+        key, value = item.split("=", 1)
         key = key.strip().lower()
-        value = value.strip()
         if not key:
-            raise ConfigError(f"{source}:{lineno}: empty key")
+            raise ConfigError(f"{source}:{n}: empty key")
         if key not in _KEY_DEFAULTS:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in first_line:
-            raise ConfigError(f"{source}:{lineno}: key {key!r} repeated "
-                              f"(first set on line {first_line[key]})")
-        first_line[key] = lineno
-        out[key] = value
+            raise ConfigError(f"{source}:{n}: unknown key {key!r}")
+        if key in first:
+            raise ConfigError(f"{source}:{n}: key {key!r} repeated "
+                              f"(first set {first_set} {first[key]})")
+        first[key] = n
+        out[key] = value.strip()
     return out
+
+
+def parse_kv_text(text: str, source: str = "<string>") -> dict[str, str]:
+    """Parse the flat ``key=value`` file format: one key per line, `#`
+    starts a comment, blank lines are skipped, and a key set on two lines
+    is a config error."""
+    lines = ((n, raw.split("#", 1)[0]) for n, raw in enumerate(text.splitlines(), start=1))
+    return _parse_kv(((n, line) for n, line in lines if line.strip()), source, "on line")
+
+
+def parse_set_items(items: Sequence[str]) -> dict[str, str]:
+    """Parse ``--set`` items under the file format's rules, except that a
+    value keeps any `#`; a key set by two items is a config error."""
+    return _parse_kv(enumerate(items, start=1), "--set", "by --set")
 
 
 def _to_int(key: str, value: str, minimum: int | None = None) -> int:
@@ -495,7 +506,6 @@ def build_configs(
         noise_variance_direct=nd,
         total_power=_to_positive("total_power", get("total_power")),
         power_mode=_to_choice("power_mode", get("power_mode"), POWER_MODES),
-        bandwidth=bandwidth,
     )
 
     run = RunConfig(
@@ -517,14 +527,19 @@ def build_configs(
     return cfg, ch, run
 
 
-def load_config(path: str) -> tuple[SystemConfig, ChannelModelConfig, RunConfig]:
-    """Load and materialize a config file; see `build_configs` for defaults."""
+def read_config(path: str) -> dict[str, str]:
+    """Raw values of a config file; an unreadable file is a config error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    return build_configs(parse_kv_text(text, source=path))
+    return parse_kv_text(text, source=path)
+
+
+def load_config(path: str) -> tuple[SystemConfig, ChannelModelConfig, RunConfig]:
+    """Load and materialize a config file; see `build_configs` for defaults."""
+    return build_configs(read_config(path))
 
 
 def serialize_configs(
@@ -548,7 +563,6 @@ def serialize_configs(
         f"u_d={cfg.U_d}",
         f"total_power={fmt(cfg.total_power)}",
         f"power_mode={cfg.power_mode}",
-        f"bandwidth={fmt(cfg.bandwidth)}",
         "noise_variance_blocked=" + ",".join(fmt(v) for v in cfg.noise_variance_blocked),
     ]
     if cfg.U_d:  # an empty list does not parse; U_d = 0 loads as no variances

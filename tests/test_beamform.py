@@ -154,7 +154,7 @@ def test_right_inverse_agrees_with_pinv_and_nulls_as_well_as_cholesky(shape):
     # 1.14 times)
     Q, targets = _random_stack(shape)
     for t in (None, targets):
-        W = right_inverse_apply(Q, t)
+        W = right_inverse_apply(GramFactor(Q, t))
         P = np.linalg.pinv(Q) @ (np.eye(shape[0]) if t is None else t)
         assert np.linalg.norm(W - P) / np.linalg.norm(P) < 1e-9
     for span in (None, 8.0):
@@ -162,7 +162,7 @@ def test_right_inverse_agrees_with_pinv_and_nulls_as_well_as_cholesky(shape):
         for seed in range(40):
             Q, targets = _random_stack(shape, seed, span=span)
             for t in (None, targets):
-                ours.append(_zf_residual(Q, right_inverse_apply(Q, t), t))
+                ours.append(_zf_residual(Q, right_inverse_apply(GramFactor(Q, t)), t))
                 cholesky.append(_zf_residual(Q, _reference_right_inverse(Q, t, _cholesky_solve), t))
         assert np.median(ours) <= 1.5 * np.median(cholesky)
         if span is None:
@@ -192,7 +192,7 @@ def test_right_inverse_bit_identical_on_both_stacks():
     assert np.array_equal(right_inverse_apply(Q), _reference_right_inverse(Q))
     Q2 = stack_bs_ris(chs)
     G = gamma_matrix(chs.cfg.N, chs.cfg.K, chs.cfg.U_d)
-    assert np.array_equal(right_inverse_apply(Q2, G), _reference_right_inverse(Q2, G))
+    assert np.array_equal(right_inverse_apply(GramFactor(Q2, G)), _reference_right_inverse(Q2, G))
 
 
 def test_right_inverse_rejects_non_finite_input():
@@ -201,7 +201,7 @@ def test_right_inverse_rejects_non_finite_input():
     targets = np.ones((4, 2))
     targets[1, 1] = np.inf
     with pytest.raises(ValueError):
-        right_inverse_apply(Q, targets)
+        right_inverse_apply(GramFactor(Q, targets))
     Q[2, 3] = np.nan
     with pytest.raises(ValueError):
         right_inverse_apply(Q)
@@ -251,7 +251,7 @@ def _gram_cond(Q):
 @pytest.mark.parametrize("with_targets", [False, True])
 def test_well_conditioned_gram_skips_eigvalsh(lapack_route, eigvalsh_calls, with_targets):
     Q, targets = _random_stack((6, 16))
-    W = right_inverse_apply(Q, targets if with_targets else None)
+    W = right_inverse_apply(GramFactor(Q, targets if with_targets else None))
     assert eigvalsh_calls == []
     assert np.array_equal(W, _reference_right_inverse(Q, targets if with_targets else None))
 
@@ -266,7 +266,7 @@ def test_bound_declines_below_cond_limit_and_eigvalsh_accepts(
     assert 1e11 < _gram_cond(Q) < beamform.COND_LIMIT
     eigvalsh_calls.clear()
     t = targets if with_targets else None
-    W = right_inverse_apply(Q, t)
+    W = right_inverse_apply(GramFactor(Q, t))
     assert eigvalsh_calls == [(6, 6)]
     assert np.array_equal(W, _reference_right_inverse(Q, t))
 
@@ -278,7 +278,7 @@ def test_ill_conditioned_gram_raises_with_eigvalsh_cond(lapack_route, with_targe
     cond = _gram_cond(Q)
     assert cond > beamform.COND_LIMIT
     with pytest.raises(RankDeficiencyError) as exc:
-        right_inverse_apply(Q, targets if with_targets else None)
+        right_inverse_apply(GramFactor(Q, targets if with_targets else None))
     assert exc.value.cond == cond
     assert exc.value.shape == (6, 16)
 
@@ -298,7 +298,7 @@ def test_zero_row_raises_rank_deficiency(lapack_route):
     Q[2] = 0.0
     for t in (None, targets):
         with pytest.raises(RankDeficiencyError) as exc:
-            right_inverse_apply(Q, t)
+            right_inverse_apply(GramFactor(Q, t))
         assert exc.value.cond == float("inf")
         assert exc.value.shape == (4, 16)
 
@@ -307,7 +307,7 @@ def test_right_inverse_of_a_real_stack(lapack_route):
     # a real stack takes numpy's real solve and gives a real right inverse
     Q = spawn_rng(12).standard_normal((4, 9))
     for t in (None, np.ones((4, 2))):
-        W = right_inverse_apply(Q, t)
+        W = right_inverse_apply(GramFactor(Q, t))
         assert W.dtype == np.float64
         want = np.linalg.pinv(Q) @ (np.eye(4) if t is None else t)
         np.testing.assert_allclose(W, want, atol=1e-12)
@@ -366,7 +366,7 @@ def test_ris_side_right_inverse_bound_decides_at_benchmark_shapes(
             assert Q2.shape == (34, int(m))
             G = gamma_matrix(8, 4, 2)
             eigvalsh_calls.clear()
-            W = right_inverse_apply(Q2, G)
+            W = right_inverse_apply(GramFactor(Q2, G))
             assert eigvalsh_calls == []
             assert np.array_equal(W, _reference_right_inverse(Q2, G))
 
@@ -387,7 +387,7 @@ def test_cached_ris_side_factor_matches_a_fresh_one(lapack_route, eigvalsh_calls
         fresh = replace(chs)  # the same draw, with no per-draw values yet
         Q2 = stack_bs_ris(fresh)
         G = gamma_matrix(8, 4, 2)
-        want = right_inverse_apply(Q2, G)
+        want = right_inverse_apply(GramFactor(Q2, G))
         assert np.array_equal(want, _reference_right_inverse(Q2, G))
         assert rank_q2(chs) == min(Q2.shape)
         for _ in range(2):
@@ -447,16 +447,14 @@ def test_ue_side_factor_makes_one_solve(linalg_calls, shape):
             assert linalg_calls == ["solve"]
             b = np.diag(gram.inv) if t is None else t * gram.inv[:, None]
             assert np.array_equal(gram.x, _numpy_solve(gram.A, b))
-            assert np.array_equal(W, right_inverse_apply(Q, t))
+            assert np.array_equal(W, right_inverse_apply(Q if t is None else GramFactor(Q, t)))
 
 
 def test_held_factor_carries_its_target():
     Q, targets = _random_stack((6, 16))
     gram = GramFactor(Q, targets).read_only()
-    with pytest.raises(TypeError):
-        right_inverse_apply(gram, targets)
     assert not gram.x.flags.writeable
-    assert np.array_equal(right_inverse_apply(gram), right_inverse_apply(Q, targets))
+    assert np.array_equal(right_inverse_apply(gram), right_inverse_apply(GramFactor(Q, targets)))
 
 
 def _raised(fn):
@@ -476,8 +474,8 @@ def _raised(fn):
     ("ill_conditioned", RankDeficiencyError),
 ])
 def test_factored_stack_raises_as_the_raw_stack(lapack_route, eigvalsh_calls, fault, error):
-    # the draw's factor, a GramFactor handed in and the raw stack give the
-    # same exception after the same eigvalsh checks
+    # a GramFactor handed in, the draw's factor and the raw stack toward
+    # the identity give the same exception after the same eigvalsh checks
     m = "9" if fault == "not_positive_definite" else "64"  # 10 rows
     chs = _draw({"m": m, "n": "4", "k": "2", "l": "1,1"}, seed=3)
     H, h_d = chs.H.copy(), chs.h_d.copy()
@@ -491,16 +489,15 @@ def test_factored_stack_raises_as_the_raw_stack(lapack_route, eigvalsh_calls, fa
     elif fault == "ill_conditioned":
         h_d[1] = h_d[0] + 1e-7 * spawn_rng(5).standard_normal(h_d.shape[1])
     bad = replace(chs, H=H, h_d=h_d)
-    want = _raised(lambda: right_inverse_apply(stack_bs_ris(bad), G))
+    want = _raised(lambda: right_inverse_apply(GramFactor(stack_bs_ris(bad), G)))
     assert want[0] is error
     checks = eigvalsh_calls.copy()
-    eigvalsh_calls.clear()
-    assert _raised(lambda: right_inverse_apply(GramFactor(stack_bs_ris(bad), G))) == want
-    assert eigvalsh_calls == checks
     if fault != "non_finite_target":  # the precoder's target is gamma_matrix
-        eigvalsh_calls.clear()
-        assert _raised(lambda: bs_ris_zf_precoder(bad)) == want
-        assert eigvalsh_calls == checks
+        for build in (lambda: bs_ris_zf_precoder(bad),
+                      lambda: right_inverse_apply(stack_bs_ris(bad))):
+            eigvalsh_calls.clear()
+            assert _raised(build) == want
+            assert eigvalsh_calls == checks
 
 
 @pytest.mark.parametrize("with_targets", [False, True])
@@ -514,7 +511,7 @@ def test_failed_solve_raises_after_eigvalsh_accepts(eigvalsh_calls, with_targets
 
     monkeypatch.setattr(np.linalg, "solve", failing)
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        right_inverse_apply(Q, targets if with_targets else None)
+        right_inverse_apply(GramFactor(Q, targets if with_targets else None))
     assert eigvalsh_calls == [(6, 6)]
 
 

@@ -4,6 +4,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import riszf.cli as cli
 import riszf.harness as harness
 from riszf.beamform import RankDeficiencyError
@@ -101,6 +103,54 @@ def test_repeated_config_key_exits_two(tmp_path, capsys):
     # --set after --config still overrides a key the file sets once
     cfg.write_text("trials = 2\nsweep_m = 16\n")
     assert main(["validate", "--config", str(cfg), "--set", "trials=3"]) == 0
+
+
+def test_repeated_set_key_exits_two_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a trial ran with a repeated --set key")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    out = tmp_path / "o"
+    repeated = "--set:3: key 'trials' repeated (first set by --set 1)"
+    for command in (["run", "--out", str(out)], ["validate"]):
+        # keys are lower-cased before the check, so TRIALS repeats trials
+        argv = [*command, "--set", "trials=2", "--set", "m=32", "--set", "TRIALS=3"]
+        assert main(argv) == 2
+        assert f"config error: {repeated}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["validate", "--set", "m=8", "--set", "m=64"]) == 2
+    assert "--set:2: key 'm' repeated (first set by --set 1)" in capsys.readouterr().err
+
+
+def test_unknown_set_key_names_its_position(capsys):
+    assert main(["validate", "--set", "m=32", "--set", "bogus=1"]) == 2
+    assert "config error: --set:2: unknown key 'bogus'" in capsys.readouterr().err
+
+
+def test_set_value_keeps_its_hash(tmp_path):
+    # '#' starts a comment in a config file only
+    assert main(["run", *FAST, "--trials", "1", "--set", f"output_dir={tmp_path}/a#b"]) == 0
+    assert (tmp_path / "a#b" / "summary.csv").exists()
+
+
+def test_unreadable_config_and_uncreatable_output_dir_name_the_path(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["validate", "--config", str(missing)]) == 2
+    assert f"config error: cannot read config file {str(missing)!r}" in capsys.readouterr().err
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "a" / "o"  # makedirs stops at the missing parent
+    assert main(["run", *FAST, "--trials", "1", "--out", str(out)]) == 2
+    assert f"Not a directory: {str(out)!r}" in capsys.readouterr().err
+
+
+def test_write_failure_after_the_sweep_is_not_a_config_error(tmp_path, monkeypatch):
+    def failing_emit(summary, output_dir):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "emit_outputs", failing_emit)
+    with pytest.raises(OSError, match="No space left"):
+        main(["run", *FAST, "--trials", "1", "--out", str(tmp_path / "o")])
 
 
 def test_unwritable_output_dir_exits_two_before_the_sweep(tmp_path, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from riszf.sysconfig import (
     default_configs,
     load_config,
     parse_kv_text,
+    parse_set_items,
     psd_dbm_hz_to_variance,
     serialize_configs,
     validate_config,
@@ -86,6 +87,22 @@ def test_parse_rejects_a_repeated_key():
         parse_kv_text(text, source="cfg.txt")
     # a repeated value within one line is not a repeated key
     assert parse_kv_text("sweep_m=16,16\nm=8") == {"sweep_m": "16,16", "m": "8"}
+
+
+def test_set_items_pass_the_file_checks():
+    assert parse_set_items(["M = 8", "output_dir=a#b"]) == {"m": "8", "output_dir": "a#b"}
+    assert parse_set_items([]) == {}
+    for items, error in (
+        (["trials=2", "m=8", "TRIALS=3"], r"--set:3: key 'trials' repeated \(first set by --set 1\)"),
+        (["m=8", "bogus_key=1"], "--set:2: unknown key 'bogus_key'"),
+        (["m=8", " =1"], "--set:2: empty key"),
+        ([""], "--set:1: expected key=value, got ''"),
+        (["# m=8"], "--set:1: unknown key '# m'"),
+    ):
+        with pytest.raises(ConfigError, match=error):
+            parse_set_items(items)
+    # in a file, '#' starts a comment
+    assert parse_kv_text("output_dir=a#b") == {"output_dir": "a"}
 
 
 def test_range_errors():
@@ -183,12 +200,18 @@ def test_roundtrip_identical(tmp_path):
         "csi_tau": "0.0,0.1",
         "power_mode": "sum_power_normalized",
         "master_seed": "7",
+        "bandwidth": "2e7",
     }
+    cfg, _, _ = build_configs(custom)
+    assert cfg.noise_variance_direct[0] == pytest.approx(2 * NOISE_DEFAULT_W, rel=1e-12)
     # no direct UEs: an empty variance list must round-trip too
     for kv in (custom, {"u_d": "0"}):
         cfg, ch, run = build_configs(kv)
         path = tmp_path / "cfg.txt"
-        path.write_text(serialize_configs(cfg, ch, run))
+        text = serialize_configs(cfg, ch, run)
+        # the bandwidth lives on in the noise variances written out
+        assert "bandwidth" not in text
+        path.write_text(text)
         cfg2, ch2, run2 = load_config(str(path))
         assert cfg2 == cfg
         assert ch2 == ch
