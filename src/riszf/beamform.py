@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from riszf.channel import ChannelSet, read_only, ris_of_blocked_ue
+from riszf.channel import ChannelSet, read_only
 from riszf.sysconfig import SystemConfig
 
 # Largest eigenvalue ratio accepted for a Gram or correlation matrix.
@@ -51,7 +51,7 @@ def cascaded_rows(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:
     bit-identical to the per-UE vector-matrix product. The conj(H_k) of
     each UE is gathered once per draw (`ChannelSet.H_conj_blocked`).
     """
-    x = chs.h_b.conj() * np.exp(1j * phases)[ris_of_blocked_ue(chs.cfg.L)]
+    x = chs.h_b.conj() * np.exp(1j * phases)[chs.cfg.ris_of_blocked_ue]
     return (chs.H_conj_blocked @ x[:, :, None])[:, :, 0]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from riszf.sysconfig import ChannelModelConfig, SystemConfig
+from riszf.sysconfig import ChannelModelConfig, SystemConfig, read_only
 
 CACHE_SIZE = 32  # entries of each `content_cache`, oldest evicted first
 CLIP_TOL = 1e-12  # eigenvalues of `matrix_sqrt_psd` below this times the largest are 0
@@ -106,12 +106,6 @@ def content_cache(fn):
     return wrapper
 
 
-def read_only(a: np.ndarray) -> np.ndarray:
-    """`a`, marked read-only: the form every cached array is shared in."""
-    a.flags.writeable = False
-    return a
-
-
 @functools.lru_cache(maxsize=32)
 def correlation_matrix(
     N: int,
@@ -146,13 +140,6 @@ def matrix_sqrt_psd(C: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh(C)
     w = np.where(w > CLIP_TOL * max(w[-1], 0.0), w, 0.0)
     return read_only((V * np.sqrt(w)) @ V.conj().T)
-
-
-@functools.lru_cache(maxsize=32)
-def ris_of_blocked_ue(L: tuple[int, ...]) -> np.ndarray:
-    """(U_b,) index of the RIS serving each blocked UE in RIS-major order:
-    k repeated L[k] times. Cached per L; the returned array is read-only."""
-    return read_only(np.repeat(np.arange(len(L)), L))
 
 
 @dataclass(frozen=True)
@@ -194,7 +181,7 @@ class ChannelSet:
         """(U_b, M, N) conj(H_k) of the RIS serving each blocked UE, in
         blocked-UE order: the stacked operand of every cascaded product.
         Conjugated in place after the gather, so it costs one allocation."""
-        out = self.H[ris_of_blocked_ue(self.cfg.L)]
+        out = self.H[self.cfg.ris_of_blocked_ue]
         return read_only(np.conjugate(out, out=out))
 
     @functools.cached_property
@@ -230,7 +217,7 @@ def _draw_links(
     D = math.sqrt(ch.ris_element_scale) * sqrt_C
     yield _complex_blocks(rng, (cfg.K, cfg.M, cfg.N)) @ D
     z = _complex_blocks(rng, (cfg.U_b, cfg.N))
-    yield math.sqrt(ch.ris_ue_variance) * (sqrt_C @ z[:, :, None])[:, :, 0]
+    yield math.sqrt(ch.ris_ue_link_variance) * (sqrt_C @ z[:, :, None])[:, :, 0]
     yield complex_normal(rng, (cfg.U_d, cfg.M), variance=ch.direct_link_variance)
 
 

@@ -19,10 +19,13 @@ from .sysconfig import (ConfigError, build_configs, parse_set_items, read_config
                         validate_config, with_dimensions)
 
 
-def _load_kv(path: str | None, sets: list[str]) -> dict[str, str]:
-    """The config file's keys, if any, with the `--set` keys over them."""
+def _load_kv(
+    path: str | None, sets: list[str], flags: tuple[tuple[str, str], ...] = ()
+) -> dict[str, str]:
+    """The config file's keys, if any, with the `--set` and flag keys over
+    them; `flags` holds (flag, ``key=value``) items."""
     kv = {} if path is None else read_config(path)
-    kv.update(parse_set_items(sets))
+    kv.update(parse_set_items(sets, flags))
     return kv
 
 
@@ -51,11 +54,12 @@ def _parse_dim_list(text: str) -> list[int]:
 
 
 def _cmd_run(args) -> int:
-    kv = _load_kv(args.config, args.set or [])
-    # the flags override config keys and pass the same range checks
-    flags = {"output_dir": args.out, "master_seed": args.seed,
-             "trials": args.trials, "threads": args.threads}
-    kv.update({k: str(v) for k, v in flags.items() if v is not None})
+    # the flags override config keys, pass the same range checks, and
+    # clash with a `--set` of their key
+    flags = (("--out", "output_dir", args.out), ("--seed", "master_seed", args.seed),
+             ("--trials", "trials", args.trials), ("--threads", "threads", args.threads))
+    kv = _load_kv(args.config, args.set or [],
+                  tuple((flag, f"{key}={value}") for flag, key, value in flags if value is not None))
     cfg, ch, run_cfg = build_configs(kv)
     # an output directory that cannot be made is a config error here, not
     # after the sweep, named as given rather than as the parent that failed
@@ -154,10 +158,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except BrokenPipeError:
+        # the reader stopped early: send the rest of the output to devnull,
+        # so the exit-time flush cannot raise again (Python `signal` docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

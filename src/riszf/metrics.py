@@ -4,7 +4,6 @@ diagnostics, and the closed-form multiplication counts of both schemes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,7 @@ from riszf.beamform import (
     stack_bs_ris,
     stack_bs_ue,
 )
-from riszf.channel import ChannelSet, read_only
+from riszf.channel import ChannelSet
 from riszf.sysconfig import SystemConfig
 
 RANK_SV_THRESHOLD = 1e-10  # relative to the largest singular value
@@ -94,31 +93,15 @@ def effective_matrix(
     return stack_bs_ue(chs, phases) @ W
 
 
-@functools.lru_cache(maxsize=64)
-def _desired_columns(cfg: SystemConfig, n_streams: int) -> np.ndarray:
-    """Stream carried to each UE, in UE row order (blocked then direct).
-
-    With one stream per UE the map is the identity. With one stream per
-    RIS (RIS-side nulling; only defined for a single UE per RIS) blocked
-    UE (k, 0) listens to stream k and direct UE u to stream K + u.
-    Cached per (config, stream count); the returned array is read-only.
-    """
-    n_ue = cfg.U_b + cfg.U_d
-    if n_streams == n_ue:
-        return read_only(np.arange(n_ue))
-    if n_streams == cfg.K + cfg.U_d and all(l == 1 for l in cfg.L):
-        return read_only(np.concatenate([np.arange(cfg.K), cfg.K + np.arange(cfg.U_d)]))
-    raise ValueError(
-        f"cannot map {n_streams} streams onto U_b={cfg.U_b}, U_d={cfg.U_d}, "
-        f"K={cfg.K}, L={list(cfg.L)}"
-    )
-
-
-@functools.lru_cache(maxsize=64)
-def _noise_variances(cfg: SystemConfig) -> np.ndarray:
-    """Every UE's noise variance in UE row order, cached per config;
-    the returned array is read-only."""
-    return read_only(np.concatenate([cfg.noise_variance_blocked, cfg.noise_variance_direct]))
+def _check_streams(cfg: SystemConfig, W: np.ndarray) -> None:
+    """Raise ValueError unless W has one column per UE. Either scheme's
+    precoder does: the RIS-side one has K + U_d columns and serves one UE
+    per RIS, so K = U_b. Column u is then the stream of UE row u."""
+    if W.shape[1] != cfg.U_b + cfg.U_d:
+        raise ValueError(
+            f"cannot map {W.shape[1]} streams onto U_b={cfg.U_b}, U_d={cfg.U_d}, "
+            f"K={cfg.K}, L={list(cfg.L)}"
+        )
 
 
 def sinr_exact(
@@ -131,12 +114,12 @@ def sinr_exact(
     phase configuration, which makes it the common ground for cross-scheme
     and imperfect-CSI comparisons.
     """
+    _check_streams(cfg, W)
     E = effective_matrix(chs, phases, W)
-    desired = _desired_columns(cfg, W.shape[1])
     power = np.abs(E) ** 2
-    sig = power[np.arange(power.shape[0]), desired]
+    sig = power.diagonal()
     interference = power.sum(axis=1) - sig
-    sinr = sig / (interference + _noise_variances(cfg))
+    sinr = sig / (interference + cfg.noise_variances)
     return sinr[: cfg.U_b], sinr[cfg.U_b :]
 
 
@@ -148,10 +131,9 @@ def nulling_residual(
     Zero for exact interference nulling; grows with CSI error since the
     precoder then nulls the estimated channels, not the true ones.
     """
-    E = effective_matrix(chs, phases, W)
-    desired = _desired_columns(cfg, W.shape[1])
-    leak = np.abs(E)
-    leak[np.arange(leak.shape[0]), desired] = 0.0
+    _check_streams(cfg, W)
+    leak = np.abs(effective_matrix(chs, phases, W))
+    np.fill_diagonal(leak, 0.0)
     return float(leak.max())
 
 
@@ -251,22 +233,18 @@ def rank_diagnostics(
     return rank, bound, rank <= bound
 
 
-def complexity_counts(
-    M: int, N: int, K: int, U_b: int, U_d: int, d_token: int | None = None
-) -> tuple[int, int]:
+def complexity_counts(M: int, N: int, K: int, U_b: int, U_d: int) -> tuple[int, int]:
     """Multiplication counts of one beamforming-plus-phase-design pass.
 
     Exact integer evaluation of the published operation counts. Both are
     linear in M; the UE-side count is quadratic in N and the RIS-side one
     cubic. One term of the RIS-side formula contains a bare symbol "d" of
-    unclear origin; it is read as U_d unless `d_token` supplies another
-    value for audit.
+    unclear origin; it is read as U_d.
     """
     if min(M, N, K, U_b) < 1 or U_d < 0:
         raise ValueError("dimensions must be positive (U_d nonnegative)")
     s1 = U_b + U_d
     ue = U_b * (s1**3 + 2 * M * s1**2 + M * N * s1 + M * N**2 + M * N + 1)
-    d = U_d if d_token is None else d_token
     s2 = N * U_b + U_d
-    ris = U_b * (s2**3 + (2 * M + U_b + K + d) * s2**2 + M * N * s2 + 1)
+    ris = U_b * (s2**3 + (2 * M + U_b + K + U_d) * s2**2 + M * N * s2 + 1)
     return ue, ris

@@ -14,20 +14,13 @@ Four rules are implemented, each returning a (K, N) array of angles in
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from riszf.beamform import COND_LIMIT, bs_ris_zf_precoder, bs_ue_zf_precoder
-from riszf.channel import (
-    ChannelSet,
-    content_cache,
-    read_only,
-    ris_of_blocked_ue,
-    spawn_rng,
-)
+from riszf.channel import ChannelSet, content_cache, spawn_rng
 from riszf.sysconfig import SystemConfig
 
 TWO_PI = 2.0 * np.pi
@@ -91,19 +84,6 @@ def random_phases(cfg: SystemConfig, seed: int) -> np.ndarray:
     return spawn_rng(seed).uniform(-np.pi, np.pi, size=(cfg.K, cfg.N))
 
 
-@functools.lru_cache(maxsize=32)
-def _ue_layout(L: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Index tables of the blocked-UE layout L, cached per L (arrays
-    read-only): every blocked UE's flat index, the flat index of each
-    RIS's first blocked UE, and (k, first, stop) of every RIS serving
-    several UEs."""
-    counts = np.array(L)
-    first = np.cumsum(counts) - counts
-    multi = tuple((int(k), int(first[k]), int(first[k] + counts[k]))
-                  for k in np.flatnonzero(counts != 1))
-    return read_only(np.arange(sum(L))), read_only(first), multi
-
-
 def _phase_update_bs_ue_zf(chs: ChannelSet, W: np.ndarray) -> np.ndarray:
     """One sweep of per-RIS phase updates against a frozen precoder.
 
@@ -116,13 +96,14 @@ def _phase_update_bs_ue_zf(chs: ChannelSet, W: np.ndarray) -> np.ndarray:
     per-RIS products, so the phases are too. A zero entry raises for the
     lowest RIS, then the lowest element, as a RIS-by-RIS sweep would.
     """
-    ue, first, multi = _ue_layout(chs.cfg.L)
+    cfg = chs.cfg
+    first = cfg.first_blocked
     T = chs.H_conj_blocked[first].transpose(0, 2, 1) @ W  # (K, N, U)
-    Q = chs.h_b.conj() * T[ris_of_blocked_ue(chs.cfg.L), :, ue]  # (U_b, N)
+    Q = chs.h_b.conj() * T[cfg.ris_of_blocked_ue, :, np.arange(cfg.U_b)]  # (U_b, N)
     aligned = Q[first]
-    for k, start, stop in multi:
-        A = np.zeros((chs.cfg.N, chs.cfg.N), dtype=np.complex128)
-        for q in Q[start:stop]:
+    for k in (k for k, count in enumerate(cfg.L) if count != 1):
+        A = np.zeros((cfg.N, cfg.N), dtype=np.complex128)
+        for q in Q[first[k] : first[k] + cfg.L[k]]:
             A += np.outer(q, q.conj())
         v = np.linalg.eigh(A)[1][:, -1]
         # the global phase: the first nonzero entry rotated to real positive
@@ -131,7 +112,7 @@ def _phase_update_bs_ue_zf(chs: ChannelSet, W: np.ndarray) -> np.ndarray:
     if not aligned.all():
         k, i = (int(v) for v in np.argwhere(np.abs(aligned) == 0.0)[0])
         raise UndefinedPhaseError(
-            k, i, "alignment product" if chs.cfg.L[k] == 1 else "eigenvector entry"
+            k, i, "alignment product" if cfg.L[k] == 1 else "eigenvector entry"
         )
     return wrapped_angle(aligned, -1.0)
 

@@ -10,9 +10,12 @@ load and safe to share across parallel workers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -27,6 +30,12 @@ CORRELATION_MODELS = ("sinc", "iid")
 
 class ConfigError(ValueError):
     """Raised on config-file parse errors, unknown keys, or range violations."""
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, marked read-only: the form every cached array is shared in."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -64,9 +73,28 @@ class SystemConfig:
     def U_b(self) -> int:
         return sum(self.L)
 
+    @cached_property
+    def ris_of_blocked_ue(self) -> np.ndarray:
+        """(U_b,) index of the RIS serving each blocked UE in RIS-major
+        order: k repeated L[k] times. Read-only."""
+        return read_only(np.repeat(np.arange(self.K), self.L))
+
+    @cached_property
+    def first_blocked(self) -> np.ndarray:
+        """(K,) flat index of each RIS's first blocked UE: the exclusive
+        cumulative sum of L. Read-only."""
+        counts = np.array(self.L)
+        return read_only(np.cumsum(counts) - counts)
+
+    @cached_property
+    def noise_variances(self) -> np.ndarray:
+        """(U_b + U_d,) every UE's noise variance in UE row order (blocked,
+        then direct). Read-only."""
+        return read_only(np.concatenate([self.noise_variance_blocked, self.noise_variance_direct]))
+
     def blocked_index(self, k: int, ell: int) -> int:
         """Flat index of blocked UE (k, ell) under RIS-major, UE-minor order."""
-        return sum(self.L[:k]) + ell
+        return int(self.first_blocked[k]) + ell
 
 
 @dataclass(frozen=True)
@@ -75,17 +103,18 @@ class ChannelModelConfig:
 
     ``element_spacing`` is the minimum RIS inter-element distance in meters;
     ``grid_cols=None`` picks the largest divisor of N not above sqrt(N).
-    ``ris_ue_link_variance=None`` defaults to mu * element_area, i.e. the same
-    intensity attenuation the BS-RIS links carry.
+    `build_configs` resolves the keys' symbolic defaults: ``element_area``
+    to element_spacing squared and ``ris_ue_link_variance`` to mu *
+    element_area, the intensity attenuation the BS-RIS links carry.
     """
 
     carrier_frequency: float
     element_spacing: float
-    element_area: float | None
+    element_area: float
     attenuation_mu_lambda2_db: float
     grid_cols: int | None
     direct_link_variance: float
-    ris_ue_link_variance: float | None
+    ris_ue_link_variance: float
     correlation_model: str
 
     @property
@@ -97,24 +126,11 @@ class ChannelModelConfig:
         """Average intensity attenuation, recovered from mu*lambda^2 in dB."""
         return 10.0 ** (self.attenuation_mu_lambda2_db / 10.0) / self.wavelength**2
 
-    @property
-    def area(self) -> float:
-        """Element area; defaults to element_spacing squared."""
-        if self.element_area is not None:
-            return self.element_area
-        return self.element_spacing**2
-
     @cached_property
     def ris_element_scale(self) -> float:
         """Per-element intensity scale mu * A applied to the BS-RIS channels;
         computed on first access, as the config is immutable."""
-        return self.mu * self.area
-
-    @property
-    def ris_ue_variance(self) -> float:
-        if self.ris_ue_link_variance is not None:
-            return self.ris_ue_link_variance
-        return self.ris_element_scale
+        return self.mu * self.element_area
 
 
 @dataclass(frozen=True)
@@ -247,14 +263,14 @@ def validate_config(
         "element_geometry",
         ch.carrier_frequency > 0
         and ch.element_spacing > 0
-        and ch.area > 0
+        and ch.element_area > 0
         and (ch.grid_cols is None or (ch.grid_cols >= 1 and cfg.N % ch.grid_cols == 0)),
-        f"d={ch.element_spacing} m, A={ch.area} m^2, grid_cols={ch.grid_cols}",
+        f"d={ch.element_spacing} m, A={ch.element_area} m^2, grid_cols={ch.grid_cols}",
     )
     add(
         "link_variances",
-        ch.direct_link_variance > 0 and ch.ris_ue_variance > 0,
-        f"direct={ch.direct_link_variance}, ris_ue={ch.ris_ue_variance}",
+        ch.direct_link_variance > 0 and ch.ris_ue_link_variance > 0,
+        f"direct={ch.direct_link_variance}, ris_ue={ch.ris_ue_link_variance}",
     )
     add(
         "correlation_model",
@@ -307,27 +323,25 @@ _KEY_DEFAULTS: dict[str, str | None] = {
 }
 
 
-def _parse_kv(
-    items: Iterable[tuple[int, str]], source: str, first_set: str
-) -> dict[str, str]:
-    """Raw values of numbered ``key=value`` items by lower-case key. Each
-    item needs `=` and a known key no earlier item set; errors name it
-    ``source:number``, and a repeat the first item too."""
+def _parse_kv(items: Iterable[tuple[str, str, str]]) -> dict[str, str]:
+    """Raw values of ``key=value`` items by lower-case key. Each item is
+    (where, origin, text): its errors start with `where`, and a later item
+    that repeats its key names it by `origin`. Each item needs `=` and a
+    known key no earlier item set."""
     out: dict[str, str] = {}
-    first: dict[str, int] = {}
-    for n, item in items:
+    first: dict[str, str] = {}
+    for where, origin, item in items:
         if "=" not in item:
-            raise ConfigError(f"{source}:{n}: expected key=value, got {item!r}")
+            raise ConfigError(f"{where}: expected key=value, got {item!r}")
         key, value = item.split("=", 1)
         key = key.strip().lower()
         if not key:
-            raise ConfigError(f"{source}:{n}: empty key")
+            raise ConfigError(f"{where}: empty key")
         if key not in _KEY_DEFAULTS:
-            raise ConfigError(f"{source}:{n}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
         if key in first:
-            raise ConfigError(f"{source}:{n}: key {key!r} repeated "
-                              f"(first set {first_set} {first[key]})")
-        first[key] = n
+            raise ConfigError(f"{where}: key {key!r} repeated (first set {first[key]})")
+        first[key] = origin
         out[key] = value.strip()
     return out
 
@@ -337,13 +351,18 @@ def parse_kv_text(text: str, source: str = "<string>") -> dict[str, str]:
     starts a comment, blank lines are skipped, and a key set on two lines
     is a config error."""
     lines = ((n, raw.split("#", 1)[0]) for n, raw in enumerate(text.splitlines(), start=1))
-    return _parse_kv(((n, line) for n, line in lines if line.strip()), source, "on line")
+    return _parse_kv((f"{source}:{n}", f"on line {n}", line) for n, line in lines if line.strip())
 
 
-def parse_set_items(items: Sequence[str]) -> dict[str, str]:
+def parse_set_items(
+    items: Sequence[str], flags: Iterable[tuple[str, str]] = ()
+) -> dict[str, str]:
     """Parse ``--set`` items under the file format's rules, except that a
-    value keeps any `#`; a key set by two items is a config error."""
-    return _parse_kv(enumerate(items, start=1), "--set", "by --set")
+    value keeps any `#`, then the (flag, ``key=value``) items of `flags`;
+    a key set by two of them is a config error naming both."""
+    sets = ((f"--set:{n}", f"by --set {n}", item) for n, item in enumerate(items, start=1))
+    named = ((flag, f"by {flag}", item) for flag, item in flags)
+    return _parse_kv(itertools.chain(sets, named))
 
 
 def _to_int(key: str, value: str, minimum: int | None = None) -> int:
@@ -452,14 +471,12 @@ def build_configs(
     spacing = _resolve_spacing(get("element_spacing"), wavelength)
 
     area_raw = get("element_area")
-    area = None if area_raw == "spacing_squared" else _to_positive("element_area", area_raw)
+    area = spacing**2 if area_raw == "spacing_squared" else _to_positive("element_area", area_raw)
 
     grid_raw = get("grid_cols")
     grid_cols = None if grid_raw == "auto" else _to_int("grid_cols", grid_raw, minimum=1)
 
     ris_var_raw = get("ris_ue_link_variance")
-    ris_var = None if ris_var_raw == "mu_a" else _to_positive("ris_ue_link_variance", ris_var_raw)
-
     ch = ChannelModelConfig(
         carrier_frequency=carrier,
         element_spacing=spacing,
@@ -471,11 +488,15 @@ def build_configs(
         direct_link_variance=_to_positive(
             "direct_link_variance", get("direct_link_variance")
         ),
-        ris_ue_link_variance=ris_var,
+        # "mu_a" is the config's own mu * A, filled in below
+        ris_ue_link_variance=(float("nan") if ris_var_raw == "mu_a"
+                              else _to_positive("ris_ue_link_variance", ris_var_raw)),
         correlation_model=_to_choice(
             "correlation_model", get("correlation_model"), CORRELATION_MODELS
         ),
     )
+    if ris_var_raw == "mu_a":
+        ch = replace(ch, ris_ue_link_variance=ch.ris_element_scale)
 
     K = _to_int("k", get("k"), minimum=1)
     if "l" in kv:
@@ -573,13 +594,11 @@ def serialize_configs(
         "# channel model",
         f"carrier_frequency={fmt(ch.carrier_frequency)}",
         f"element_spacing={fmt(ch.element_spacing)}",
-        "element_area="
-        + ("spacing_squared" if ch.element_area is None else fmt(ch.element_area)),
+        f"element_area={fmt(ch.element_area)}",
         f"attenuation_mu_lambda2_db={fmt(ch.attenuation_mu_lambda2_db)}",
         "grid_cols=" + ("auto" if ch.grid_cols is None else str(ch.grid_cols)),
         f"direct_link_variance={fmt(ch.direct_link_variance)}",
-        "ris_ue_link_variance="
-        + ("mu_a" if ch.ris_ue_link_variance is None else fmt(ch.ris_ue_link_variance)),
+        f"ris_ue_link_variance={fmt(ch.ris_ue_link_variance)}",
         f"correlation_model={ch.correlation_model}",
         "# run",
         "sweep_m=" + ",".join(str(m) for m in run.sweep_M),

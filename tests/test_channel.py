@@ -134,7 +134,7 @@ def test_sample_channels_second_order_statistics():
     err = np.linalg.norm(gram - target_gram) / np.linalg.norm(target_gram)
     assert err < 0.05, f"relative Gram error {err:.3f}"
 
-    target_outer = ch.ris_ue_variance * C
+    target_outer = ch.ris_ue_link_variance * C
     err_b = np.linalg.norm(outer - target_outer) / np.linalg.norm(target_outer)
     assert err_b < 0.10, f"relative blocked-link error {err_b:.3f}"
 
@@ -195,7 +195,7 @@ def test_estimation_error_energy_and_statistics():
     C = correlation_matrix(
         cfg.N, ch.element_spacing, ch.wavelength, ch.correlation_model, ch.grid_cols
     )
-    target = ch.ris_ue_variance * C
+    target = ch.ris_ue_link_variance * C
     mean_outer = outer / (trials * cfg.U_b)
     err = np.linalg.norm(mean_outer - target) / np.linalg.norm(target)
     assert err < 0.10
@@ -224,7 +224,7 @@ def _reference_sample_channels(cfg, ch, rng):
     for k in range(K):
         H[k] = complex_normal(rng, (M, N)) @ D
     h_b = np.empty((cfg.U_b, N), dtype=np.complex128)
-    scale_b = math.sqrt(ch.ris_ue_variance)
+    scale_b = math.sqrt(ch.ris_ue_link_variance)
     for k in range(K):
         for ell in range(cfg.L[k]):
             z = complex_normal(rng, (N,))
@@ -242,7 +242,7 @@ def _reference_apply_estimation_error(chs, tau, seed):
     for k in range(cfg.K):
         H[k] = keep * chs.H[k] + mix * (complex_normal(rng, (cfg.M, cfg.N)) @ D)
     h_b = np.empty_like(chs.h_b)
-    scale_b = math.sqrt(ch.ris_ue_variance)
+    scale_b = math.sqrt(ch.ris_ue_link_variance)
     for i in range(cfg.U_b):
         e = scale_b * (chs.sqrt_C @ complex_normal(rng, (cfg.N,)))
         h_b[i] = keep * chs.h_b[i] + mix * e

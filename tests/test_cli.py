@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, overrides, exit codes."""
 
+import os
 import re
 import subprocess
 import sys
@@ -120,6 +121,34 @@ def test_repeated_set_key_exits_two_before_any_trial(tmp_path, capsys, monkeypat
     assert not out.exists()
     assert main(["validate", "--set", "m=8", "--set", "m=64"]) == 2
     assert "--set:2: key 'm' repeated (first set by --set 1)" in capsys.readouterr().err
+
+
+def test_run_flag_clashing_with_set_exits_two_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a trial ran with a flag and a --set of one key")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    out = tmp_path / "o"
+    for argv, clash in (
+        (["--set", "trials=2", "--trials", "3", "--out", str(out)],
+         "--trials: key 'trials' repeated (first set by --set 1)"),
+        (["--set", "m=32", "--set", "master_seed=4", "--seed", "4", "--out", str(out)],
+         "--seed: key 'master_seed' repeated (first set by --set 2)"),
+        (["--set", f"output_dir={out}", "--out", str(out)],
+         "--out: key 'output_dir' repeated (first set by --set 1)"),
+    ):
+        assert main(["run", *argv]) == 2
+        assert f"config error: {clash}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_flag_overrides_a_config_file_key(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("sweep_m = 16\nsweep_n = 1\nschemes = bs_ue_zf\n"
+                   "phase_rules = random\ntrials = 3\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--trials", "1", "--out", str(out)]) == 0
+    assert len((out / "trials.csv").read_text().strip().split("\n")) == 2
 
 
 def test_unknown_set_key_names_its_position(capsys):
@@ -281,3 +310,20 @@ def test_module_entry_point_runs_as_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("M,N,count_bs_ue_zf,count_bs_ris_zf")
+
+
+def test_closed_pipe_exits_one_without_a_traceback():
+    # a reader that stopped early: the read end is closed before any write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "riszf.cli", "validate"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

@@ -153,6 +153,20 @@ def test_nulling_residual_perfect_vs_estimated_csi():
     assert nulling_residual(chs, phases, W_hat, chs.cfg) > 1e-3
 
 
+@pytest.mark.parametrize("L", ["1,1", "2,1"])
+def test_precoder_without_one_column_per_ue_is_rejected(L):
+    # with L = 2,1 a RIS-side layout of K + U_d = 3 columns serves 4 UEs
+    chs = _draw({"m": "24", "n": "2", "k": "2", "l": L, "u_d": "1"}, seed=4)
+    cfg = chs.cfg
+    phases = random_phases(cfg, seed=1)
+    ues = cfg.U_b + cfg.U_d
+    for cols in sorted({cfg.K + cfg.U_d, ues - 1, ues + 1} - {ues}):
+        W = complex_normal(spawn_rng(5, cols), (cfg.M, cols))
+        for fn in (sinr_exact, nulling_residual):
+            with pytest.raises(ValueError, match=f"cannot map {cols} streams"):
+                fn(chs, phases, W, cfg)
+
+
 def test_complexity_formula_values_and_orders():
     ue, ris = complexity_counts(M=1, N=1, K=1, U_b=1, U_d=0)
     assert ue == 7
@@ -177,7 +191,7 @@ def test_complexity_formula_values_and_orders():
     assert d3r > 0
 
 
-def test_complexity_monotone_and_d_token_audit():
+def test_complexity_monotone_and_d_read_as_u_d():
     base = complexity_counts(32, 4, 4, 4, 2)
     for bump in (
         complexity_counts(33, 4, 4, 4, 2),
@@ -187,11 +201,10 @@ def test_complexity_monotone_and_d_token_audit():
         complexity_counts(32, 4, 4, 4, 3),
     ):
         assert bump[0] >= base[0] and bump[1] > base[1] - 1
-    # the ambiguous token only perturbs one quadratic term
-    default = complexity_counts(32, 4, 4, 4, 2)[1]
-    audited = complexity_counts(32, 4, 4, 4, 2, d_token=0)[1]
-    s2 = 4 * 4 + 2
-    assert default - audited == 4 * 2 * s2**2
+    # evaluated by hand, the bare "d" of the RIS-side formula read as U_d = 2:
+    # s2 = 4*4 + 2 = 18; 4 * (18^3 + (2*32 + 4 + 4 + 2) * 18^2 + 32*4*18 + 1)
+    # = 4 * (5832 + 23976 + 2304 + 1); reading d as 0 would give 123268
+    assert base == (15716, 128452)
 
 
 def test_rank_diagnostics_full_and_deficient(svd_calls):

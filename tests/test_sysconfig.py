@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from riszf.sysconfig import (
@@ -17,6 +18,7 @@ from riszf.sysconfig import (
     psd_dbm_hz_to_variance,
     serialize_configs,
     validate_config,
+    with_dimensions,
 )
 
 # Independently derived reference values for the default scenario.
@@ -43,10 +45,63 @@ def test_derived_wavelength_and_attenuation():
     assert ch.mu == pytest.approx(MU_DEFAULT, rel=1e-15)
     # default spacing is a quarter wavelength, area is spacing squared
     assert ch.element_spacing == pytest.approx(WAVELENGTH_1P8GHZ / 4, rel=1e-15)
-    assert ch.area == pytest.approx((WAVELENGTH_1P8GHZ / 4) ** 2, rel=1e-15)
-    assert ch.ris_element_scale == pytest.approx(MU_DEFAULT * ch.area, rel=1e-15)
+    assert ch.element_area == pytest.approx((WAVELENGTH_1P8GHZ / 4) ** 2, rel=1e-15)
+    assert ch.ris_element_scale == pytest.approx(MU_DEFAULT * ch.element_area, rel=1e-15)
     # the RIS-UE link variance defaults to the same per-element scale
-    assert ch.ris_ue_variance == pytest.approx(ch.ris_element_scale, rel=0)
+    assert ch.ris_ue_link_variance == pytest.approx(ch.ris_element_scale, rel=0)
+
+
+def test_symbolic_channel_defaults_resolve_to_floats(tmp_path):
+    # "spacing_squared" and "mu_a" resolve at build, bit for bit
+    for kv in ({}, {"element_spacing": "0.05", "attenuation_mu_lambda2_db": "-60"}):
+        cfg, ch, run = build_configs(kv)
+        spacing = ch.element_spacing
+        assert type(ch.element_area) is float
+        assert type(ch.ris_ue_link_variance) is float
+        assert ch.element_area == spacing**2
+        assert ch.ris_ue_link_variance == ch.mu * spacing**2
+        assert ch.ris_element_scale == ch.mu * spacing**2
+        text = serialize_configs(cfg, ch, run)
+        assert "spacing_squared" not in text and "mu_a" not in text
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        assert load_config(str(path)) == (cfg, ch, run)
+    # an explicit value is kept, not replaced by mu * A
+    _, ch, _ = build_configs({"element_area": "0.01", "ris_ue_link_variance": "2.5"})
+    assert (ch.element_area, ch.ris_ue_link_variance) == (0.01, 2.5)
+    assert ch.ris_element_scale == ch.mu * 0.01
+
+
+@pytest.mark.parametrize("L", [(1, 1, 1, 1), (2, 1, 3)])
+def test_ue_layout_arrays_are_read_only_config_properties(L):
+    cfg, _, _ = build_configs({"k": str(len(L)), "l": ",".join(map(str, L)), "m": "64"})
+    counts = np.array(L)
+    np.testing.assert_array_equal(cfg.ris_of_blocked_ue, np.repeat(np.arange(len(L)), L))
+    np.testing.assert_array_equal(cfg.first_blocked, np.cumsum(counts) - counts)
+    np.testing.assert_array_equal(
+        cfg.noise_variances, cfg.noise_variance_blocked + cfg.noise_variance_direct
+    )
+    assert cfg.noise_variances.shape == (cfg.U_b + cfg.U_d,)
+    for a in (cfg.ris_of_blocked_ue, cfg.first_blocked, cfg.noise_variances):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    # computed once per config
+    assert cfg.first_blocked is cfg.first_blocked
+    for k in range(len(L)):
+        assert cfg.blocked_index(k, 0) == sum(L[:k])
+
+
+def test_with_dimensions_copy_computes_its_own_arrays():
+    cfg, _, _ = build_configs({"k": "3", "l": "2,1,3", "m": "32"})
+    arrays = (cfg.ris_of_blocked_ue, cfg.first_blocked, cfg.noise_variances)
+    copy = with_dimensions(cfg, 64, 8)
+    assert (copy.M, copy.N) == (64, 8)
+    for name, a in zip(("ris_of_blocked_ue", "first_blocked", "noise_variances"), arrays):
+        b = getattr(copy, name)
+        assert b is not a
+        np.testing.assert_array_equal(b, a)
+        assert not b.flags.writeable
 
 
 def test_default_noise_from_psd():
