@@ -25,11 +25,11 @@ from riszf.channel import (
 from riszf.harness import (
     PointSummary,
     SweepSummary,
+    TrialResult,
     emit_outputs,
     run_sweep,
 )
 from riszf.metrics import (
-    TrialResult,
     complexity_counts,
     rank_diagnostics,
     sinr_bs_ris_zf,

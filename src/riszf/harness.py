@@ -15,6 +15,9 @@ a reproducibility contract:
 Results merge deterministically by grid-point position, so serial and
 parallel runs emit byte-identical files.
 
+Every CSV cell the sweep writes follows one rule (`_csv_cell`), and a
+trials.csv row is a `TrialResult`'s fields in declaration order.
+
 Every sweep process runs numpy's bundled OpenBLAS on one thread, so the
 process pool (`threads`) is the sweep's only parallelism. The sweep's BLAS
 and LAPACK calls all go through numpy, and so through that build. Each
@@ -26,7 +29,7 @@ import functools
 import glob
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -38,15 +41,7 @@ from .beamform import (
     normalize_power,
 )
 from .channel import apply_estimation_error, derive_seed, sample_channels, spawn_rng
-from .metrics import (
-    TRIAL_CSV_HEADER,
-    TrialResult,
-    nulling_residual,
-    rank_q2,
-    sinr_exact,
-    sum_rate,
-    trial_csv_row,
-)
+from .metrics import nulling_residual, rank_q2, sinr_exact, sum_rate
 from .phaseopt import (
     UndefinedPhaseError,
     asymptotic_phase_config_bs_ue_zf,
@@ -75,6 +70,8 @@ STATUS_FLAGGED = "flagged"
 
 FAILURE_FLAG_FRACTION = 0.2
 
+# `PointSummary`'s fields in order, except that its `tau` is the csi_tau
+# column: a literal, as readers of the record use the name `tau`
 SUMMARY_CSV_HEADER = (
     "scheme,phase_rule,M,N,csi_tau,status,trials,failures,"
     "mean_sum_rate,stderr_sum_rate,analytic_sum_rate,analytic_stderr,note"
@@ -108,6 +105,38 @@ class PointSummary:
     analytic_sum_rate: float
     analytic_stderr: float
     note: str = ""
+
+
+@dataclass
+class TrialResult:
+    """Everything measured in one Monte Carlo trial, one trials.csv row:
+    the fields are its columns, in order.
+
+    The SINR extremes run over every UE, blocked and direct. The phase
+    rule's solver fills phase_iterations, phase_converged and
+    fixed_point_residual; rules without an iteration give 0, True, 0.0.
+    """
+
+    trial: int
+    scheme: str
+    phase_rule: str
+    M: int
+    N: int
+    K: int
+    U_d: int
+    csi_tau: float
+    sinr_min: float
+    sinr_max: float
+    sum_rate: float
+    nulling_residual: float
+    rank_q2: int
+    seed: int
+    phase_iterations: int
+    phase_converged: bool
+    fixed_point_residual: float
+
+
+TRIAL_CSV_HEADER = ",".join(f.name for f in fields(TrialResult))
 
 
 @dataclass(frozen=True)
@@ -229,7 +258,7 @@ def run_point(
             else:
                 W = bs_ris_zf_precoder(chs_hat)
             W, _ = normalize_power(W, cfg_point)
-            sb, sd = sinr_exact(chs, phases, W, cfg_point)
+            sinrs = np.concatenate(sinr_exact(chs, phases, W, cfg_point))
             if want_analytic:
                 analytic_vals.append(_analytic_sum_rate(chs, cfg_point))
         except (RankDeficiencyError, UndefinedPhaseError, np.linalg.LinAlgError):
@@ -237,15 +266,6 @@ def run_point(
             continue
         results.append(
             TrialResult(
-                sinr_blocked=sb,
-                sinr_direct=sd,
-                sum_rate=sum_rate(np.concatenate([sb, sd])),
-                nulling_residual=nulling_residual(chs, phases, W, cfg_point),
-                fixed_point_residual=residual,
-                phase_iterations=iters,
-                phase_converged=converged,
-                rank_q2=rank_q2(chs),
-                seed=seed_tag,
                 trial=t,
                 scheme=point.scheme,
                 phase_rule=point.phase_rule,
@@ -254,6 +274,15 @@ def run_point(
                 K=cfg_point.K,
                 U_d=cfg_point.U_d,
                 csi_tau=point.tau,
+                sinr_min=float(sinrs.min()),
+                sinr_max=float(sinrs.max()),
+                sum_rate=sum_rate(sinrs),
+                nulling_residual=nulling_residual(chs, phases, W, cfg_point),
+                rank_q2=rank_q2(chs),
+                seed=seed_tag,
+                phase_iterations=iters,
+                phase_converged=converged,
+                fixed_point_residual=residual,
             )
         )
 
@@ -286,12 +315,14 @@ def run_point(
 
 
 def _mean_stderr(values) -> tuple[float, float]:
+    """Mean and standard error of `values`, NaN where undefined: both
+    for no value, the standard error for one."""
     if not values:
         return math.nan, math.nan
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     if arr.size < 2:
-        return mean, 0.0
+        return mean, math.nan
     return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
@@ -377,35 +408,29 @@ def run_sweep(
     return SweepSummary(points=summaries, trials=trials)
 
 
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    return repr(float(x))
+def _csv_cell(v) -> str:
+    """The one rule for every cell of every CSV: text with `,` as `;` and
+    newlines as spaces, booleans as 0/1, integers as digits, and floats as
+    their round-trip repr, with NaN (undefined) as an empty cell."""
+    if isinstance(v, str):
+        return v.replace(",", ";").replace("\n", " ")
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(v)
+    return "" if math.isnan(v) else repr(float(v))
 
 
-def _summary_row(p: PointSummary) -> str:
-    note = p.note.replace(",", ";").replace("\n", " ")
-    return ",".join(
-        [
-            p.scheme,
-            p.phase_rule,
-            str(p.M),
-            str(p.N),
-            repr(float(p.tau)),
-            p.status,
-            str(p.trials),
-            str(p.failures),
-            _fmt(p.mean_sum_rate),
-            _fmt(p.stderr_sum_rate),
-            _fmt(p.analytic_sum_rate),
-            _fmt(p.analytic_stderr),
-            note,
-        ]
-    )
+def _csv_row(values) -> str:
+    return ",".join(_csv_cell(v) for v in values)
+
+
+def trial_csv_row(t: TrialResult) -> str:
+    return _csv_row(vars(t).values())
 
 
 def _curve_label(rule: str, N: int, tau: float) -> str:
-    return f"{rule}_N{N}_tau{float(tau)!r}"
+    return f"{rule}_N{N}_tau{_csv_cell(tau)}"
 
 
 def _plotdata_lines(points, scheme: str) -> list[str]:
@@ -413,13 +438,8 @@ def _plotdata_lines(points, scheme: str) -> list[str]:
     rows = [p for p in points if p.scheme == scheme and p.trials > 0]
     for p in rows:
         lines.append(
-            ",".join(
-                [
-                    _curve_label(p.phase_rule, p.N, p.tau),
-                    str(p.M),
-                    _fmt(p.mean_sum_rate),
-                    _fmt(p.stderr_sum_rate),
-                ]
+            _csv_row(
+                (_curve_label(p.phase_rule, p.N, p.tau), p.M, p.mean_sum_rate, p.stderr_sum_rate)
             )
         )
     seen = set()
@@ -429,13 +449,8 @@ def _plotdata_lines(points, scheme: str) -> list[str]:
             continue
         seen.add(key)
         lines.append(
-            ",".join(
-                [
-                    _curve_label("analytic", p.N, p.tau),
-                    str(p.M),
-                    _fmt(p.analytic_sum_rate),
-                    _fmt(p.analytic_stderr),
-                ]
+            _csv_row(
+                (_curve_label("analytic", p.N, p.tau), p.M, p.analytic_sum_rate, p.analytic_stderr)
             )
         )
     return lines
@@ -447,7 +462,7 @@ def emit_outputs(summary: SweepSummary, out_dir: str) -> list[str]:
     written = []
 
     path = os.path.join(out_dir, "summary.csv")
-    lines = [SUMMARY_CSV_HEADER] + [_summary_row(p) for p in summary.points]
+    lines = [SUMMARY_CSV_HEADER] + [_csv_row(vars(p).values()) for p in summary.points]
     _write_lines(path, lines)
     written.append(path)
 

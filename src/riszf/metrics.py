@@ -4,8 +4,6 @@ diagnostics, and the closed-form multiplication counts of both schemes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from riszf.beamform import (
@@ -21,67 +19,6 @@ RANK_SV_THRESHOLD = 1e-10  # relative to the largest singular value
 # Largest `_sv_ratio_bound` that skips the SVD, a factor 10 inside the
 # threshold for the rounding of the SVD itself.
 RANK_BOUND_LIMIT = 0.1 / RANK_SV_THRESHOLD
-
-
-@dataclass
-class TrialResult:
-    """Everything measured in one Monte Carlo trial.
-
-    Per-UE arrays are RIS-major for blocked UEs. Context fields (trial
-    index, scheme, rule, dimensions) are stamped by the sweep runner. The
-    phase rule's solver fills phase_iterations, phase_converged and
-    fixed_point_residual; rules without an iteration give 0, True, 0.0.
-    """
-
-    sinr_blocked: np.ndarray
-    sinr_direct: np.ndarray
-    sum_rate: float
-    nulling_residual: float
-    fixed_point_residual: float
-    phase_iterations: int
-    phase_converged: bool
-    rank_q2: int
-    seed: int
-    trial: int = -1
-    scheme: str = ""
-    phase_rule: str = ""
-    M: int = 0
-    N: int = 0
-    K: int = 0
-    U_d: int = 0
-    csi_tau: float = 0.0
-
-
-TRIAL_CSV_HEADER = (
-    "trial,scheme,phase_rule,M,N,K,U_d,csi_tau,"
-    "sinr_min,sinr_max,sum_rate,nulling_residual,rank_q2,seed,"
-    "phase_iterations,phase_converged,fixed_point_residual"
-)
-
-
-def trial_csv_row(t: TrialResult) -> str:
-    sinrs = np.concatenate([t.sinr_blocked, t.sinr_direct])
-    return ",".join(
-        [
-            str(t.trial),
-            t.scheme,
-            t.phase_rule,
-            str(t.M),
-            str(t.N),
-            str(t.K),
-            str(t.U_d),
-            repr(float(t.csi_tau)),
-            repr(float(np.min(sinrs))),
-            repr(float(np.max(sinrs))),
-            repr(float(t.sum_rate)),
-            repr(float(t.nulling_residual)),
-            str(t.rank_q2),
-            str(t.seed),
-            str(t.phase_iterations),
-            str(int(t.phase_converged)),
-            repr(float(t.fixed_point_residual)),
-        ]
-    )
 
 
 def effective_matrix(

@@ -511,6 +511,11 @@ def build_configs(
     bandwidth = _to_positive("bandwidth", get("bandwidth"))
     psd = _to_float("noise_psd_dbm_hz", get("noise_psd_dbm_hz"))
     sigma2 = psd_dbm_hz_to_variance(psd, bandwidth)
+    if "noise_variance_blocked" in kv and ("noise_variance_direct" in kv or U_d == 0):
+        # every UE's variance is given, so the PSD and bandwidth set none
+        for key in ("bandwidth", "noise_psd_dbm_hz"):
+            if key in kv:
+                raise ConfigError(f"key {key!r}: has no effect when every noise variance is set")
 
     nb = _noise_variances(kv, "noise_variance_blocked", U_b, sigma2)
     nd = _noise_variances(kv, "noise_variance_direct", U_d, sigma2)
@@ -549,12 +554,17 @@ def build_configs(
 
 
 def read_config(path: str) -> dict[str, str]:
-    """Raw values of a config file; an unreadable file is a config error."""
+    """Raw values of a config file; an unreadable file, or one that is not
+    UTF-8, is a config error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config file {path!r} is not UTF-8: undecodable byte at offset {exc.start}"
+        ) from exc
     return parse_kv_text(text, source=path)
 
 

@@ -173,6 +173,15 @@ def test_unreadable_config_and_uncreatable_output_dir_name_the_path(tmp_path, ca
     assert f"Not a directory: {str(out)!r}" in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"m=8\nn=\xff\xfe4\n")
+    assert main(["validate", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: config file {str(bad)!r} is not UTF-8" in err
+    assert "at offset 6" in err
+
+
 def test_write_failure_after_the_sweep_is_not_a_config_error(tmp_path, monkeypatch):
     def failing_emit(summary, output_dir):
         raise OSError(28, "No space left on device")

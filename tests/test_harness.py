@@ -1,11 +1,12 @@
 """Sweep runner: grid enumeration, determinism, failure accounting, CSV."""
 
 import hashlib
+import math
 import os
 import platform
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,13 +20,15 @@ from riszf.harness import (
     STATUS_OK,
     STATUS_SKIPPED,
     SUMMARY_CSV_HEADER,
+    TRIAL_CSV_HEADER,
+    PointSummary,
     SweepSummary,
+    TrialResult,
     emit_outputs,
     enumerate_grid,
     run_point,
     run_sweep,
 )
-from riszf.metrics import TRIAL_CSV_HEADER
 from riszf.sysconfig import build_configs
 
 
@@ -310,6 +313,38 @@ def test_emit_empty_summary_writes_header_only(tmp_path):
     emit_outputs(SweepSummary(points=(), trials=()), str(tmp_path))
     assert (tmp_path / "summary.csv").read_text() == SUMMARY_CSV_HEADER + "\n"
     assert (tmp_path / "trials.csv").read_text() == TRIAL_CSV_HEADER + "\n"
+
+
+def test_trials_csv_columns_are_trial_result_fields():
+    assert TRIAL_CSV_HEADER.split(",") == [f.name for f in fields(TrialResult)]
+
+
+def test_summary_csv_columns_pair_with_point_summary_fields():
+    names = [f.name for f in fields(PointSummary)]
+    assert SUMMARY_CSV_HEADER.split(",") == ["csi_tau" if n == "tau" else n for n in names]
+
+
+def test_every_csv_cell_follows_one_rule():
+    cells = [True, np.bool_(False), np.int64(3), 7, np.float64(0.1), 2.5e-07, math.nan,
+             "a,b\nc"]
+    assert [harness._csv_cell(v) for v in cells] == ["1", "0", "3", "7", "0.1", "2.5e-07", "",
+                                                     "a;b c"]
+
+
+def test_single_trial_point_writes_no_standard_error(tmp_path):
+    cfg, ch, run = _configs({"sweep_m": "32", "sweep_n": "1", "schemes": "bs_ris_zf",
+                             "phase_rules": "optimal", "trials": "1"})
+    summary = run_sweep(run, cfg, ch)
+    (p,) = summary.points
+    assert p.trials == 1
+    assert math.isnan(p.stderr_sum_rate) and math.isnan(p.analytic_stderr)
+    emit_outputs(summary, str(tmp_path))
+    header, line = (tmp_path / "summary.csv").read_text().strip().split("\n")
+    row = dict(zip(header.split(","), line.split(",")))
+    assert row["stderr_sum_rate"] == row["analytic_stderr"] == ""
+    assert float(row["mean_sum_rate"]) == p.mean_sum_rate
+    plot = (tmp_path / "plotdata_bs_ris_zf.csv").read_text().strip().split("\n")[1:]
+    assert [r.rsplit(",", 1)[1] for r in plot] == ["", ""]
 
 
 def test_runconfig_with_no_schemes_yields_empty_grid():

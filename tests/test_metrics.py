@@ -17,10 +17,9 @@ from riszf.channel import (
     sample_channels,
     spawn_rng,
 )
+from riszf.harness import TRIAL_CSV_HEADER, TrialResult, trial_csv_row
 from riszf.metrics import (
     RANK_SV_THRESHOLD,
-    TRIAL_CSV_HEADER,
-    TrialResult,
     complexity_counts,
     effective_matrix,
     nulling_residual,
@@ -30,7 +29,6 @@ from riszf.metrics import (
     sinr_exact,
     stack_rank,
     sum_rate,
-    trial_csv_row,
 )
 from riszf.phaseopt import optimal_phases_bs_ris_zf, random_phases
 from riszf.sysconfig import build_configs
@@ -315,15 +313,6 @@ def test_trial_csv_schema():
         "phase_iterations,phase_converged,fixed_point_residual"
     )
     t = TrialResult(
-        sinr_blocked=np.array([2.0, 3.0]),
-        sinr_direct=np.array([1.0]),
-        sum_rate=4.584962500721156,
-        nulling_residual=0.0,
-        fixed_point_residual=2.5e-07,
-        phase_iterations=6,
-        phase_converged=False,
-        rank_q2=10,
-        seed=42,
         trial=7,
         scheme="bs_ue_zf",
         phase_rule="optimal",
@@ -332,14 +321,16 @@ def test_trial_csv_schema():
         K=2,
         U_d=1,
         csi_tau=0.0,
+        sinr_min=1.0,
+        sinr_max=3.0,
+        sum_rate=4.584962500721156,
+        nulling_residual=0.0,
+        rank_q2=10,
+        seed=42,
+        phase_iterations=6,
+        phase_converged=False,
+        fixed_point_residual=2.5e-07,
     )
-    row = trial_csv_row(t)
-    fields = row.split(",")
-    assert len(fields) == len(TRIAL_CSV_HEADER.split(","))
-    assert fields[0] == "7"
-    assert fields[1] == "bs_ue_zf"
-    assert fields[8] == "1.0"  # sinr_min
-    assert fields[9] == "3.0"  # sinr_max
-    assert fields[12] == "10"
-    assert fields[13] == "42"
-    assert fields[14:] == ["6", "0", "2.5e-07"]
+    assert trial_csv_row(t) == (
+        "7,bs_ue_zf,optimal,32,4,2,1,0.0,1.0,3.0,4.584962500721156,0.0,10,42,6,0,2.5e-07"
+    )

@@ -274,6 +274,17 @@ def test_roundtrip_identical(tmp_path):
     assert cfg2.noise_variance_direct == ()
 
 
+def test_noise_keys_without_effect_are_rejected():
+    given = {"noise_variance_blocked": "1e-13", "noise_variance_direct": "2e-13"}
+    for kv in (given, {"noise_variance_blocked": "1e-13", "u_d": "0"}):
+        for key, value in (("bandwidth", "2e7"), ("noise_psd_dbm_hz", "-170")):
+            with pytest.raises(ConfigError, match=f"key '{key}': has no effect"):
+                build_configs({**kv, key: value})
+    # a direct UE left to the PSD default still reads both keys
+    cfg, _, _ = build_configs({"noise_variance_blocked": "1e-13", "bandwidth": "2e7"})
+    assert cfg.noise_variance_direct == pytest.approx((2 * NOISE_DEFAULT_W,) * 2, rel=1e-12)
+
+
 def test_validate_default_passes_both_schemes():
     cfg, ch, _ = default_configs()
     for scheme in (BS_UE_ZF, BS_RIS_ZF):
