@@ -108,7 +108,7 @@ def _cmd_complexity(args) -> int:
         low = min(values)
         if low < minimum:
             raise ConfigError(f"{flag} must be >= {minimum}, got {low}")
-    # the sweep's rule (validate_config): every RIS serves at least one UE
+    # the configs' rule (SystemConfig): every RIS serves at least one UE
     if args.U_b < args.K:
         raise ConfigError(f"--U_b must be >= --K={args.K}, got {args.U_b}")
     print("M,N,count_bs_ue_zf,count_bs_ris_zf")

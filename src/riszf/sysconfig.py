@@ -3,14 +3,16 @@ key=value config-file format.
 
 Every scenario constant (antenna/element/user counts, powers, noise,
 channel-model parameters) lives in one of the three config dataclasses
-defined here. Their defaults live only in `_KEY_DEFAULTS`: build the
-default scenario with `build_configs({})`. Configs are immutable after
-load and safe to share across parallel workers.
+defined here, and each checks its own fields when built. Their defaults
+live only in `_KEY_DEFAULTS`: build the default scenario with
+`build_configs({})`. Configs are immutable after load and safe to share
+across parallel workers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -36,6 +38,36 @@ def read_only(a: np.ndarray) -> np.ndarray:
     """`a`, marked read-only: the form every cached array is shared in."""
     a.flags.writeable = False
     return a
+
+
+# Field rules of the config types; each error names the field's config
+# key, which is the field name lower-cased.
+
+def _check_minimum(key: str, values: Iterable[int], minimum: int) -> None:
+    for v in values:
+        if v < minimum:
+            raise ConfigError(f"key {key!r}: {v} below minimum {minimum}")
+
+
+def _check_positive(key: str, v: float) -> None:
+    if not v > 0:
+        raise ConfigError(f"key {key!r}: must be positive, got {v}")
+
+
+def _check_choices(key: str, values: Iterable[str], choices: Sequence[str]) -> None:
+    for v in values:
+        if v not in choices:
+            raise ConfigError(f"key {key!r}: {v!r} not in {tuple(choices)}")
+
+
+def _check_count(key: str, values: Sequence, count: int) -> None:
+    if len(values) != count:
+        raise ConfigError(f"key {key!r}: expected {count} entries, got {len(values)}")
+
+
+def attenuation_mu(mu_lambda2_db: float, wavelength: float) -> float:
+    """Average intensity attenuation mu, recovered from mu*lambda^2 in dB."""
+    return 10.0 ** (mu_lambda2_db / 10.0) / wavelength**2
 
 
 @dataclass(frozen=True)
@@ -68,6 +100,18 @@ class SystemConfig:
     noise_variance_direct: tuple[float, ...]
     total_power: float
     power_mode: str
+
+    def __post_init__(self) -> None:
+        for key, values, minimum in (("m", (self.M,), 1), ("n", (self.N,), 1),
+                                     ("k", (self.K,), 1), ("l", self.L, 1), ("u_d", (self.U_d,), 0)):
+            _check_minimum(key, values, minimum)
+        _check_count("l", self.L, self.K)
+        _check_count("noise_variance_blocked", self.noise_variance_blocked, self.U_b)
+        _check_count("noise_variance_direct", self.noise_variance_direct, self.U_d)
+        if not all(v > 0 for v in self.noise_variance_blocked + self.noise_variance_direct):
+            raise ConfigError("noise variances must be strictly positive")
+        _check_positive("total_power", self.total_power)
+        _check_choices("power_mode", (self.power_mode,), POWER_MODES)
 
     @cached_property
     def U_b(self) -> int:
@@ -117,14 +161,21 @@ class ChannelModelConfig:
     ris_ue_link_variance: float
     correlation_model: str
 
+    def __post_init__(self) -> None:
+        for key in ("carrier_frequency", "element_spacing", "element_area",
+                    "direct_link_variance", "ris_ue_link_variance"):
+            _check_positive(key, getattr(self, key))
+        if self.grid_cols is not None:
+            _check_minimum("grid_cols", (self.grid_cols,), 1)
+        _check_choices("correlation_model", (self.correlation_model,), CORRELATION_MODELS)
+
     @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_frequency
 
     @property
     def mu(self) -> float:
-        """Average intensity attenuation, recovered from mu*lambda^2 in dB."""
-        return 10.0 ** (self.attenuation_mu_lambda2_db / 10.0) / self.wavelength**2
+        return attenuation_mu(self.attenuation_mu_lambda2_db, self.wavelength)
 
     @cached_property
     def ris_element_scale(self) -> float:
@@ -146,6 +197,18 @@ class RunConfig:
     csi_tau: tuple[float, ...]
     output_dir: str
     threads: int
+
+    def __post_init__(self) -> None:
+        for key, values, minimum in (("sweep_m", self.sweep_M, 1), ("sweep_n", self.sweep_N, 1),
+                                     ("trials", (self.trials,), 1),
+                                     ("master_seed", (self.master_seed,), 0),
+                                     ("threads", (self.threads,), 1)):
+            _check_minimum(key, values, minimum)
+        _check_choices("schemes", self.schemes, SCHEMES)
+        _check_choices("phase_rules", self.phase_rules, PHASE_RULES)
+        for t in self.csi_tau:
+            if not 0.0 <= t < 1.0:
+                raise ConfigError(f"key 'csi_tau': {t} outside [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -179,8 +242,9 @@ class ValidationReport:
 def validate_config(
     cfg: SystemConfig, ch: ChannelModelConfig, scheme: str
 ) -> ValidationReport:
-    """Check every structural invariant plus the feasibility condition of
-    `scheme`; returns a report rather than raising so callers decide to abort.
+    """Check the feasibility conditions of `scheme` and that the element
+    grid fits N at one grid point; returns a report rather than raising so
+    callers decide to abort. The config types check their own fields.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -189,44 +253,6 @@ def validate_config(
 
     def add(name: str, passed: bool, detail: str) -> None:
         checks.append(CheckResult(name, bool(passed), detail))
-
-    add(
-        "dimensions",
-        cfg.M >= 1
-        and cfg.N >= 1
-        and cfg.K >= 1
-        and cfg.U_d >= 0
-        and len(cfg.L) == cfg.K
-        and all(l >= 1 for l in cfg.L),
-        f"M={cfg.M}, N={cfg.N}, K={cfg.K}, L={list(cfg.L)}, U_d={cfg.U_d}",
-    )
-    add(
-        "ue_counts",
-        cfg.U_b >= cfg.K >= 1,
-        f"U_b={cfg.U_b} >= K={cfg.K} >= 1",
-    )
-    add(
-        "noise_blocked",
-        len(cfg.noise_variance_blocked) == cfg.U_b
-        and all(v > 0 for v in cfg.noise_variance_blocked),
-        f"{len(cfg.noise_variance_blocked)} entries for U_b={cfg.U_b}, all > 0 W",
-    )
-    add(
-        "noise_direct",
-        len(cfg.noise_variance_direct) == cfg.U_d
-        and all(v > 0 for v in cfg.noise_variance_direct),
-        f"{len(cfg.noise_variance_direct)} entries for U_d={cfg.U_d}, all > 0 W",
-    )
-    add(
-        "power_budget",
-        cfg.total_power > 0,
-        f"P={cfg.total_power} W",
-    )
-    add(
-        "power_mode",
-        cfg.power_mode in POWER_MODES,
-        f"power_mode={cfg.power_mode!r}",
-    )
 
     if scheme == BS_UE_ZF:
         need = cfg.U_b + cfg.U_d
@@ -261,21 +287,8 @@ def validate_config(
 
     add(
         "element_geometry",
-        ch.carrier_frequency > 0
-        and ch.element_spacing > 0
-        and ch.element_area > 0
-        and (ch.grid_cols is None or (ch.grid_cols >= 1 and cfg.N % ch.grid_cols == 0)),
+        ch.grid_cols is None or cfg.N % ch.grid_cols == 0,
         f"d={ch.element_spacing} m, A={ch.element_area} m^2, grid_cols={ch.grid_cols}",
-    )
-    add(
-        "link_variances",
-        ch.direct_link_variance > 0 and ch.ris_ue_link_variance > 0,
-        f"direct={ch.direct_link_variance}, ris_ue={ch.ris_ue_link_variance}",
-    )
-    add(
-        "correlation_model",
-        ch.correlation_model in CORRELATION_MODELS,
-        f"model={ch.correlation_model!r}",
     )
 
     return ValidationReport(scheme=scheme, checks=tuple(checks))
@@ -365,14 +378,11 @@ def parse_set_items(
     return _parse_kv(itertools.chain(sets, named))
 
 
-def _to_int(key: str, value: str, minimum: int | None = None) -> int:
+def _to_int(key: str, value: str) -> int:
     try:
-        v = int(value)
+        return int(value)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: expected integer, got {value!r}") from exc
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"key {key!r}: {v} below minimum {minimum}")
-    return v
 
 
 def _to_float(key: str, value: str) -> float:
@@ -382,13 +392,6 @@ def _to_float(key: str, value: str) -> float:
         raise ConfigError(f"key {key!r}: expected number, got {value!r}") from exc
 
 
-def _to_positive(key: str, value: str) -> float:
-    v = _to_float(key, value)
-    if not v > 0:
-        raise ConfigError(f"key {key!r}: must be positive, got {v}")
-    return v
-
-
 def _split_list(key: str, value: str) -> list[str]:
     items = [p.strip() for p in value.split(",") if p.strip()]
     if not items:
@@ -396,26 +399,12 @@ def _split_list(key: str, value: str) -> list[str]:
     return items
 
 
-def _to_int_list(key: str, value: str, minimum: int | None = None) -> tuple[int, ...]:
-    return tuple(_to_int(key, p, minimum) for p in _split_list(key, value))
+def _to_int_list(key: str, value: str) -> tuple[int, ...]:
+    return tuple(_to_int(key, p) for p in _split_list(key, value))
 
 
 def _to_float_list(key: str, value: str) -> tuple[float, ...]:
     return tuple(_to_float(key, p) for p in _split_list(key, value))
-
-
-def _to_choice(key: str, value: str, choices: Sequence[str]) -> str:
-    if value not in choices:
-        raise ConfigError(f"key {key!r}: {value!r} not in {tuple(choices)}")
-    return value
-
-
-def _to_choice_list(key: str, value: str, choices: Sequence[str]) -> tuple[str, ...]:
-    items = _split_list(key, value)
-    for p in items:
-        if p not in choices:
-            raise ConfigError(f"key {key!r}: {p!r} not in {tuple(choices)}")
-    return _first_occurrences(items)
 
 
 def _first_occurrences(values: Sequence) -> tuple:
@@ -429,9 +418,10 @@ def _resolve_spacing(value: str, wavelength: float) -> float:
     if v == "lambda":
         return wavelength
     if v.startswith("lambda/"):
-        div = _to_positive("element_spacing", v.split("/", 1)[1])
+        div = _to_float("element_spacing", v.split("/", 1)[1])
+        _check_positive("element_spacing", div)
         return wavelength / div
-    return _to_positive("element_spacing", value)
+    return _to_float("element_spacing", value)
 
 
 def psd_dbm_hz_to_variance(psd_dbm_hz: float, bandwidth: float) -> float:
@@ -440,23 +430,29 @@ def psd_dbm_hz_to_variance(psd_dbm_hz: float, bandwidth: float) -> float:
 
 
 def _noise_variances(kv: dict, key: str, count: int, default: float) -> tuple[float, ...]:
-    """Per-UE noise variances of `key`: `count` entries, or one value that
-    broadcasts to all of them; `default` for each when the key is absent."""
+    """Per-UE noise variances of `key`: its list, or one value that
+    broadcasts to all `count` UEs; `default` for each when the key is
+    absent. `SystemConfig` checks the count."""
     if key not in kv:
         return (default,) * count
     values = _to_float_list(key, kv[key])
-    if len(values) == 1 and count > 1:
-        values = values * count
-    if len(values) != count:
-        raise ConfigError(f"key {key!r}: expected {count} entries, got {len(values)}")
-    return values
+    return values * count if len(values) == 1 and count > 1 else values
+
+
+def _reject_unread(kv: dict, keys: Sequence[str], reason: str) -> None:
+    """A config error for the first of `keys` set in `kv`, which `reason`
+    says the configured scenario never reads."""
+    for key in keys:
+        if key in kv:
+            raise ConfigError(f"key {key!r}: has no effect {reason}")
 
 
 def build_configs(
     kv: dict[str, str],
 ) -> tuple[SystemConfig, ChannelModelConfig, RunConfig]:
     """Materialize the three config objects from raw key=value pairs,
-    applying documented defaults for every omitted key."""
+    applying documented defaults for every omitted key. This parses and
+    derives; each config type checks its own fields."""
     for key in kv:
         if key not in _KEY_DEFAULTS:
             raise ConfigError(f"unknown key {key!r}")
@@ -466,90 +462,76 @@ def build_configs(
             return kv[key]
         return _KEY_DEFAULTS[key]
 
-    carrier = _to_positive("carrier_frequency", get("carrier_frequency"))
-    wavelength = SPEED_OF_LIGHT / carrier
+    carrier = _to_float("carrier_frequency", get("carrier_frequency"))
+    # ChannelModelConfig rejects a carrier that is not positive; a zero one
+    # has no wavelength to derive the symbolic defaults from
+    wavelength = SPEED_OF_LIGHT / carrier if carrier else math.nan
     spacing = _resolve_spacing(get("element_spacing"), wavelength)
-
     area_raw = get("element_area")
-    area = spacing**2 if area_raw == "spacing_squared" else _to_positive("element_area", area_raw)
-
-    grid_raw = get("grid_cols")
-    grid_cols = None if grid_raw == "auto" else _to_int("grid_cols", grid_raw, minimum=1)
-
+    area = spacing**2 if area_raw == "spacing_squared" else _to_float("element_area", area_raw)
+    mu_db = _to_float("attenuation_mu_lambda2_db", get("attenuation_mu_lambda2_db"))
     ris_var_raw = get("ris_ue_link_variance")
+    grid_raw = get("grid_cols")
+    if get("correlation_model") == "iid":
+        # the identity correlation reads no element positions, so the
+        # spacing is read only to set a default element area
+        if grid_raw != "auto":
+            raise ConfigError("key 'grid_cols': has no effect under correlation_model=iid")
+        if "element_area" in kv:
+            _reject_unread(kv, ("element_spacing",),
+                           "under correlation_model=iid when element_area is set")
     ch = ChannelModelConfig(
         carrier_frequency=carrier,
         element_spacing=spacing,
         element_area=area,
-        attenuation_mu_lambda2_db=_to_float(
-            "attenuation_mu_lambda2_db", get("attenuation_mu_lambda2_db")
-        ),
-        grid_cols=grid_cols,
-        direct_link_variance=_to_positive(
-            "direct_link_variance", get("direct_link_variance")
-        ),
-        # "mu_a" is the config's own mu * A, filled in below
-        ris_ue_link_variance=(float("nan") if ris_var_raw == "mu_a"
-                              else _to_positive("ris_ue_link_variance", ris_var_raw)),
-        correlation_model=_to_choice(
-            "correlation_model", get("correlation_model"), CORRELATION_MODELS
-        ),
+        attenuation_mu_lambda2_db=mu_db,
+        grid_cols=None if grid_raw == "auto" else _to_int("grid_cols", grid_raw),
+        direct_link_variance=_to_float("direct_link_variance", get("direct_link_variance")),
+        # "mu_a" is the per-element scale mu * A the BS-RIS links carry
+        ris_ue_link_variance=(attenuation_mu(mu_db, wavelength) * area if ris_var_raw == "mu_a"
+                              else _to_float("ris_ue_link_variance", ris_var_raw)),
+        correlation_model=get("correlation_model"),
     )
-    if ris_var_raw == "mu_a":
-        ch = replace(ch, ris_ue_link_variance=ch.ris_element_scale)
 
-    K = _to_int("k", get("k"), minimum=1)
-    if "l" in kv:
-        L = _to_int_list("l", kv["l"], minimum=1)
-        if len(L) != K:
-            raise ConfigError(f"key 'l': expected {K} entries, got {len(L)}")
-    else:
-        L = (1,) * K
-    U_b = sum(L)
-    U_d = _to_int("u_d", get("u_d"), minimum=0)
+    K = _to_int("k", get("k"))
+    L = _to_int_list("l", kv["l"]) if "l" in kv else (1,) * K
+    U_d = _to_int("u_d", get("u_d"))
+    power_mode = get("power_mode")
+    if power_mode == "paper_literal":
+        _reject_unread(kv, ("total_power",), "under power_mode=paper_literal")
 
-    bandwidth = _to_positive("bandwidth", get("bandwidth"))
+    bandwidth = _to_float("bandwidth", get("bandwidth"))
+    _check_positive("bandwidth", bandwidth)
     psd = _to_float("noise_psd_dbm_hz", get("noise_psd_dbm_hz"))
     sigma2 = psd_dbm_hz_to_variance(psd, bandwidth)
     if "noise_variance_blocked" in kv and ("noise_variance_direct" in kv or U_d == 0):
         # every UE's variance is given, so the PSD and bandwidth set none
-        for key in ("bandwidth", "noise_psd_dbm_hz"):
-            if key in kv:
-                raise ConfigError(f"key {key!r}: has no effect when every noise variance is set")
-
-    nb = _noise_variances(kv, "noise_variance_blocked", U_b, sigma2)
-    nd = _noise_variances(kv, "noise_variance_direct", U_d, sigma2)
-    if any(v <= 0 for v in nb + nd):
-        raise ConfigError("noise variances must be strictly positive")
+        _reject_unread(kv, ("bandwidth", "noise_psd_dbm_hz"), "when every noise variance is set")
 
     cfg = SystemConfig(
-        M=_to_int("m", get("m"), minimum=1),
-        N=_to_int("n", get("n"), minimum=1),
+        M=_to_int("m", get("m")),
+        N=_to_int("n", get("n")),
         K=K,
         L=L,
         U_d=U_d,
-        noise_variance_blocked=nb,
-        noise_variance_direct=nd,
-        total_power=_to_positive("total_power", get("total_power")),
-        power_mode=_to_choice("power_mode", get("power_mode"), POWER_MODES),
+        noise_variance_blocked=_noise_variances(kv, "noise_variance_blocked", sum(L), sigma2),
+        noise_variance_direct=_noise_variances(kv, "noise_variance_direct", U_d, sigma2),
+        total_power=_to_float("total_power", get("total_power")),
+        power_mode=power_mode,
     )
 
     run = RunConfig(
         # a repeated sweep value would redraw the same grid points
-        sweep_M=_first_occurrences(_to_int_list("sweep_m", get("sweep_m"), minimum=1)),
-        sweep_N=_first_occurrences(_to_int_list("sweep_n", get("sweep_n"), minimum=1)),
-        schemes=_to_choice_list("schemes", get("schemes"), SCHEMES),
-        phase_rules=_to_choice_list("phase_rules", get("phase_rules"), PHASE_RULES),
-        trials=_to_int("trials", get("trials"), minimum=1),
-        master_seed=_to_int("master_seed", get("master_seed"), minimum=0),
+        sweep_M=_first_occurrences(_to_int_list("sweep_m", get("sweep_m"))),
+        sweep_N=_first_occurrences(_to_int_list("sweep_n", get("sweep_n"))),
+        schemes=_first_occurrences(_split_list("schemes", get("schemes"))),
+        phase_rules=_first_occurrences(_split_list("phase_rules", get("phase_rules"))),
+        trials=_to_int("trials", get("trials")),
+        master_seed=_to_int("master_seed", get("master_seed")),
         csi_tau=_first_occurrences(_to_float_list("csi_tau", get("csi_tau"))),
         output_dir=str(get("output_dir")),
-        threads=_to_int("threads", get("threads"), minimum=1),
+        threads=_to_int("threads", get("threads")),
     )
-    for t in run.csi_tau:
-        if not 0.0 <= t < 1.0:
-            raise ConfigError(f"key 'csi_tau': {t} outside [0, 1)")
-
     return cfg, ch, run
 
 
@@ -592,19 +574,23 @@ def serialize_configs(
         f"k={cfg.K}",
         "l=" + ",".join(str(l) for l in cfg.L),
         f"u_d={cfg.U_d}",
-        f"total_power={fmt(cfg.total_power)}",
         f"power_mode={cfg.power_mode}",
-        "noise_variance_blocked=" + ",".join(fmt(v) for v in cfg.noise_variance_blocked),
     ]
+    if cfg.power_mode != "paper_literal":  # the literal mode reads no power budget
+        lines.append(f"total_power={fmt(cfg.total_power)}")
+    lines.append("noise_variance_blocked=" + ",".join(fmt(v) for v in cfg.noise_variance_blocked))
     if cfg.U_d:  # an empty list does not parse; U_d = 0 loads as no variances
         lines.append(
             "noise_variance_direct=" + ",".join(fmt(v) for v in cfg.noise_variance_direct)
         )
+    lines += ["# channel model", f"carrier_frequency={fmt(ch.carrier_frequency)}"]
+    # iid reads the spacing only as the default area's source: write one
+    derived_area = ch.element_area == ch.element_spacing**2
+    if ch.correlation_model != "iid" or derived_area:
+        lines.append(f"element_spacing={fmt(ch.element_spacing)}")
+    if ch.correlation_model != "iid" or not derived_area:
+        lines.append(f"element_area={fmt(ch.element_area)}")
     lines += [
-        "# channel model",
-        f"carrier_frequency={fmt(ch.carrier_frequency)}",
-        f"element_spacing={fmt(ch.element_spacing)}",
-        f"element_area={fmt(ch.element_area)}",
         f"attenuation_mu_lambda2_db={fmt(ch.attenuation_mu_lambda2_db)}",
         "grid_cols=" + ("auto" if ch.grid_cols is None else str(ch.grid_cols)),
         f"direct_link_variance={fmt(ch.direct_link_variance)}",
@@ -630,5 +616,6 @@ def default_configs() -> tuple[SystemConfig, ChannelModelConfig, RunConfig]:
 
 
 def with_dimensions(cfg: SystemConfig, M: int, N: int) -> SystemConfig:
-    """Copy of `cfg` with M and N replaced (sweep helper)."""
+    """Copy of `cfg` with M and N replaced (sweep helper), checked like
+    any `SystemConfig`."""
     return replace(cfg, M=M, N=N)

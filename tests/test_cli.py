@@ -251,6 +251,18 @@ def test_validate_takes_set_without_config(capsys):
     assert main(["validate"]) == 0  # the all-defaults scenario
 
 
+def test_keys_without_effect_exit_two(capsys):
+    for sets, key in (
+        (["total_power=2"], "total_power"),
+        (["correlation_model=iid", "grid_cols=2"], "grid_cols"),
+        (["correlation_model=iid", "element_spacing=0.05", "element_area=0.01"], "element_spacing"),
+    ):
+        assert main(["validate", *(a for item in sets for a in ("--set", item))]) == 2
+        assert f"config error: key '{key}': has no effect" in capsys.readouterr().err
+    assert main(["validate", "--set", "power_mode=sum_power_normalized",
+                 "--set", "total_power=2"]) == 0
+
+
 def test_validate_lists_the_points_run_would_skip(tmp_path, capsys):
     sweep = ["--set", "sweep_m=8", "--set", "sweep_n=1,4", "--set", "csi_tau=0,0.1"]
     assert main(["validate", *sweep]) == 0  # skips are not failures
@@ -298,7 +310,7 @@ def test_complexity_range_validation(capsys):
         (["--M", "8", "--N", "1", "--K", "0"], "--K"),
         (["--M", "8", "--N", "1", "--U_b", "0"], "--U_b"),
         (["--M", "8", "--N", "1", "--U_d", "-1"], "--U_d"),
-        # fewer blocked UEs than RISs, which validate_config rejects too
+        # fewer blocked UEs than RISs, which SystemConfig rejects too
         (["--M", "8", "--N", "1", "--K", "4", "--U_b", "1"], "--U_b"),
     ):
         assert main(["complexity", *argv]) == 2

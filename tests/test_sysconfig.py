@@ -1,6 +1,7 @@
 """Config loading, defaults, derived constants, and validation checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,6 +177,91 @@ def test_range_errors():
             build_configs({key: " , "})
 
 
+# (config: 0 system, 1 channel model, 2 run; field; bad value; error)
+BAD_FIELDS = [
+    (0, "M", 0, "'m': 0 below minimum 1"),
+    (0, "N", -2, "'n': -2 below minimum 1"),
+    (0, "K", 0, "'k': 0 below minimum 1"),
+    (0, "L", (1, 0, 1, 1), "'l': 0 below minimum 1"),
+    (0, "L", (1, 1, 1), "'l': expected 4 entries, got 3"),
+    (0, "U_d", -1, "'u_d': -1 below minimum 0"),
+    (0, "noise_variance_blocked", (1e-13,) * 3, "'noise_variance_blocked': expected 4 entries, got 3"),
+    (0, "noise_variance_direct", (1e-13,), "'noise_variance_direct': expected 2 entries, got 1"),
+    (0, "noise_variance_direct", (1e-13, 0.0), "noise variances must be strictly positive"),
+    (0, "total_power", -1.0, "'total_power': must be positive, got -1.0"),
+    (0, "power_mode", "both", "'power_mode': 'both' not in"),
+    (1, "carrier_frequency", 0.0, "'carrier_frequency': must be positive"),
+    (1, "element_spacing", -0.01, "'element_spacing': must be positive"),
+    (1, "element_area", 0.0, "'element_area': must be positive"),
+    (1, "grid_cols", 0, "'grid_cols': 0 below minimum 1"),
+    (1, "direct_link_variance", math.nan, "'direct_link_variance': must be positive, got nan"),
+    (1, "ris_ue_link_variance", 0.0, "'ris_ue_link_variance': must be positive"),
+    (1, "correlation_model", "gauss", "'correlation_model': 'gauss' not in"),
+    (2, "sweep_M", (8, 0), "'sweep_m': 0 below minimum 1"),
+    (2, "sweep_N", (0,), "'sweep_n': 0 below minimum 1"),
+    (2, "schemes", ("bs_ue_zf", "zf"), "'schemes': 'zf' not in"),
+    (2, "phase_rules", ("best",), "'phase_rules': 'best' not in"),
+    (2, "trials", 0, "'trials': 0 below minimum 1"),
+    (2, "master_seed", -1, "'master_seed': -1 below minimum 0"),
+    (2, "threads", 0, "'threads': 0 below minimum 1"),
+    (2, "csi_tau", (0.0, 1.5), r"'csi_tau': 1.5 outside \[0, 1\)"),
+    (2, "csi_tau", (-0.1,), r"'csi_tau': -0.1 outside \[0, 1\)"),
+]
+
+
+@pytest.mark.parametrize("which, field, value, error", BAD_FIELDS,
+                         ids=[f"{f}={v}" for _, f, v, _ in BAD_FIELDS])
+def test_config_types_reject_a_bad_field_when_built(which, field, value, error):
+    good = default_configs()[which]
+    # `replace` builds a new instance through the type's constructor
+    with pytest.raises(ConfigError, match=error):
+        replace(good, **{field: value})
+
+
+def test_with_dimensions_rejects_a_bad_dimension():
+    cfg, _, _ = default_configs()
+    with pytest.raises(ConfigError, match="'m': 0 below minimum 1"):
+        with_dimensions(cfg, 0, 4)
+    with pytest.raises(ConfigError, match="'n': 0 below minimum 1"):
+        with_dimensions(cfg, 8, 0)
+
+
+def test_total_power_has_no_effect_under_paper_literal():
+    for kv in ({"total_power": "10"}, {"power_mode": "paper_literal", "total_power": "1.0"}):
+        with pytest.raises(ConfigError,
+                           match="key 'total_power': has no effect under power_mode=paper_literal"):
+            build_configs(kv)
+    normalized = {"power_mode": "sum_power_normalized", "total_power": "10"}
+    assert build_configs(normalized)[0].total_power == 10.0
+    # the budget is written where it is read, so both modes load back
+    for kv in ({}, normalized):
+        configs = build_configs(kv)
+        text = serialize_configs(*configs)
+        assert ("total_power=" in text) == ("power_mode" in kv)
+        assert build_configs(parse_kv_text(text)) == configs
+
+
+def test_geometry_keys_the_iid_model_never_reads():
+    iid = {"correlation_model": "iid"}
+    for cols in ("1", "2"):
+        with pytest.raises(ConfigError,
+                           match="key 'grid_cols': has no effect under correlation_model=iid"):
+            build_configs({**iid, "grid_cols": cols})
+    with pytest.raises(ConfigError, match="key 'element_spacing': has no effect under "
+                                          "correlation_model=iid when element_area is set"):
+        build_configs({**iid, "element_spacing": "0.05", "element_area": "0.01"})
+    # an auto grid, or a spacing that sets the element area, is read; each
+    # iid config is written with the one geometry key that loads it back
+    for kv in ({}, {"grid_cols": "auto"}, {"element_spacing": "0.05"}, {"element_area": "0.01"}):
+        configs = build_configs({**iid, **kv})
+        text = serialize_configs(*configs)
+        assert ("element_spacing=" in text) != ("element_area=" in text)
+        assert build_configs(parse_kv_text(text)) == configs
+    # the sinc model reads all three
+    _, ch, _ = build_configs({"grid_cols": "2", "element_spacing": "0.05", "element_area": "0.01"})
+    assert (ch.grid_cols, ch.element_spacing, ch.element_area) == (2, 0.05, 0.01)
+
+
 def test_removed_estimation_error_fraction_is_unknown():
     # csi_tau is the CSI-error knob; the old key is rejected, not ignored
     with pytest.raises(ConfigError, match="unknown key 'estimation_error_fraction'"):
@@ -287,9 +373,12 @@ def test_noise_keys_without_effect_are_rejected():
 
 def test_validate_default_passes_both_schemes():
     cfg, ch, _ = default_configs()
-    for scheme in (BS_UE_ZF, BS_RIS_ZF):
+    checks = {BS_UE_ZF: ["bs_ue_zf_feasible", "ues_per_ris_within_n", "element_geometry"],
+              BS_RIS_ZF: ["bs_ris_zf_feasible", "single_ue_per_ris", "element_geometry"]}
+    for scheme, names in checks.items():
         report = validate_config(cfg, ch, scheme)
         assert report.ok, str(report)
+        assert [c.name for c in report.checks] == names
 
 
 def test_validate_flags_infeasible_bs_ue_zf():
@@ -334,7 +423,7 @@ def test_validate_report_renders_pass_fail_lines():
     cfg, ch, _ = default_configs()
     text = str(validate_config(cfg, ch, BS_UE_ZF))
     assert "[PASS]" in text
-    assert "dimensions" in text
+    assert "bs_ue_zf_feasible" in text
 
 
 def test_grid_cols_must_divide_n():
