@@ -16,6 +16,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from riszf.channel import ChannelSet, read_only
 from riszf.sysconfig import SystemConfig
@@ -27,6 +28,30 @@ COND_LIMIT = 1e12
 # rounding of the Gram matrix and its inverse, about eps·tr(A), is about
 # 1e-5 of λmin, so the bound computed from them still bounds the ratio.
 COND_BOUND_LIMIT = COND_LIMIT / 10
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _unconverged(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(A, b) bit for bit, for float64 or complex128 A and
+    2-D b: numpy's own LAPACK gufunc under the error state it sets,
+    without the argument handling that costs as much as a small solve."""
+    complex_ = A.dtype.kind == "c" or b.dtype.kind == "c"
+    return _umath_linalg.solve(A, b, signature="DD->D" if complex_ else "dd->d")
+
+
+@np.errstate(call=_unconverged, invalid="call", over="ignore", divide="ignore", under="ignore")
+def eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(A) bit for bit, as (w, V), for a float64 or
+    complex128 matrix or stack of them, run as `solve` runs its gufunc."""
+    return _umath_linalg.eigh_lo(A, signature="D->dD" if A.dtype.kind == "c" else "d->dd")
 
 
 class RankDeficiencyError(RuntimeError):
@@ -98,9 +123,9 @@ class GramFactor:
     order of `right_inverse_apply`, which reads it.
 
     Rows are scaled to unit norm, Qs = diag(inv) Q with inv = 1/norms, and
-    A = Qs Qs^H; an all-zero row stops before the scaling. One
-    `np.linalg.solve` has right-hand sides diag(inv), behind
-    targets·diag(inv) for a target; `x` is the target's columns. The
+    A = Qs Qs^H; an all-zero row stops before the scaling, with `inv`
+    None. One `solve` takes one array of right-hand sides: diag(inv),
+    behind targets·diag(inv) for a target; `x` is the target's columns. The
     diag(inv) columns times diag(norms) are A^{-1}, and `bound` is its
     `gram_cond_bound`. When A or the target is not finite (ValueError) or
     the solve raises (LinAlgError), `x` is None, `bound` inf and `error`
@@ -131,16 +156,19 @@ class GramFactor:
         # and so A, infinite or NaN
         if not (self.finite and (self.targets is None or np.isfinite(self.targets).all())):
             return None, math.inf, ValueError("array must not contain infs or NaNs")
-        # the identity target scaled by inv, eye(rows) * inv[:, None] bit for bit
-        b = np.diag(self.inv)
+        rows = self.shape[0]
+        lead = 0 if self.targets is None else self.targets.shape[1]
+        dtype = self.inv.dtype if self.targets is None else np.result_type(self.targets, self.inv)
+        b = np.zeros((rows, lead + rows), dtype=dtype)
         if self.targets is not None:
-            b = np.concatenate([self.targets * self.inv[:, None], b], axis=1)
+            np.multiply(self.targets, self.inv[:, None], out=b[:, :lead])
+        # the identity target scaled by inv: element (i, lead + i) of b
+        b.reshape(-1)[lead :: lead + rows + 1] = self.inv
         try:
-            solved = np.linalg.solve(self.A, b)
+            solved = solve(self.A, b)
         except np.linalg.LinAlgError as e:
             return None, math.inf, e
-        rows = self.shape[0]
-        x = solved if self.targets is None else solved[:, :-rows]
+        x = solved if self.targets is None else solved[:, :lead]
         return x, gram_cond_bound(self.A, solved[:, -rows:] * self.norms), None
 
     def read_only(self) -> GramFactor:
@@ -153,7 +181,7 @@ class GramFactor:
 
 
 def right_inverse_apply(Q: np.ndarray | GramFactor) -> np.ndarray:
-    """Q^H (Q Q^H)^{-1} targets, via `np.linalg.solve` on the Gram matrix.
+    """Q^H (Q Q^H)^{-1} targets, via `solve` on the Gram matrix.
 
     `Q` is the stacked rows, toward the identity, or their `GramFactor`,
     which carries its own target and its solve and is then not built
@@ -176,7 +204,7 @@ def right_inverse_apply(Q: np.ndarray | GramFactor) -> np.ndarray:
     LinAlgError.
     """
     gram = Q if isinstance(Q, GramFactor) else GramFactor(Q)
-    if not gram.norms.all():
+    if gram.inv is None:
         raise RankDeficiencyError(
             f"stacked channel of shape {gram.shape} has an all-zero row",
             cond=math.inf,
@@ -222,7 +250,8 @@ def gram_cond_bound(A: np.ndarray, inverse: np.ndarray) -> float:
     eigenvalue at least 1/||A^{-1}||_F >= tr(A)/1e11 away from zero, far
     beyond that rounding, so every eigenvalue is positive.
     """
-    bound = float(A.trace().real * np.linalg.norm(inverse))
+    f = inverse.ravel()  # ||A^{-1}||_F as np.linalg.norm computes it
+    bound = float(A.trace().real * math.sqrt(f.real.dot(f.real) + f.imag.dot(f.imag)))
     return bound if bound <= COND_BOUND_LIMIT else math.inf
 
 

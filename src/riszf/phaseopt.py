@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riszf.beamform import COND_LIMIT, bs_ris_zf_precoder, bs_ue_zf_precoder
+from riszf.beamform import COND_LIMIT, bs_ris_zf_precoder, bs_ue_zf_precoder, eigh
 from riszf.channel import ChannelSet, content_cache, spawn_rng
 from riszf.sysconfig import SystemConfig
 
@@ -91,7 +91,7 @@ def _phase_update_bs_ue_zf(chs: ChannelSet, W: np.ndarray) -> np.ndarray:
     conj(H_k) of each RIS's first UE in the draw's `H_conj_blocked`, and
     the alignment vector q of every blocked UE from one gather; RISs
     serving one UE take -angle(q) directly, the others the dominant
-    eigenvector of sum q q^H from `np.linalg.eigh`, its first nonzero
+    eigenvector of sum q q^H from `beamform.eigh`, its first nonzero
     entry rotated to real positive. Stacking is bit-identical to the
     per-RIS products, so the phases are too. A zero entry raises for the
     lowest RIS, then the lowest element, as a RIS-by-RIS sweep would.
@@ -105,7 +105,7 @@ def _phase_update_bs_ue_zf(chs: ChannelSet, W: np.ndarray) -> np.ndarray:
         A = np.zeros((cfg.N, cfg.N), dtype=np.complex128)
         for q in Q[first[k] : first[k] + cfg.L[k]]:
             A += np.outer(q, q.conj())
-        v = np.linalg.eigh(A)[1][:, -1]
+        v = eigh(A)[1][:, -1]
         # the global phase: the first nonzero entry rotated to real positive
         lead = v[np.flatnonzero(np.abs(v) > 1e-12)[0]]
         aligned[k] = v * (lead.conjugate() / abs(lead))
@@ -214,12 +214,12 @@ def _newton_step(y: np.ndarray, Ry: np.ndarray, R: np.ndarray) -> np.ndarray:
     gradient, which is orthogonal to it. The step inverts A with each
     eigenvalue replaced by its magnitude (floored at 1e-9 of the
     largest), so near a maximum it is the Newton step and elsewhere it
-    still climbs. One stacked eigh covers all rows; each row gets the
-    bits it would get alone.
+    still climbs. One stacked `beamform.eigh` covers all rows; each row
+    gets the bits it would get alone.
     """
     g, H = _gradient_hessian(y, Ry, R)
     c = np.abs(H.trace(axis1=1, axis2=2)) / y.shape[1]
-    w, V = np.linalg.eigh(c[:, None, None] - H)
+    w, V = eigh(c[:, None, None] - H)
     mag = np.abs(w)
     inv = 1.0 / np.maximum(mag, 1e-9 * mag.max(axis=1, keepdims=True))
     Vt_g = (V.transpose(0, 2, 1) @ g[:, :, None])[:, :, 0]

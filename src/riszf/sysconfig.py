@@ -387,9 +387,12 @@ def _to_int(key: str, value: str) -> int:
 
 def _to_float(key: str, value: str) -> float:
     try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected number, got {value!r}") from exc
+        v = float(value)
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {value!r}")
+    return v
 
 
 def _split_list(key: str, value: str) -> list[str]:

@@ -1,4 +1,6 @@
+import ast
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +15,15 @@ def block_scipy(monkeypatch):
             monkeypatch.setitem(sys.modules, name, None)
 
     return block
+
+
+@pytest.fixture
+def selftest_grid():
+    """SELFTEST_GRID of perfbench/run.py, read from its source, not imported."""
+    run_py = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    for node in ast.parse(run_py.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "SELFTEST_GRID" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no SELFTEST_GRID")

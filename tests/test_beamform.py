@@ -401,18 +401,48 @@ def test_cached_ris_side_factor_matches_a_fresh_one(lapack_route, eigvalsh_calls
 _numpy_solve = np.linalg.solve
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("rhs", ["identity", "real_targets", "complex_targets"])
+def test_solve_seam_is_numpy_solve_bit_for_bit(kind, rhs):
+    # the gufunc behind np.linalg.solve, its signature picked from both
+    # dtypes: real targets against a complex A solve in complex, a real
+    # A and b stay real
+    for rows, seed in ((1, 0), (6, 1), (18, 2), (34, 3)):
+        rng = spawn_rng(13, rows, seed)
+        Q = rng.standard_normal((rows, 2 * rows))
+        if kind == "complex":
+            Q = Q + 1j * rng.standard_normal(Q.shape)
+        A = Q @ Q.conj().T
+        b = {"identity": np.diag(1.0 + rng.uniform(size=rows)),
+             "real_targets": rng.standard_normal((rows, 3)),
+             "complex_targets": rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3)),
+             }[rhs]
+        got, want = beamform.solve(A, b), _numpy_solve(A, b)
+        assert got.dtype == want.dtype == np.result_type(A, b)
+        assert np.array_equal(got, want)
+
+
+def test_solve_seam_raises_on_a_singular_matrix():
+    for A in (np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros((3, 3), dtype=np.complex128)):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            beamform.solve(A, np.eye(A.shape[0]))
+
+
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Names of the np.linalg.solve and np.linalg.inv calls made."""
+    """Names of the solves and inverses made: "solve" for the solve seam
+    `beamform.solve`, "np.linalg.solve" and "inv" for numpy's public ones."""
     calls = []
-    for name in ("solve", "inv"):
-        real = getattr(np.linalg, name)
+    for module, name, label in ((beamform, "solve", "solve"),
+                                (np.linalg, "solve", "np.linalg.solve"),
+                                (np.linalg, "inv", "inv")):
+        real = getattr(module, name)
 
-        def counting(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
+        def counting(*args, _real=real, _label=label, **kwargs):
+            calls.append(_label)
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -509,7 +539,7 @@ def test_failed_solve_raises_after_eigvalsh_accepts(eigvalsh_calls, with_targets
     def failing(a, b):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(np.linalg, "solve", failing)
+    monkeypatch.setattr(beamform, "solve", failing)
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
         right_inverse_apply(GramFactor(Q, targets if with_targets else None))
     assert eigvalsh_calls == [(6, 6)]

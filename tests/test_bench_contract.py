@@ -7,7 +7,6 @@ worker on the benchmark's own self-test grid, and on a grid with several
 UEs per RIS, reading perfbench/ without changing it.
 """
 
-import ast
 import json
 import os
 import subprocess
@@ -18,17 +17,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
-
-
-def _selftest_grid():
-    """SELFTEST_GRID of perfbench/run.py, read from its source, not imported."""
-    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            getattr(t, "id", None) == "SELFTEST_GRID" for t in node.targets
-        ):
-            return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/run.py defines no SELFTEST_GRID")
 
 
 # UE-side nulling with L = (2, 1, 3) and a CSI-error slice (the multi_ue_csi
@@ -67,8 +55,8 @@ def _traced_worker(config: dict, tmp_path: Path) -> dict:
     return res
 
 
-def test_traced_selftest_grid_matches_call_counts(tmp_path):
-    res = _traced_worker(dict(_selftest_grid(), master_seed="1"), tmp_path)
+def test_traced_selftest_grid_matches_call_counts(selftest_grid, tmp_path):
+    res = _traced_worker(dict(selftest_grid, master_seed="1"), tmp_path)
     assert res["trace_problems"] == []
     assert res["attempted"] > 0
     assert res["failed"] == 0

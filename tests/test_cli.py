@@ -91,6 +91,10 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["run", *FAST, "--threads", "0"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    # no wavelength to derive from: a config error, not a ZeroDivisionError
+    assert main(["validate", "--set", "carrier_frequency=inf"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: key 'carrier_frequency': expected a finite number, got 'inf'\n")
 
 
 def test_repeated_config_key_exits_two(tmp_path, capsys):

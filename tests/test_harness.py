@@ -237,9 +237,11 @@ def _count_calls(monkeypatch, module, name):
 def test_ris_side_trial_factors_each_draw_once(tau, per_trial, monkeypatch):
     # the ris_side_csi grid: rank_q2 and both precoder builds of the
     # optimal rule read one Gram matrix and one solve per draw, the true
-    # draw's and, when tau > 0, the estimated draw's; nothing inverts
+    # draw's and, when tau > 0, the estimated draw's; nothing inverts, and
+    # every solve goes through the solve seam
     factors = _count_calls(monkeypatch, beamform.GramFactor, "__init__")
-    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    solves = _count_calls(monkeypatch, beamform, "solve")
+    numpy_solves = _count_calls(monkeypatch, np.linalg, "solve")
     inverses = _count_calls(monkeypatch, np.linalg, "inv")
     cfg, ch, run = build_configs({
         "schemes": "bs_ris_zf", "phase_rules": "optimal,random", "sweep_m": "128,256",
@@ -248,14 +250,16 @@ def test_ris_side_trial_factors_each_draw_once(tau, per_trial, monkeypatch):
     summary = run_sweep(run, cfg, ch)
     assert all(p.status == STATUS_OK and p.failures == 0 for p in summary.points)
     assert len(factors) == len(solves) == per_trial * len(summary.trials) > 0
-    assert inverses == []
+    assert numpy_solves == inverses == []
 
 
 def test_ue_side_trial_factors_once_per_right_inverse_and_rank(monkeypatch):
     # the default grid's UE-side points: every precoder build and every
-    # rank_q2 builds one Gram factor, and every factor makes one solve
+    # rank_q2 builds one Gram factor, and every factor makes one solve,
+    # through the solve seam
     factors = _count_calls(monkeypatch, beamform.GramFactor, "__init__")
-    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    solves = _count_calls(monkeypatch, beamform, "solve")
+    numpy_solves = _count_calls(monkeypatch, np.linalg, "solve")
     inverses = _count_calls(monkeypatch, np.linalg, "inv")
     right_inverses = _count_calls(monkeypatch, beamform, "right_inverse_apply")
     ranks = _count_calls(monkeypatch, harness, "rank_q2")
@@ -263,7 +267,7 @@ def test_ue_side_trial_factors_once_per_right_inverse_and_rank(monkeypatch):
     summary = run_sweep(run, cfg, ch)
     assert len(ranks) == len(summary.trials) > 0
     assert len(solves) == len(factors) == len(right_inverses) + len(ranks)
-    assert inverses == []
+    assert numpy_solves == inverses == []
 
 
 def test_emit_headers_and_row_counts(tmp_path):

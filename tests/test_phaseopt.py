@@ -7,8 +7,11 @@ import math
 import numpy as np
 import pytest
 
+import riszf.beamform as beamform
+import riszf.phaseopt as phaseopt
 from riszf.beamform import bs_ris_zf_precoder, bs_ue_zf_precoder
 from riszf.channel import complex_normal, correlation_matrix, sample_channels, spawn_rng
+from riszf.harness import run_sweep
 from riszf.phaseopt import (
     UndefinedPhaseError,
     _gradient_hessian,
@@ -495,3 +498,46 @@ def test_asymptotic_config_reports_residual_and_iterations():
         c = h.conj() * (R @ (np.exp(-1j * phases[k]) * h))
         again = wrap_phase(-np.angle(c))
         assert np.max(np.abs(wrap_phase(again - phases[k]))) <= 1e-8
+
+
+def test_eigh_seam_is_numpy_eigh_bit_for_bit():
+    # a stacked real batch, as the Newton step hands it, and one complex
+    # Hermitian matrix, as the multi-UE phase update does
+    rng = spawn_rng(31)
+    X = rng.standard_normal((5, 8, 8))
+    Z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    for A in (X + X.transpose(0, 2, 1), Z @ Z.conj().T):
+        (w, V), (w_np, V_np) = beamform.eigh(A), np.linalg.eigh(A)
+        assert w.dtype == np.float64 and V.dtype == A.dtype
+        assert np.array_equal(w, w_np) and np.array_equal(V, V_np)
+    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+        beamform.eigh(np.full((3, 3), np.nan))
+
+
+@pytest.mark.parametrize("overrides", [{}, {"k": "3", "l": "2,1,3", "sweep_n": "2,4"}],
+                         ids=["selftest", "multi_ue"])
+def test_sweep_calls_the_seams_not_numpy_solve_or_eigh(selftest_grid, overrides, monkeypatch):
+    # the benchmark's self-test grid (and a variant with several UEs per
+    # RIS) sweeps with np.linalg.solve and np.linalg.eigh raising, to the
+    # same summary; the first sweep fills the cached matrix_sqrt_psd,
+    # which keeps its public eigh
+    cfg, ch, run = build_configs({**selftest_grid, **overrides})
+    want = run_sweep(run, cfg, ch)
+    assert not any(p.failures for p in want.points)
+    calls = []
+
+    def spy(seam):
+        def counting(*args):
+            calls.append(seam.__name__)
+            return seam(*args)
+        return counting
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep called numpy's public solve or eigh")
+
+    monkeypatch.setattr(beamform, "solve", spy(beamform.solve))
+    monkeypatch.setattr(phaseopt, "eigh", spy(phaseopt.eigh))
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    assert run_sweep(run, cfg, ch) == want
+    assert {"solve", "eigh"} <= set(calls)

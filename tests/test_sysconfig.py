@@ -262,6 +262,23 @@ def test_geometry_keys_the_iid_model_never_reads():
     assert (ch.grid_cols, ch.element_spacing, ch.element_area) == (2, 0.05, 0.01)
 
 
+# every key whose value is read as a float, in the forms it is read in
+FLOAT_VALUES = [(key, "{}") for key in (
+    "total_power", "bandwidth", "noise_psd_dbm_hz", "noise_variance_blocked",
+    "noise_variance_direct", "carrier_frequency", "element_spacing", "element_area",
+    "attenuation_mu_lambda2_db", "direct_link_variance", "ris_ue_link_variance", "csi_tau",
+)] + [("element_spacing", "lambda/{}"), ("noise_variance_direct", "1e-13,{}"), ("csi_tau", "0.0,{}")]
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e400", "x"])
+@pytest.mark.parametrize("key, form", FLOAT_VALUES, ids=[f.format(k) for k, f in FLOAT_VALUES])
+def test_float_keys_reject_what_is_not_a_finite_number(key, form, text):
+    # a non-finite value would divide by zero or reach the outputs as NaN
+    kv = {key: form.format(text), "power_mode": "sum_power_normalized"}
+    with pytest.raises(ConfigError, match=f"key '{key}': expected a finite number, got '{text}'$"):
+        build_configs(kv)
+
+
 def test_removed_estimation_error_fraction_is_unknown():
     # csi_tau is the CSI-error knob; the old key is rejected, not ignored
     with pytest.raises(ConfigError, match="unknown key 'estimation_error_fraction'"):
