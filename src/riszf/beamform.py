@@ -68,23 +68,25 @@ class RankDeficiencyError(RuntimeError):
 
 
 def cascaded_rows(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:
-    """(U_b, M) effective rows h^H Phi H^H for every blocked UE.
-
-    `phases` has shape (K, N); UEs served by the same RIS share its
-    phase configuration. Row u is conj(H_k) x_u with x_u = conj(h_u)
-    e^{j phi_k}, taken for every UE in one stacked product, which is
-    bit-identical to the per-UE vector-matrix product. The conj(H_k) of
-    each UE is gathered once per draw (`ChannelSet.H_conj_blocked`).
-    """
-    x = chs.h_b.conj() * np.exp(1j * phases)[chs.cfg.ris_of_blocked_ue]
-    return (chs.H_conj_blocked @ x[:, :, None])[:, :, 0]
+    """(U_b, M) effective rows h^H Phi H^H for every blocked UE: the
+    leading rows of `stack_bs_ue`."""
+    return stack_bs_ue(chs, phases)[: chs.cfg.U_b]
 
 
 def stack_bs_ue(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:
-    """((U_b + U_d) x M) stacked rows: cascaded blocked UEs, then direct."""
+    """((U_b + U_d) x M) stacked rows: cascaded blocked UEs, then direct.
+
+    `phases` has shape (K, N); UEs served by the same RIS share its
+    phase configuration. Cascaded row u is conj(H_k) x_u with x_u =
+    conj(h_u) e^{j phi_k}, taken for every UE in one stacked product
+    written straight into the stack, which is bit-identical to the
+    per-UE vector-matrix product. The conj(H_k) of each UE is gathered
+    once per draw (`ChannelSet.H_conj_blocked`).
+    """
     cfg = chs.cfg
     Q = np.empty((cfg.U_b + cfg.U_d, cfg.M), dtype=np.complex128)
-    Q[: cfg.U_b] = cascaded_rows(chs, phases)
+    x = chs.h_b.conj() * np.exp(1j * phases)[cfg.gathers[0]]
+    np.matmul(chs.H_conj_blocked, x[:, :, None], out=Q[: cfg.U_b, :, None])
     np.conjugate(chs.h_d, out=Q[cfg.U_b :])
     return Q
 
@@ -142,12 +144,12 @@ class GramFactor:
         self.norms = np.sqrt(np.add.reduce((Q.conj() * Q).real, axis=1))
         self.inv = self.QsH = self.A = None
         self.finite = False
-        if self.norms.all():
+        if np.count_nonzero(self.norms) == self.norms.size:
             self.inv = 1.0 / self.norms
             Qs = Q * self.inv[:, None]
             self.QsH = Qs.conj().T
             self.A = Qs @ self.QsH
-            self.finite = bool(np.isfinite(self.A).all())
+            self.finite = bool(np.count_nonzero(np.isfinite(self.A)) == self.A.size)
         self.x, self.bound, self.error = self._solve()
 
     def _solve(self) -> tuple[np.ndarray | None, float, Exception | None]:

@@ -33,7 +33,9 @@ def spawn_rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
 def derive_seed(master_seed: int, *spawn_key: int) -> int:
     """Stable 64-bit sub-seed for APIs that want an integer seed."""
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(spawn_key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    # generate_state(1, np.uint64)[0], joined from its two uint32 words
+    low, high = ss.generate_state(2).tolist()
+    return low | high << 32
 
 
 def complex_normal(
@@ -157,10 +159,10 @@ class ChannelSet:
         Both are read-only arrays shared by every draw with the same N
         and channel config.
 
-    `R`, `H_conj_blocked` and `ris_gram` are computed on first access and
-    kept for the draw's lifetime, read-only. They derive only from `cfg`,
-    `ch`, `C`, `H` and `h_d`, which nothing edits in place;
-    `dataclasses.replace` gives a new set that computes its own.
+    `R`, `H_conj_blocked`, `HH_first` and `ris_gram` are computed on
+    first access and kept for the draw's lifetime, read-only. They derive
+    only from `cfg`, `ch`, `C`, `H` and `h_d`, which nothing edits in
+    place; `dataclasses.replace` gives a new set that computes its own.
     """
 
     cfg: SystemConfig
@@ -183,6 +185,12 @@ class ChannelSet:
         Conjugated in place after the gather, so it costs one allocation."""
         out = self.H[self.cfg.ris_of_blocked_ue]
         return read_only(np.conjugate(out, out=out))
+
+    @functools.cached_property
+    def HH_first(self) -> np.ndarray:
+        """(K, N, M) conj(H_k)^T of each RIS's first blocked UE: a transposed
+        view of `H_conj_blocked` when every RIS serves one UE."""
+        return read_only(self.H_conj_blocked[self.cfg.gathers[1]].transpose(0, 2, 1))
 
     @functools.cached_property
     def ris_gram(self):

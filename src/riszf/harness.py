@@ -459,24 +459,16 @@ def _plotdata_lines(points, scheme: str) -> list[str]:
 def emit_outputs(summary: SweepSummary, out_dir: str) -> list[str]:
     """Write summary.csv, trials.csv, and per-scheme plot data files."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    path = os.path.join(out_dir, "summary.csv")
-    lines = [SUMMARY_CSV_HEADER] + [_csv_row(vars(p).values()) for p in summary.points]
-    _write_lines(path, lines)
-    written.append(path)
-
-    path = os.path.join(out_dir, "trials.csv")
-    lines = [TRIAL_CSV_HEADER] + [trial_csv_row(t) for t in summary.trials]
-    _write_lines(path, lines)
-    written.append(path)
-
+    files = {
+        "summary.csv": [SUMMARY_CSV_HEADER] + [_csv_row(vars(p).values()) for p in summary.points],
+        "trials.csv": [TRIAL_CSV_HEADER] + [trial_csv_row(t) for t in summary.trials],
+    }
     for scheme in (BS_UE_ZF, BS_RIS_ZF):
-        if not any(p.scheme == scheme for p in summary.points):
-            continue
-        path = os.path.join(out_dir, f"plotdata_{scheme}.csv")
-        _write_lines(path, _plotdata_lines(summary.points, scheme))
-        written.append(path)
+        if any(p.scheme == scheme for p in summary.points):
+            files[f"plotdata_{scheme}.csv"] = _plotdata_lines(summary.points, scheme)
+    written = [os.path.join(out_dir, name) for name in files]
+    for path, lines in zip(written, files.values()):
+        _write_lines(path, lines)
     return written
 
 

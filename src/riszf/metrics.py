@@ -89,7 +89,7 @@ def sinr_bs_ris_zf(
 def sum_rate(sinrs: np.ndarray) -> float:
     """Shannon sum rate, bits/s/Hz: sum of log2(1 + SINR)."""
     s = np.asarray(sinrs, dtype=float)
-    if np.any(s < 0):
+    if np.count_nonzero(s < 0):
         raise ValueError("SINRs must be nonnegative")
     return float(np.sum(np.log2(1.0 + s)))
 

@@ -88,18 +88,18 @@ def _phase_update_bs_ue_zf(chs: ChannelSet, W: np.ndarray) -> np.ndarray:
     """One sweep of per-RIS phase updates against a frozen precoder.
 
     T_k = H_k^H W for every RIS comes from one stacked product over the
-    conj(H_k) of each RIS's first UE in the draw's `H_conj_blocked`, and
-    the alignment vector q of every blocked UE from one gather; RISs
-    serving one UE take -angle(q) directly, the others the dominant
-    eigenvector of sum q q^H from `beamform.eigh`, its first nonzero
-    entry rotated to real positive. Stacking is bit-identical to the
-    per-RIS products, so the phases are too. A zero entry raises for the
-    lowest RIS, then the lowest element, as a RIS-by-RIS sweep would.
+    draw's `HH_first`, and the alignment vector q of every blocked UE
+    from one gather; RISs serving one UE take -angle(q) directly, the
+    others the dominant eigenvector of sum q q^H from `beamform.eigh`,
+    its first nonzero entry rotated to real positive. Stacking is
+    bit-identical to the per-RIS products, so the phases are too. A zero
+    entry raises for the lowest RIS, then the lowest element, as a
+    RIS-by-RIS sweep would.
     """
     cfg = chs.cfg
-    first = cfg.first_blocked
-    T = chs.H_conj_blocked[first].transpose(0, 2, 1) @ W  # (K, N, U)
-    Q = chs.h_b.conj() * T[cfg.ris_of_blocked_ue, :, np.arange(cfg.U_b)]  # (U_b, N)
+    _, first, ues = cfg.gathers  # first is first_blocked whenever some L_k != 1
+    T = chs.HH_first @ W  # (K, N, U)
+    Q = chs.h_b.conj() * T[cfg.ris_of_blocked_ue, :, ues]  # (U_b, N)
     aligned = Q[first]
     for k in (k for k, count in enumerate(cfg.L) if count != 1):
         A = np.zeros((cfg.N, cfg.N), dtype=np.complex128)
@@ -109,7 +109,7 @@ def _phase_update_bs_ue_zf(chs: ChannelSet, W: np.ndarray) -> np.ndarray:
         # the global phase: the first nonzero entry rotated to real positive
         lead = v[np.flatnonzero(np.abs(v) > 1e-12)[0]]
         aligned[k] = v * (lead.conjugate() / abs(lead))
-    if not aligned.all():
+    if np.count_nonzero(aligned) < aligned.size:
         k, i = (int(v) for v in np.argwhere(np.abs(aligned) == 0.0)[0])
         raise UndefinedPhaseError(
             k, i, "alignment product" if cfg.L[k] == 1 else "eigenvector entry"
@@ -182,7 +182,7 @@ def _delta_to_target(
     y = np.exp(-1j * phi) * h
     Ry = (R @ y[:, :, None])[:, :, 0]
     c = h.conj() * Ry
-    if not c.all():
+    if np.count_nonzero(c) < c.size:
         row, element = (int(v) for v in np.argwhere(np.abs(c) == 0.0)[0])
         raise UndefinedPhaseError(
             first_ris + int(rows[row]), element, "fixed-point argument"
@@ -219,7 +219,7 @@ def _newton_step(y: np.ndarray, Ry: np.ndarray, R: np.ndarray) -> np.ndarray:
     """
     g, H = _gradient_hessian(y, Ry, R)
     c = np.abs(H.trace(axis1=1, axis2=2)) / y.shape[1]
-    w, V = eigh(c[:, None, None] - H)
+    w, V = eigh(np.subtract(c[:, None, None], H, out=H))
     mag = np.abs(w)
     inv = 1.0 / np.maximum(mag, 1e-9 * mag.max(axis=1, keepdims=True))
     Vt_g = (V.transpose(0, 2, 1) @ g[:, :, None])[:, :, 0]
@@ -259,7 +259,7 @@ def _fixed_point_rows(
         delta, y, Ry = _delta_to_target(phi, h, R, rows, first_ris)
         res = np.abs(delta).max(axis=1)
         done = res <= tol
-        if done.any():
+        if np.count_nonzero(done):
             phases[rows[done]] = phi[done]
             residual[rows[done]] = res[done]
             iterations[rows[done]] = it
@@ -271,9 +271,10 @@ def _fixed_point_rows(
                 return phases, residual, iterations
         # wrapped interpolation toward the update keeps angle steps small
         # and prevents the undamped iteration's 2-cycles
-        step = FIXED_POINT_DAMPING * delta
         newton = res < NEWTON_RESIDUAL
-        if newton.any():
+        n_newton = np.count_nonzero(newton)
+        step = _newton_step(y, Ry, R) if n_newton == newton.size else FIXED_POINT_DAMPING * delta
+        if 0 < n_newton < newton.size:
             step[newton] = _newton_step(y[newton], Ry[newton], R)
         phi = wrap_phase(phi + step)
     phases[rows] = phi
@@ -359,7 +360,7 @@ def optimal_phases_bs_ris_zf(chs: ChannelSet) -> np.ndarray:
     # RIS, row k of H_conj_blocked is conj(H_k)
     a = (W[:, : cfg.K].T[:, None, :] @ chs.H_conj_blocked)[:, 0, :]
     q = chs.h_b.conj() * a
-    if not q.all():
+    if np.count_nonzero(q) < q.size:
         k, i = (int(v) for v in np.argwhere(np.abs(q) == 0.0)[0])
         raise UndefinedPhaseError(k, i, "alignment product")
     return wrapped_angle(q, -1.0)
@@ -392,7 +393,7 @@ def asymptotic_phases_and_sinr_bs_ris_zf(
             f"(eigenvalue range [{w_min:.3e}, {w_max:.3e}])"
         )
     mag = np.abs(h_k1)
-    if not mag.all():
+    if np.count_nonzero(mag) < mag.size:
         raise UndefinedPhaseError(k, int(np.flatnonzero(mag == 0.0)[0]), "UE channel entry")
     phases = wrapped_angle(h_k1)
     sinr_star = float(mag.sum()) ** 2 / sigma2_k

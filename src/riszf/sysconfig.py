@@ -131,6 +131,13 @@ class SystemConfig:
         return read_only(np.cumsum(counts) - counts)
 
     @cached_property
+    def gathers(self) -> tuple:
+        """(`ris_of_blocked_ue`, `first_blocked`, arange(U_b)) as indices, the
+        first two slice(None), the identity, when every RIS serves one UE."""
+        ris_first = (slice(None),) * 2 if self.U_b == self.K else (self.ris_of_blocked_ue, self.first_blocked)
+        return *ris_first, read_only(np.arange(self.U_b))
+
+    @cached_property
     def noise_variances(self) -> np.ndarray:
         """(U_b + U_d,) every UE's noise variance in UE row order (blocked,
         then direct). Read-only."""
@@ -232,11 +239,7 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
     def __str__(self) -> str:
-        lines = []
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(f"[{status}] {c.name}: {c.detail}")
-        return "\n".join(lines)
+        return "\n".join(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in self.checks)
 
 
 def validate_config(
@@ -442,6 +445,19 @@ def _noise_variances(kv: dict, key: str, count: int, default: float) -> tuple[fl
     return values * count if len(values) == 1 and count > 1 else values
 
 
+def _derived(kv: dict, what: str, keys: Sequence[str], f) -> float:
+    """f(), the `what` derived from config `keys`; a config error naming the
+    first key `kv` sets (else keys[0]) when it overflows or underflows to 0."""
+    try:
+        v = f()
+    except (OverflowError, ZeroDivisionError):
+        v = math.inf
+    if v == 0.0 or math.isinf(v):
+        key = next((k for k in keys if k in kv), keys[0])
+        raise ConfigError(f"key {key!r}: gives {what} = {v}, which must be positive and finite")
+    return v
+
+
 def _reject_unread(kv: dict, keys: Sequence[str], reason: str) -> None:
     """A config error for the first of `keys` set in `kv`, which `reason`
     says the configured scenario never reads."""
@@ -469,10 +485,16 @@ def build_configs(
     # ChannelModelConfig rejects a carrier that is not positive; a zero one
     # has no wavelength to derive the symbolic defaults from
     wavelength = SPEED_OF_LIGHT / carrier if carrier else math.nan
-    spacing = _resolve_spacing(get("element_spacing"), wavelength)
+    sources = ("element_spacing", "carrier_frequency")
+    spacing = _derived(kv, "element_spacing", sources,
+                       lambda: _resolve_spacing(get("element_spacing"), wavelength))
     area_raw = get("element_area")
-    area = spacing**2 if area_raw == "spacing_squared" else _to_float("element_area", area_raw)
+    area = (_derived(kv, "element_area", sources, lambda: spacing**2) if area_raw == "spacing_squared"
+            else _to_float("element_area", area_raw))
     mu_db = _to_float("attenuation_mu_lambda2_db", get("attenuation_mu_lambda2_db"))
+    # mu * A, the per-element scale the BS-RIS links carry: the "mu_a" default
+    scale = _derived(kv, "mu * element_area", ("attenuation_mu_lambda2_db", "carrier_frequency",
+                     "element_area", "element_spacing"), lambda: attenuation_mu(mu_db, wavelength) * area)
     ris_var_raw = get("ris_ue_link_variance")
     grid_raw = get("grid_cols")
     if get("correlation_model") == "iid":
@@ -490,8 +512,7 @@ def build_configs(
         attenuation_mu_lambda2_db=mu_db,
         grid_cols=None if grid_raw == "auto" else _to_int("grid_cols", grid_raw),
         direct_link_variance=_to_float("direct_link_variance", get("direct_link_variance")),
-        # "mu_a" is the per-element scale mu * A the BS-RIS links carry
-        ris_ue_link_variance=(attenuation_mu(mu_db, wavelength) * area if ris_var_raw == "mu_a"
+        ris_ue_link_variance=(scale if ris_var_raw == "mu_a"
                               else _to_float("ris_ue_link_variance", ris_var_raw)),
         correlation_model=get("correlation_model"),
     )
@@ -506,10 +527,11 @@ def build_configs(
     bandwidth = _to_float("bandwidth", get("bandwidth"))
     _check_positive("bandwidth", bandwidth)
     psd = _to_float("noise_psd_dbm_hz", get("noise_psd_dbm_hz"))
-    sigma2 = psd_dbm_hz_to_variance(psd, bandwidth)
     if "noise_variance_blocked" in kv and ("noise_variance_direct" in kv or U_d == 0):
         # every UE's variance is given, so the PSD and bandwidth set none
         _reject_unread(kv, ("bandwidth", "noise_psd_dbm_hz"), "when every noise variance is set")
+    sigma2 = _derived(kv, "noise variance", ("noise_psd_dbm_hz", "bandwidth"),
+                      lambda: psd_dbm_hz_to_variance(psd, bandwidth))
 
     cfg = SystemConfig(
         M=_to_int("m", get("m")),

@@ -653,6 +653,7 @@ def test_in_place_edit_of_h_b_reaches_rows_and_phase_update(L):
     W = bs_ue_zf_precoder(chs, phases)
     rows = cascaded_rows(chs, phases)
     update = _phase_update_bs_ue_zf(chs, W)
+    operand = chs.HH_first  # built by the update above, from H alone
     chs.h_b[-1] *= np.exp(0.7j * np.arange(1, chs.cfg.N + 1))  # edits the draw itself
     fresh = replace(chs, h_b=chs.h_b.copy())  # a new set, with no per-draw arrays yet
     edited_rows = cascaded_rows(chs, phases)
@@ -662,3 +663,17 @@ def test_in_place_edit_of_h_b_reaches_rows_and_phase_update(L):
     edited_update = _phase_update_bs_ue_zf(chs, W)
     assert np.array_equal(edited_update, _phase_update_bs_ue_zf(fresh, W))
     assert not np.array_equal(edited_update[-1], update[-1])
+    assert chs.HH_first is operand
+
+
+def test_gram_factor_nan_row_is_not_finite_and_zero_row_raises_first():
+    Q = spawn_rng(5).standard_normal((4, 16)) + 1j * spawn_rng(6).standard_normal((4, 16))
+    Q[1, 3] = np.nan
+    gram = GramFactor(Q)
+    # a NaN row counts as nonzero, so the factor is formed and found not finite
+    assert gram.inv is not None and gram.finite is False
+    assert gram.x is None and isinstance(gram.error, ValueError)
+    Q[2] = 0.0
+    assert GramFactor(Q).inv is None
+    with pytest.raises(RankDeficiencyError, match="all-zero row"):
+        right_inverse_apply(Q)

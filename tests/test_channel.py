@@ -107,6 +107,21 @@ def test_spawn_rng_reproducible_and_streams_independent():
     assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
 
 
+def test_derive_seed_is_the_first_uint64_state_word_and_philox_key():
+    # derive_seed joins generate_state(2)'s two uint32 words; that must be
+    # generate_state(1, np.uint64)'s word, which is also the first key word
+    # of the Philox generator spawn_rng builds for the same key
+    draw = np.random.default_rng(2)
+    masters = (0, 1, 7, 2**32 - 1, 2**32, 2**32 + 5, 2**63 + 11, 2**70 + 3)
+    keys = [()] + [tuple(draw.integers(0, 2**31, size=draw.integers(1, 5)).tolist())
+                   for _ in range(299)]
+    for i, key in enumerate(keys):
+        m = masters[i % len(masters)]
+        want = int(np.random.SeedSequence(m, spawn_key=key).generate_state(1, np.uint64)[0])
+        assert derive_seed(m, *key) == want, (m, key)
+        assert int(spawn_rng(m, *key).bit_generator.state["state"]["key"][0]) == want
+
+
 def _mean_gram(seed: int, trials: int, cfg, ch):
     """Monte Carlo E{H_1^H H_1}, E{h h^H}, E{|h_d|^2}."""
     N = cfg.N
@@ -376,3 +391,33 @@ def test_replaced_draw_gets_fresh_per_draw_arrays():
         assert not np.array_equal(other.ris_gram.norms, gram.norms)
     assert chs.H_conj_blocked is before
     assert chs.ris_gram is gram
+
+
+@pytest.mark.parametrize("L", ["1,1,1,1", "2,1,3"])
+def test_first_ue_operand_is_a_read_only_transpose_of_the_stack(L):
+    cfg, ch, _ = build_configs({"m": "16", "n": "4", "k": str(len(L.split(","))), "l": L})
+    for seed in range(6):
+        chs = sample_channels(cfg, ch, spawn_rng(seed, 0))
+        got = chs.HH_first
+        want = chs.H_conj_blocked[cfg.first_blocked].transpose(0, 2, 1)
+        assert got is chs.HH_first  # computed once per draw
+        # the same bits in the same layout, so every product over it is too
+        assert (got.shape, got.strides, got.dtype) == (want.shape, want.strides, want.dtype)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0, 0] = 0.0
+        # a view of the stack when every RIS serves one UE, a gathered copy otherwise
+        assert np.shares_memory(got, chs.H_conj_blocked) == (L == "1,1,1,1")
+
+
+@pytest.mark.parametrize("L", ["1,1,1,1", "2,1,3"])
+def test_replaced_draw_builds_its_own_first_ue_operand(L):
+    cfg, ch, _ = build_configs({"m": "16", "n": "4", "k": str(len(L.split(","))), "l": L})
+    chs = sample_channels(cfg, ch, spawn_rng(3, 0))
+    before = chs.HH_first
+    for other in (replace(chs, H=2.0 * chs.H), apply_estimation_error(chs, 0.3, seed=11)):
+        assert np.array_equal(other.HH_first, other.H.conj().transpose(0, 2, 1))
+        assert not np.array_equal(other.HH_first, before)
+        assert not np.shares_memory(other.HH_first, before)
+    assert chs.HH_first is before

@@ -95,6 +95,17 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["validate", "--set", "carrier_frequency=inf"]) == 2
     assert capsys.readouterr().err == (
         "config error: key 'carrier_frequency': expected a finite number, got 'inf'\n")
+    # finite numbers whose derived values overflow or underflow to 0 (the
+    # wavelength, the element area, mu * A, the noise variance): a config
+    # error naming the key that was set, not a traceback or a derived key
+    for item in ("carrier_frequency=1e200", "carrier_frequency=1e-300", "element_spacing=1e200",
+                 "attenuation_mu_lambda2_db=4000", "attenuation_mu_lambda2_db=-4000",
+                 "noise_psd_dbm_hz=4000", "noise_psd_dbm_hz=-4000"):
+        assert main(["validate", "--set", item]) == 2, item
+        err = capsys.readouterr().err
+        key = item.split("=")[0]
+        assert err.startswith(f"config error: key '{key}': gives "), err
+        assert "must be positive and finite" in err and err.count("\n") == 1
 
 
 def test_repeated_config_key_exits_two(tmp_path, capsys):

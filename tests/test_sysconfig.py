@@ -1,6 +1,7 @@
 """Config loading, defaults, derived constants, and validation checks."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -91,6 +92,20 @@ def test_ue_layout_arrays_are_read_only_config_properties(L):
     assert cfg.first_blocked is cfg.first_blocked
     for k in range(len(L)):
         assert cfg.blocked_index(k, 0) == sum(L[:k])
+
+
+@pytest.mark.parametrize("L", [(1, 1, 1, 1), (2, 1, 3)])
+def test_gathers_index_as_the_layout_arrays(L):
+    cfg, _, _ = build_configs({"k": str(len(L)), "l": ",".join(map(str, L)), "m": "64"})
+    ris, first, ues = cfg.gathers
+    assert cfg.gathers is cfg.gathers  # computed once per config
+    np.testing.assert_array_equal(ues, np.arange(cfg.U_b))
+    assert not ues.flags.writeable
+    a = np.arange(2 * cfg.U_b * 3).reshape(2 * cfg.U_b, 3)
+    # slice(None) where the gather is the identity, the layout array elsewhere
+    assert isinstance(ris, slice) == isinstance(first, slice) == (L == (1, 1, 1, 1))
+    np.testing.assert_array_equal(a[:cfg.K][ris], a[:cfg.K][cfg.ris_of_blocked_ue])
+    np.testing.assert_array_equal(a[:cfg.U_b][first], a[:cfg.U_b][cfg.first_blocked])
 
 
 def test_with_dimensions_copy_computes_its_own_arrays():
@@ -277,6 +292,36 @@ def test_float_keys_reject_what_is_not_a_finite_number(key, form, text):
     kv = {key: form.format(text), "power_mode": "sum_power_normalized"}
     with pytest.raises(ConfigError, match=f"key '{key}': expected a finite number, got '{text}'$"):
         build_configs(kv)
+
+
+DERIVED_OUT_OF_RANGE = [
+    ({"element_spacing": "lambda/1e-310", "element_area": "0.01"}, "element_spacing",
+     "element_spacing = inf"),
+    ({"carrier_frequency": "1e200", "element_spacing": "0.05"}, "carrier_frequency",
+     "mu * element_area = inf"),
+    ({"carrier_frequency": "1e-300", "element_area": "0.01"}, "carrier_frequency",
+     "element_spacing = inf"),
+    ({"ris_ue_link_variance": "1.0", "attenuation_mu_lambda2_db": "-4000"},
+     "attenuation_mu_lambda2_db", "mu * element_area = 0.0"),
+    ({"element_area": "1e300", "attenuation_mu_lambda2_db": "100"}, "attenuation_mu_lambda2_db",
+     "mu * element_area = inf"),
+]
+
+
+@pytest.mark.parametrize("kv, key, derived", DERIVED_OUT_OF_RANGE,
+                         ids=[",".join(kv) for kv, _, _ in DERIVED_OUT_OF_RANGE])
+def test_derived_value_out_of_range_names_a_key_it_comes_from(kv, key, derived):
+    # mu * A is checked with an explicit ris_ue_link_variance too: it
+    # still scales the BS-RIS links
+    with pytest.raises(ConfigError, match=re.escape(
+            f"key '{key}': gives {derived}, which must be positive and finite")):
+        build_configs(kv)
+
+
+def test_zero_carrier_is_rejected_as_not_positive():
+    # its NaN wavelength passes the derived-value checks to reach this message
+    with pytest.raises(ConfigError, match="key 'carrier_frequency': must be positive, got 0.0"):
+        build_configs({"carrier_frequency": "0"})
 
 
 def test_removed_estimation_error_fraction_is_unknown():
