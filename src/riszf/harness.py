@@ -29,6 +29,7 @@ import functools
 import glob
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from itertools import product
 
@@ -342,10 +343,10 @@ def numpy_openblas() -> ctypes.CDLL | None:
     return ctypes.CDLL(paths[0]) if paths else None
 
 
-def _openblas_thread_controls() -> list[tuple]:
+def _openblas_thread_controls() -> tuple | None:
     """(get, set) thread-count functions of numpy's bundled OpenBLAS
     (`numpy_openblas`), which every BLAS and LAPACK call of the sweep
-    runs in; empty for any other BLAS (system OpenBLAS, MKL).
+    runs in; None for any other BLAS (system OpenBLAS, MKL).
 
     Its helper threads slow down the sweep's small matrices (Gram
     matrices of at most tens of rows) and oversubscribe the pool's cores.
@@ -354,19 +355,19 @@ def _openblas_thread_controls() -> list[tuple]:
     get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
     set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
     if get_threads is None or set_threads is None:
-        return []
+        return None
     get_threads.argtypes, get_threads.restype = [], ctypes.c_int
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    return [(get_threads, set_threads)]
+    return get_threads, set_threads
 
 
 # Size of the allocation that raises glibc's dynamic mmap threshold.
 _ALLOCATOR_WARMUP_BYTES = 8 << 20
 
 
-def _pin_one_blas_thread() -> list[tuple]:
-    """Set numpy's bundled OpenBLAS to one thread; returns the
-    (set, previous count) pairs that undo it. Also the pool's initializer.
+def _pin_one_blas_thread() -> Callable[[], None]:
+    """Set numpy's bundled OpenBLAS to one thread; returns the call that
+    restores the previous count. Also the pool's initializer.
 
     It also allocates and frees one untouched 8 MiB block. glibc then
     raises its mmap threshold to 8 MiB and its trim threshold to 16 MiB,
@@ -375,10 +376,12 @@ def _pin_one_blas_thread() -> list[tuple]:
     allocation.
     """
     np.empty(_ALLOCATOR_WARMUP_BYTES, dtype=np.uint8)
-    restore = []
-    for get_threads, set_threads in _openblas_thread_controls():
-        restore.append((set_threads, get_threads()))
-        set_threads(1)
+    controls = _openblas_thread_controls()
+    if controls is None:
+        return lambda: None
+    get_threads, set_threads = controls
+    restore = functools.partial(set_threads, get_threads())
+    set_threads(1)
     return restore
 
 
@@ -401,8 +404,7 @@ def run_sweep(
         try:
             outcomes = [run_point(*t) for t in tasks]
         finally:
-            for set_threads, n in restore:
-                set_threads(n)
+            restore()
     summaries = tuple(s for s, _ in outcomes)
     trials = tuple(r for _, rs in outcomes for r in rs)
     return SweepSummary(points=summaries, trials=trials)

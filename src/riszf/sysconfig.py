@@ -31,7 +31,13 @@ CORRELATION_MODELS = ("sinc", "iid")
 
 
 class ConfigError(ValueError):
-    """Raised on config-file parse errors, unknown keys, or range violations."""
+    """Raised on config-file parse errors, unknown keys, or range
+    violations; a range check keeps the field or derived value it
+    rejects (`key`) and the `value`."""
+
+    def __init__(self, message: str, key: str | None = None, value: float = math.nan):
+        super().__init__(message)
+        self.key, self.value = key, value
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -49,9 +55,24 @@ def _check_minimum(key: str, values: Iterable[int], minimum: int) -> None:
             raise ConfigError(f"key {key!r}: {v} below minimum {minimum}")
 
 
+def _check_derived(what: str, v: float, key: str) -> None:
+    """A config error naming `key` when `what` overflowed to inf or underflowed to 0."""
+    if v == 0.0 or math.isinf(v):
+        raise ConfigError(f"key {key!r}: gives {what} = {v}, which must be positive and finite", what, v)
+
+
 def _check_positive(key: str, v: float) -> None:
     if not v > 0:
-        raise ConfigError(f"key {key!r}: must be positive, got {v}")
+        raise ConfigError(f"key {key!r}: must be positive, got {v}", key, v)
+    _check_derived(key, v, key)
+
+
+def _evaluated(f) -> float:
+    """f(), or inf where it overflows or divides by 0."""
+    try:
+        return f()
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def _check_choices(key: str, values: Iterable[str], choices: Sequence[str]) -> None:
@@ -108,8 +129,9 @@ class SystemConfig:
         _check_count("l", self.L, self.K)
         _check_count("noise_variance_blocked", self.noise_variance_blocked, self.U_b)
         _check_count("noise_variance_direct", self.noise_variance_direct, self.U_d)
-        if not all(v > 0 for v in self.noise_variance_blocked + self.noise_variance_direct):
-            raise ConfigError("noise variances must be strictly positive")
+        for key in ("noise_variance_blocked", "noise_variance_direct"):
+            for v in getattr(self, key):
+                _check_positive(key, v)
         _check_positive("total_power", self.total_power)
         _check_choices("power_mode", (self.power_mode,), POWER_MODES)
 
@@ -172,6 +194,8 @@ class ChannelModelConfig:
         for key in ("carrier_frequency", "element_spacing", "element_area",
                     "direct_link_variance", "ris_ue_link_variance"):
             _check_positive(key, getattr(self, key))
+        _check_derived("mu * element_area", _evaluated(lambda: self.ris_element_scale),
+                       "attenuation_mu_lambda2_db")
         if self.grid_cols is not None:
             _check_minimum("grid_cols", (self.grid_cols,), 1)
         _check_choices("correlation_model", (self.correlation_model,), CORRELATION_MODELS)
@@ -186,8 +210,8 @@ class ChannelModelConfig:
 
     @cached_property
     def ris_element_scale(self) -> float:
-        """Per-element intensity scale mu * A applied to the BS-RIS channels;
-        computed on first access, as the config is immutable."""
+        """Per-element intensity scale mu * A applied to the BS-RIS channels,
+        which `__post_init__` checks is positive and finite."""
         return self.mu * self.element_area
 
 
@@ -254,54 +278,32 @@ def validate_config(
 
     checks: list[CheckResult] = []
 
-    def add(name: str, passed: bool, detail: str) -> None:
-        checks.append(CheckResult(name, bool(passed), detail))
+    def add(name: str, passed: bool, detail: str, blocks: bool = False) -> None:
+        blocked = f"; blocks {scheme}" if blocks and not passed else ""
+        checks.append(CheckResult(name, bool(passed), detail + blocked))
 
     if scheme == BS_UE_ZF:
         need = cfg.U_b + cfg.U_d
-        add(
-            "bs_ue_zf_feasible",
-            cfg.M >= need,
-            f"requires M >= U_b+U_d = {need}, got M={cfg.M}"
-            + ("" if cfg.M >= need else f"; blocks {BS_UE_ZF}"),
-        )
+        add("bs_ue_zf_feasible", cfg.M >= need, f"requires M >= U_b+U_d = {need}, got M={cfg.M}",
+            blocks=True)
         # RIS k's cascaded rows h^H Phi_k H_k^H all lie in the N-dimensional
         # row space of H_k^H, so more than N of them are linearly dependent
-        spans = all(l <= cfg.N for l in cfg.L)
-        add(
-            "ues_per_ris_within_n",
-            spans,
-            f"requires L_k <= N = {cfg.N} for every RIS, got L={list(cfg.L)}"
-            + ("" if spans else f"; blocks {BS_UE_ZF}"),
-        )
+        add("ues_per_ris_within_n", all(l <= cfg.N for l in cfg.L),
+            f"requires L_k <= N = {cfg.N} for every RIS, got L={list(cfg.L)}", blocks=True)
     else:
         need = cfg.N * cfg.K + cfg.U_d
-        add(
-            "bs_ris_zf_feasible",
-            cfg.M > need,
-            f"requires M > N*K+U_d = {need}, got M={cfg.M}"
-            + ("" if cfg.M > need else f"; blocks {BS_RIS_ZF}"),
-        )
-        add(
-            "single_ue_per_ris",
-            all(l == 1 for l in cfg.L),
-            f"L={list(cfg.L)}; {BS_RIS_ZF} is defined for one UE per RIS",
-        )
-
-    add(
-        "element_geometry",
-        ch.grid_cols is None or cfg.N % ch.grid_cols == 0,
-        f"d={ch.element_spacing} m, A={ch.element_area} m^2, grid_cols={ch.grid_cols}",
-    )
-
+        add("bs_ris_zf_feasible", cfg.M > need, f"requires M > N*K+U_d = {need}, got M={cfg.M}",
+            blocks=True)
+        add("single_ue_per_ris", all(l == 1 for l in cfg.L),
+            f"L={list(cfg.L)}; {BS_RIS_ZF} is defined for one UE per RIS")
+    add("element_geometry", ch.grid_cols is None or cfg.N % ch.grid_cols == 0,
+        f"d={ch.element_spacing} m, A={ch.element_area} m^2, grid_cols={ch.grid_cols}")
     return ValidationReport(scheme=scheme, checks=tuple(checks))
 
 
 # --------------------------------------------------------------------------
 # Flat key=value config file format
 # --------------------------------------------------------------------------
-
-_DEFAULT_NOISE_PSD_DBM_HZ = -174.0
 
 # Every legal key with its default raw value; None means "derived elsewhere".
 _KEY_DEFAULTS: dict[str, str | None] = {
@@ -314,7 +316,7 @@ _KEY_DEFAULTS: dict[str, str | None] = {
     "total_power": "1.0",
     "power_mode": "paper_literal",
     "bandwidth": "1.0e7",
-    "noise_psd_dbm_hz": repr(_DEFAULT_NOISE_PSD_DBM_HZ),
+    "noise_psd_dbm_hz": "-174.0",
     "noise_variance_blocked": None,  # defaults from PSD * bandwidth
     "noise_variance_direct": None,
     # channel model
@@ -445,17 +447,16 @@ def _noise_variances(kv: dict, key: str, count: int, default: float) -> tuple[fl
     return values * count if len(values) == 1 and count > 1 else values
 
 
-def _derived(kv: dict, what: str, keys: Sequence[str], f) -> float:
-    """f(), the `what` derived from config `keys`; a config error naming the
-    first key `kv` sets (else keys[0]) when it overflows or underflows to 0."""
+def _built(config_type, kv: dict, derived: dict, **fields):
+    """config_type(**fields); its error on a value `derived` maps to (what, source keys) that
+    overflowed or underflowed to 0 names the first source `kv` sets (else the first)."""
     try:
-        v = f()
-    except (OverflowError, ZeroDivisionError):
-        v = math.inf
-    if v == 0.0 or math.isinf(v):
-        key = next((k for k in keys if k in kv), keys[0])
-        raise ConfigError(f"key {key!r}: gives {what} = {v}, which must be positive and finite")
-    return v
+        return config_type(**fields)
+    except ConfigError as exc:
+        if exc.key in derived:
+            what, sources = derived[exc.key]
+            _check_derived(what, exc.value, next((k for k in sources if k in kv), sources[0]))
+        raise
 
 
 def _reject_unread(kv: dict, keys: Sequence[str], reason: str) -> None:
@@ -477,25 +478,28 @@ def build_configs(
             raise ConfigError(f"unknown key {key!r}")
 
     def get(key: str) -> str | None:
-        if key in kv:
-            return kv[key]
-        return _KEY_DEFAULTS[key]
+        return kv.get(key, _KEY_DEFAULTS[key])
 
     carrier = _to_float("carrier_frequency", get("carrier_frequency"))
     # ChannelModelConfig rejects a carrier that is not positive; a zero one
     # has no wavelength to derive the symbolic defaults from
     wavelength = SPEED_OF_LIGHT / carrier if carrier else math.nan
-    sources = ("element_spacing", "carrier_frequency")
-    spacing = _derived(kv, "element_spacing", sources,
-                       lambda: _resolve_spacing(get("element_spacing"), wavelength))
+    spacing = _resolve_spacing(get("element_spacing"), wavelength)
     area_raw = get("element_area")
-    area = (_derived(kv, "element_area", sources, lambda: spacing**2) if area_raw == "spacing_squared"
+    area = (_evaluated(lambda: spacing**2) if area_raw == "spacing_squared"
             else _to_float("element_area", area_raw))
     mu_db = _to_float("attenuation_mu_lambda2_db", get("attenuation_mu_lambda2_db"))
-    # mu * A, the per-element scale the BS-RIS links carry: the "mu_a" default
-    scale = _derived(kv, "mu * element_area", ("attenuation_mu_lambda2_db", "carrier_frequency",
-                     "element_area", "element_spacing"), lambda: attenuation_mu(mu_db, wavelength) * area)
     ris_var_raw = get("ris_ue_link_variance")
+    # (what, source keys) of each value derived here, by the field or
+    # value a config type checks it as
+    spacing_keys = ("element_spacing", "carrier_frequency")
+    mu_a = ("mu * element_area",
+            ("attenuation_mu_lambda2_db", "carrier_frequency", "element_area", "element_spacing"))
+    derived = {"element_spacing": ("element_spacing", spacing_keys), "mu * element_area": mu_a}
+    if area_raw == "spacing_squared":
+        derived["element_area"] = ("element_area", spacing_keys)
+    if ris_var_raw == "mu_a":  # mu * A, the per-element scale the BS-RIS links carry
+        derived["ris_ue_link_variance"] = mu_a
     grid_raw = get("grid_cols")
     if get("correlation_model") == "iid":
         # the identity correlation reads no element positions, so the
@@ -505,14 +509,16 @@ def build_configs(
         if "element_area" in kv:
             _reject_unread(kv, ("element_spacing",),
                            "under correlation_model=iid when element_area is set")
-    ch = ChannelModelConfig(
+    ch = _built(
+        ChannelModelConfig, kv, derived,
         carrier_frequency=carrier,
         element_spacing=spacing,
         element_area=area,
         attenuation_mu_lambda2_db=mu_db,
         grid_cols=None if grid_raw == "auto" else _to_int("grid_cols", grid_raw),
         direct_link_variance=_to_float("direct_link_variance", get("direct_link_variance")),
-        ris_ue_link_variance=(scale if ris_var_raw == "mu_a"
+        ris_ue_link_variance=(_evaluated(lambda: attenuation_mu(mu_db, wavelength) * area)
+                              if ris_var_raw == "mu_a"
                               else _to_float("ris_ue_link_variance", ris_var_raw)),
         correlation_model=get("correlation_model"),
     )
@@ -530,10 +536,12 @@ def build_configs(
     if "noise_variance_blocked" in kv and ("noise_variance_direct" in kv or U_d == 0):
         # every UE's variance is given, so the PSD and bandwidth set none
         _reject_unread(kv, ("bandwidth", "noise_psd_dbm_hz"), "when every noise variance is set")
-    sigma2 = _derived(kv, "noise variance", ("noise_psd_dbm_hz", "bandwidth"),
-                      lambda: psd_dbm_hz_to_variance(psd, bandwidth))
+    sigma2 = _evaluated(lambda: psd_dbm_hz_to_variance(psd, bandwidth))
+    for key in {"noise_variance_blocked", "noise_variance_direct"} - kv.keys():
+        derived[key] = ("noise variance", ("noise_psd_dbm_hz", "bandwidth"))
 
-    cfg = SystemConfig(
+    cfg = _built(
+        SystemConfig, kv, derived,
         M=_to_int("m", get("m")),
         N=_to_int("n", get("n")),
         K=K,
@@ -569,9 +577,8 @@ def read_config(path: str) -> dict[str, str]:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigError(
-            f"config file {path!r} is not UTF-8: undecodable byte at offset {exc.start}"
-        ) from exc
+        raise ConfigError(f"config file {path!r} is not UTF-8: "
+                          f"undecodable byte at offset {exc.start}") from exc
     return parse_kv_text(text, source=path)
 
 
@@ -592,22 +599,13 @@ def serialize_configs(
     def fmt(v: float) -> str:
         return repr(float(v))
 
-    lines = [
-        "# system",
-        f"m={cfg.M}",
-        f"n={cfg.N}",
-        f"k={cfg.K}",
-        "l=" + ",".join(str(l) for l in cfg.L),
-        f"u_d={cfg.U_d}",
-        f"power_mode={cfg.power_mode}",
-    ]
+    lines = ["# system", f"m={cfg.M}", f"n={cfg.N}", f"k={cfg.K}",
+             "l=" + ",".join(str(l) for l in cfg.L), f"u_d={cfg.U_d}", f"power_mode={cfg.power_mode}"]
     if cfg.power_mode != "paper_literal":  # the literal mode reads no power budget
         lines.append(f"total_power={fmt(cfg.total_power)}")
     lines.append("noise_variance_blocked=" + ",".join(fmt(v) for v in cfg.noise_variance_blocked))
     if cfg.U_d:  # an empty list does not parse; U_d = 0 loads as no variances
-        lines.append(
-            "noise_variance_direct=" + ",".join(fmt(v) for v in cfg.noise_variance_direct)
-        )
+        lines.append("noise_variance_direct=" + ",".join(fmt(v) for v in cfg.noise_variance_direct))
     lines += ["# channel model", f"carrier_frequency={fmt(ch.carrier_frequency)}"]
     # iid reads the spacing only as the default area's source: write one
     derived_area = ch.element_area == ch.element_spacing**2

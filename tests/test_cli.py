@@ -17,15 +17,17 @@ FAST = ["--set", "sweep_m=16", "--set", "sweep_n=1",
         "--set", "schemes=bs_ue_zf", "--set", "phase_rules=random"]
 
 
-def test_run_writes_outputs_and_exits_zero(tmp_path, capsys):
-    code = main(["run", *FAST, "--trials", "2", "--out", str(tmp_path / "o")])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "summary.csv" in out
-    assert (tmp_path / "o" / "summary.csv").exists()
-    assert (tmp_path / "o" / "trials.csv").exists()
-    rows = (tmp_path / "o" / "summary.csv").read_text().strip().split("\n")
-    assert len(rows) == 2
+def test_run_writes_outputs_and_exits_zero(tmp_path, capsys, block_scipy):
+    # scipy is a test-only dependency: a sweep of both schemes runs with its import blocked
+    block_scipy()
+    out = tmp_path / "o"
+    assert main(["run", "--trials", "2", "--set", "sweep_m=64", "--set", "sweep_n=4",
+                 "--out", str(out)]) == 0
+    assert "summary.csv" in capsys.readouterr().out
+    for name in ("summary.csv", "trials.csv", "plotdata_bs_ue_zf.csv", "plotdata_bs_ris_zf.csv"):
+        assert (out / name).stat().st_size > 0, name
+    rows = (out / "summary.csv").read_text().strip().split("\n")
+    assert len(rows) == 1 + 2 * 3  # both schemes under the three rules
 
 
 def test_run_reads_config_file_and_set_overrides_it(tmp_path):
@@ -83,78 +85,129 @@ def test_run_flagged_failures_exit_three(tmp_path, monkeypatch):
     assert code == 3
 
 
-def test_config_errors_exit_two(tmp_path, capsys):
-    assert main(["run", "--set", "no_such_key=1"]) == 2
-    assert main(["run", "--set", "malformed"]) == 2
-    assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
-    assert main(["run", *FAST, "--trials", "0"]) == 2
-    assert main(["run", *FAST, "--threads", "0"]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err
-    # no wavelength to derive from: a config error, not a ZeroDivisionError
-    assert main(["validate", "--set", "carrier_frequency=inf"]) == 2
-    assert capsys.readouterr().err == (
-        "config error: key 'carrier_frequency': expected a finite number, got 'inf'\n")
+def _row(name, argv, code, error="", cfg=None):
+    return pytest.param(argv, cfg, code, error, id=name)
+
+
+def _derived(key, what):
+    return f"key '{key}': gives {what}, which must be positive and finite"
+
+
+# The CLI's exit-code contract: (argv, config-file bytes, exit code, the
+# config error that is the whole of stderr, none for exit 0). "{cfg}" is
+# a file holding the bytes (no file when they are None) and "{out}" an
+# output directory no row may make.
+EXIT_CODES = [
+    _row("unknown_key", ["run", "--set", "no_such_key=1"], 2, "--set:1: unknown key 'no_such_key'"),
+    _row("unknown_key_position", ["validate", "--set", "m=32", "--set", "bogus=1"], 2,
+         "--set:2: unknown key 'bogus'"),
+    # csi_tau is the CSI-error knob; the old key is rejected, not ignored
+    _row("removed_estimation_error_fraction",
+         ["run", *FAST, "--trials", "1", "--set", "estimation_error_fraction=0.5", "--out", "{out}"],
+         2, "--set:5: unknown key 'estimation_error_fraction'"),
+    _row("malformed_set", ["run", "--set", "malformed"], 2, "--set:1: expected key=value, got 'malformed'"),
+    _row("missing_config_file", ["run", "--config", "{cfg}"], 2,
+         "cannot read config file '{cfg}': [Errno 2] No such file or directory: '{cfg}'"),
+    _row("config_not_utf8", ["validate", "--config", "{cfg}"], 2,
+         "config file '{cfg}' is not UTF-8: undecodable byte at offset 6", cfg=b"m=8\nn=\xff\xfe4\n"),
+    _row("config_not_utf8_at_start", ["validate", "--config", "{cfg}"], 2,
+         "config file '{cfg}' is not UTF-8: undecodable byte at offset 0", cfg=b"\xff\xfem=8\n"),
+    _row("zero_trials", ["run", *FAST, "--trials", "0"], 2, "key 'trials': 0 below minimum 1"),
+    _row("zero_threads", ["run", *FAST, "--threads", "0"], 2, "key 'threads': 0 below minimum 1"),
+    _row("negative_seed_flag", ["run", *FAST, "--trials", "1", "--seed", "-1", "--out", "{out}"], 2,
+         "key 'master_seed': -1 below minimum 0"),
+    _row("negative_seed_set",
+         ["run", *FAST, "--trials", "1", "--set", "master_seed=-3", "--out", "{out}"], 2,
+         "key 'master_seed': -3 below minimum 0"),
+    _row("out_under_a_regular_file",
+         ["run", "--trials", "2", "--set", "sweep_m=64", "--set", "sweep_n=4", "--out", "{cfg}/out"],
+         2, "[Errno 20] Not a directory: '{cfg}/out'", cfg=b""),
+    # a key set twice, in one file, by --set or by --set and a run flag
+    _row("repeated_config_key_run", ["run", "--config", "{cfg}", "--out", "{out}"], 2,
+         "{cfg}:3: key 'trials' repeated (first set on line 1)",
+         cfg=b"trials = 2\nsweep_m = 16\ntrials = 3\n"),
+    _row("repeated_config_key_validate", ["validate", "--config", "{cfg}"], 2,
+         "{cfg}:3: key 'trials' repeated (first set on line 1)",
+         cfg=b"trials = 2\nsweep_m = 16\ntrials = 3\n"),
+    _row("repeated_config_key_adjacent", ["run", "--config", "{cfg}", "--out", "{out}"], 2,
+         "{cfg}:2: key 'trials' repeated (first set on line 1)", cfg=b"trials = 2\ntrials = 3\n"),
+    # --set after --config still overrides a key the file sets once
+    _row("set_overrides_config_key", ["validate", "--config", "{cfg}", "--set", "trials=3"], 0,
+         cfg=b"trials = 2\nsweep_m = 16\n"),
+    # keys are lower-cased before the check, so TRIALS repeats trials
+    _row("repeated_set_key_run",
+         ["run", "--out", "{out}", "--set", "trials=2", "--set", "m=32", "--set", "TRIALS=3"], 2,
+         "--set:3: key 'trials' repeated (first set by --set 1)"),
+    _row("repeated_set_key_validate",
+         ["validate", "--set", "trials=2", "--set", "m=32", "--set", "TRIALS=3"], 2,
+         "--set:3: key 'trials' repeated (first set by --set 1)"),
+    _row("repeated_set_key_adjacent", ["validate", "--set", "trials=2", "--set", "trials=3"], 2,
+         "--set:2: key 'trials' repeated (first set by --set 1)"),
+    _row("repeated_set_dimension", ["validate", "--set", "m=8", "--set", "m=64"], 2,
+         "--set:2: key 'm' repeated (first set by --set 1)"),
+    _row("trials_flag_clashes_with_set",
+         ["run", "--set", "trials=2", "--trials", "3", "--out", "{out}"], 2,
+         "--trials: key 'trials' repeated (first set by --set 1)"),
+    _row("seed_flag_clashes_with_set",
+         ["run", "--set", "m=32", "--set", "master_seed=4", "--seed", "4", "--out", "{out}"], 2,
+         "--seed: key 'master_seed' repeated (first set by --set 2)"),
+    _row("out_flag_clashes_with_set", ["run", "--set", "output_dir={out}", "--out", "{out}"], 2,
+         "--out: key 'output_dir' repeated (first set by --set 1)"),
+    # keys the configured scenario never reads
+    _row("total_power_under_paper_literal", ["validate", "--set", "total_power=2"], 2,
+         "key 'total_power': has no effect under power_mode=paper_literal"),
+    _row("grid_cols_under_iid",
+         ["validate", "--set", "correlation_model=iid", "--set", "grid_cols=2"], 2,
+         "key 'grid_cols': has no effect under correlation_model=iid"),
+    _row("spacing_under_iid_with_area",
+         ["validate", "--set", "correlation_model=iid", "--set", "element_spacing=0.05",
+          "--set", "element_area=0.01"], 2,
+         "key 'element_spacing': has no effect under correlation_model=iid when element_area is set"),
+    _row("total_power_under_sum_power",
+         ["validate", "--set", "power_mode=sum_power_normalized", "--set", "total_power=2"], 0),
+    # a number that is not finite: a config error, not a traceback or NaN rates
+    _row("carrier_frequency_inf", ["validate", "--set", "carrier_frequency=inf"], 2,
+         "key 'carrier_frequency': expected a finite number, got 'inf'"),
+    _row("total_power_inf",
+         ["validate", "--set", "power_mode=sum_power_normalized", "--set", "total_power=inf"], 2,
+         "key 'total_power': expected a finite number, got 'inf'"),
     # finite numbers whose derived values overflow or underflow to 0 (the
     # wavelength, the element area, mu * A, the noise variance): a config
     # error naming the key that was set, not a traceback or a derived key
-    for item in ("carrier_frequency=1e200", "carrier_frequency=1e-300", "element_spacing=1e200",
-                 "attenuation_mu_lambda2_db=4000", "attenuation_mu_lambda2_db=-4000",
-                 "noise_psd_dbm_hz=4000", "noise_psd_dbm_hz=-4000"):
-        assert main(["validate", "--set", item]) == 2, item
-        err = capsys.readouterr().err
-        key = item.split("=")[0]
-        assert err.startswith(f"config error: key '{key}': gives "), err
-        assert "must be positive and finite" in err and err.count("\n") == 1
+    _row("carrier_frequency_1e200", ["validate", "--set", "carrier_frequency=1e200"], 2,
+         _derived("carrier_frequency", "element_area = 0.0")),
+    _row("carrier_frequency_1e-300", ["validate", "--set", "carrier_frequency=1e-300"], 2,
+         _derived("carrier_frequency", "element_spacing = inf")),
+    _row("element_spacing_1e200", ["validate", "--set", "element_spacing=1e200"], 2,
+         _derived("element_spacing", "element_area = inf")),
+    _row("attenuation_4000", ["validate", "--set", "attenuation_mu_lambda2_db=4000"], 2,
+         _derived("attenuation_mu_lambda2_db", "mu * element_area = inf")),
+    _row("attenuation_-4000", ["validate", "--set", "attenuation_mu_lambda2_db=-4000"], 2,
+         _derived("attenuation_mu_lambda2_db", "mu * element_area = 0.0")),
+    _row("noise_psd_4000", ["validate", "--set", "noise_psd_dbm_hz=4000"], 2,
+         _derived("noise_psd_dbm_hz", "noise variance = inf")),
+    _row("noise_psd_-4000", ["validate", "--set", "noise_psd_dbm_hz=-4000"], 2,
+         _derived("noise_psd_dbm_hz", "noise variance = 0.0")),
+    _row("complexity_table",
+         ["complexity", "--M", "8..16..8", "--N", "1,4", "--K", "4", "--U_b", "4", "--U_d", "2"], 0),
+]
 
 
-def test_repeated_config_key_exits_two(tmp_path, capsys):
-    cfg = tmp_path / "dup.cfg"
-    cfg.write_text("trials = 2\nsweep_m = 16\ntrials = 3\n")
-    for argv in (["run", "--config", str(cfg), "--out", str(tmp_path / "o")],
-                 ["validate", "--config", str(cfg)]):
-        assert main(argv) == 2
-        assert "dup.cfg:3: key 'trials' repeated (first set on line 1)" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-    # --set after --config still overrides a key the file sets once
-    cfg.write_text("trials = 2\nsweep_m = 16\n")
-    assert main(["validate", "--config", str(cfg), "--set", "trials=3"]) == 0
+@pytest.mark.parametrize("argv, cfg_bytes, code, error", EXIT_CODES)
+def test_exit_code_and_stderr(argv, cfg_bytes, code, error, tmp_path, capsys, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
 
-
-def test_repeated_set_key_exits_two_before_any_trial(tmp_path, capsys, monkeypatch):
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("a trial ran with a repeated --set key")
-
-    monkeypatch.setattr(cli, "run_sweep", no_sweep)
-    out = tmp_path / "o"
-    repeated = "--set:3: key 'trials' repeated (first set by --set 1)"
-    for command in (["run", "--out", str(out)], ["validate"]):
-        # keys are lower-cased before the check, so TRIALS repeats trials
-        argv = [*command, "--set", "trials=2", "--set", "m=32", "--set", "TRIALS=3"]
-        assert main(argv) == 2
-        assert f"config error: {repeated}" in capsys.readouterr().err
-    assert not out.exists()
-    assert main(["validate", "--set", "m=8", "--set", "m=64"]) == 2
-    assert "--set:2: key 'm' repeated (first set by --set 1)" in capsys.readouterr().err
-
-
-def test_run_flag_clashing_with_set_exits_two_before_any_trial(tmp_path, capsys, monkeypatch):
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("a trial ran with a flag and a --set of one key")
-
-    monkeypatch.setattr(cli, "run_sweep", no_sweep)
-    out = tmp_path / "o"
-    for argv, clash in (
-        (["--set", "trials=2", "--trials", "3", "--out", str(out)],
-         "--trials: key 'trials' repeated (first set by --set 1)"),
-        (["--set", "m=32", "--set", "master_seed=4", "--seed", "4", "--out", str(out)],
-         "--seed: key 'master_seed' repeated (first set by --set 2)"),
-        (["--set", f"output_dir={out}", "--out", str(out)],
-         "--out: key 'output_dir' repeated (first set by --set 1)"),
-    ):
-        assert main(["run", *argv]) == 2
-        assert f"config error: {clash}" in capsys.readouterr().err
-    assert not out.exists()
+    monkeypatch.setattr(harness, "run_point", no_trial)
+    # the default output_dir is relative: a row that made it would make it here
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "row.cfg"
+    if cfg_bytes is not None:
+        cfg.write_bytes(cfg_bytes)
+    paths = {"cfg": str(cfg), "out": str(tmp_path / "o")}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    assert capsys.readouterr().err == (f"config error: {error.format(**paths)}\n" if error else "")
+    assert [p.name for p in tmp_path.iterdir()] == ([] if cfg_bytes is None else [cfg.name])
 
 
 def test_run_flag_overrides_a_config_file_key(tmp_path):
@@ -164,11 +217,6 @@ def test_run_flag_overrides_a_config_file_key(tmp_path):
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--trials", "1", "--out", str(out)]) == 0
     assert len((out / "trials.csv").read_text().strip().split("\n")) == 2
-
-
-def test_unknown_set_key_names_its_position(capsys):
-    assert main(["validate", "--set", "m=32", "--set", "bogus=1"]) == 2
-    assert "config error: --set:2: unknown key 'bogus'" in capsys.readouterr().err
 
 
 def test_set_value_keeps_its_hash(tmp_path):
@@ -186,15 +234,6 @@ def test_unreadable_config_and_uncreatable_output_dir_name_the_path(tmp_path, ca
     out = blocker / "a" / "o"  # makedirs stops at the missing parent
     assert main(["run", *FAST, "--trials", "1", "--out", str(out)]) == 2
     assert f"Not a directory: {str(out)!r}" in capsys.readouterr().err
-
-
-def test_config_file_that_is_not_utf8_exits_two(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_bytes(b"m=8\nn=\xff\xfe4\n")
-    assert main(["validate", "--config", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert f"config error: config file {str(bad)!r} is not UTF-8" in err
-    assert "at offset 6" in err
 
 
 def test_write_failure_after_the_sweep_is_not_a_config_error(tmp_path, monkeypatch):
@@ -215,22 +254,6 @@ def test_unwritable_output_dir_exits_two_before_the_sweep(tmp_path, capsys, monk
     blocker.write_text("")
     assert main(["run", *FAST, "--trials", "1", "--out", str(blocker / "o")]) == 2
     assert "config error: [Errno 20] Not a directory" in capsys.readouterr().err
-
-
-def test_negative_seed_is_a_config_error(tmp_path, capsys):
-    out = str(tmp_path / "o")
-    assert main(["run", *FAST, "--trials", "1", "--seed", "-1", "--out", out]) == 2
-    assert main(["run", *FAST, "--trials", "1", "--set", "master_seed=-3",
-                 "--out", out]) == 2
-    assert "'master_seed'" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
-def test_removed_estimation_error_fraction_key_exits_two(tmp_path, capsys):
-    code = main(["run", *FAST, "--trials", "1", "--set",
-                 "estimation_error_fraction=0.5", "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "unknown key 'estimation_error_fraction'" in capsys.readouterr().err
 
 
 def test_validate_good_and_bad_configs(tmp_path, capsys):
@@ -264,18 +287,6 @@ def test_validate_takes_set_without_config(capsys):
                  "--set", "schemes=bs_ue_zf"]) == 2
     assert "[FAIL] ues_per_ris_within_n" in capsys.readouterr().out
     assert main(["validate"]) == 0  # the all-defaults scenario
-
-
-def test_keys_without_effect_exit_two(capsys):
-    for sets, key in (
-        (["total_power=2"], "total_power"),
-        (["correlation_model=iid", "grid_cols=2"], "grid_cols"),
-        (["correlation_model=iid", "element_spacing=0.05", "element_area=0.01"], "element_spacing"),
-    ):
-        assert main(["validate", *(a for item in sets for a in ("--set", item))]) == 2
-        assert f"config error: key '{key}': has no effect" in capsys.readouterr().err
-    assert main(["validate", "--set", "power_mode=sum_power_normalized",
-                 "--set", "total_power=2"]) == 0
 
 
 def test_validate_lists_the_points_run_would_skip(tmp_path, capsys):
@@ -340,12 +351,14 @@ def test_complexity_range_validation(capsys):
 
 def test_module_entry_point_runs_as_subprocess(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "riszf.cli", "complexity", "--M", "8", "--N", "1"],
+        [sys.executable, "-m", "riszf.cli", "complexity", "--M", "8..16..8", "--N", "1,4",
+         "--K", "4", "--U_b", "4", "--U_d", "2"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
-    assert proc.stdout.startswith("M,N,count_bs_ue_zf,count_bs_ris_zf")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "M,N,count_bs_ue_zf,count_bs_ris_zf" and len(lines) == 1 + 2 * 2
 
 
 def test_closed_pipe_exits_one_without_a_traceback():

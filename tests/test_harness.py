@@ -357,7 +357,8 @@ def test_runconfig_with_no_schemes_yields_empty_grid():
 
 
 def _blas_threads():
-    return tuple(get() for get, _ in harness._openblas_thread_controls())
+    get_threads, _ = harness._openblas_thread_controls()
+    return get_threads()
 
 
 def _blas_threads_in_worker(args):
@@ -369,22 +370,20 @@ def _blas_threads_in_worker(args):
 def openblas_at_two_threads():
     """numpy's bundled OpenBLAS set to 2 threads; the count is restored after."""
     controls = harness._openblas_thread_controls()
-    if not controls:
+    if controls is None:
         pytest.skip("numpy bundles no OpenBLAS here; run_sweep leaves "
                     "other BLAS builds alone")
-    saved = [get() for get, _ in controls]
-    for _, set_threads in controls:
-        set_threads(2)
-    assert _blas_threads() == (2,) * len(controls)
-    yield len(controls)
-    for (_, set_threads), n in zip(controls, saved):
-        set_threads(n)
+    get_threads, set_threads = controls
+    saved = get_threads()
+    set_threads(2)
+    assert _blas_threads() == 2
+    yield
+    set_threads(saved)
 
 
 def test_serial_sweep_runs_on_one_blas_thread_and_restores_the_count(
     openblas_at_two_threads, monkeypatch
 ):
-    n_builds = openblas_at_two_threads
     seen = []
     real = harness.run_point
 
@@ -396,8 +395,8 @@ def test_serial_sweep_runs_on_one_blas_thread_and_restores_the_count(
     cfg, ch, run = _configs({"sweep_m": "16", "sweep_n": "1"})
     summary = run_sweep(run, cfg, ch)
     assert len(seen) == len(summary.points) == 6
-    assert all(s == (1,) * n_builds for s in seen)
-    assert _blas_threads() == (2,) * n_builds
+    assert all(s == 1 for s in seen)
+    assert _blas_threads() == 2
 
 
 def test_serial_sweep_restores_blas_threads_when_a_point_raises(
@@ -410,18 +409,17 @@ def test_serial_sweep_restores_blas_threads_when_a_point_raises(
     cfg, ch, run = _configs({"sweep_m": "16", "sweep_n": "1"})
     with pytest.raises(RuntimeError, match="forced point failure"):
         run_sweep(run, cfg, ch)
-    assert _blas_threads() == (2,) * openblas_at_two_threads
+    assert _blas_threads() == 2
 
 
 def test_pool_workers_run_on_one_blas_thread(openblas_at_two_threads, monkeypatch):
     # workers start from a parent at 2 threads, so only the pool's
     # initializer can bring them to 1
-    n_builds = openblas_at_two_threads
     monkeypatch.setattr(harness, "_run_point_star", _blas_threads_in_worker)
     cfg, ch, run = _configs({"sweep_m": "16", "sweep_n": "1"})
     summary = run_sweep(replace(run, threads=2), cfg, ch)
-    assert summary.points == ((1,) * n_builds,) * 6
-    assert _blas_threads() == (2,) * n_builds
+    assert summary.points == (1,) * 6
+    assert _blas_threads() == 2
 
 
 _FAULTS_AFTER_PIN = """

@@ -202,12 +202,21 @@ BAD_FIELDS = [
     (0, "U_d", -1, "'u_d': -1 below minimum 0"),
     (0, "noise_variance_blocked", (1e-13,) * 3, "'noise_variance_blocked': expected 4 entries, got 3"),
     (0, "noise_variance_direct", (1e-13,), "'noise_variance_direct': expected 2 entries, got 1"),
-    (0, "noise_variance_direct", (1e-13, 0.0), "noise variances must be strictly positive"),
+    (0, "noise_variance_direct", (1e-13, 0.0), "'noise_variance_direct': must be positive, got 0.0"),
+    (0, "noise_variance_blocked", (1e-13, math.inf, 1e-13, 1e-13),
+     "'noise_variance_blocked': gives noise_variance_blocked = inf, which must be positive"),
     (0, "total_power", -1.0, "'total_power': must be positive, got -1.0"),
+    (0, "total_power", math.inf, "'total_power': gives total_power = inf, which must be positive"),
     (0, "power_mode", "both", "'power_mode': 'both' not in"),
     (1, "carrier_frequency", 0.0, "'carrier_frequency': must be positive"),
     (1, "element_spacing", -0.01, "'element_spacing': must be positive"),
     (1, "element_area", 0.0, "'element_area': must be positive"),
+    (1, "element_area", math.inf, "'element_area': gives element_area = inf"),
+    # mu * A, which the BS-RIS links carry, overflows or underflows to 0
+    (1, "attenuation_mu_lambda2_db", 4000.0,
+     r"'attenuation_mu_lambda2_db': gives mu \* element_area = inf, which must be positive"),
+    (1, "attenuation_mu_lambda2_db", -4000.0,
+     r"'attenuation_mu_lambda2_db': gives mu \* element_area = 0.0, which must be positive"),
     (1, "grid_cols", 0, "'grid_cols': 0 below minimum 1"),
     (1, "direct_link_variance", math.nan, "'direct_link_variance': must be positive, got nan"),
     (1, "ris_ue_link_variance", 0.0, "'ris_ue_link_variance': must be positive"),
@@ -361,7 +370,7 @@ def test_noise_lists_share_one_rule(key, count_keys):
     assert getattr(cfg, key) == (1e-13, 2e-13, 3e-13)
     with pytest.raises(ConfigError, match=f"key '{key}': expected 3 entries, got 2"):
         build_configs({**count_keys, key: "1e-13,2e-13"})
-    with pytest.raises(ConfigError, match="strictly positive"):
+    with pytest.raises(ConfigError, match=f"key '{key}': must be positive, got 0.0"):
         build_configs({**count_keys, key: "0"})
 
 
