@@ -16,7 +16,8 @@ Results merge deterministically by grid-point position, so serial and
 parallel runs emit byte-identical files.
 
 Every CSV cell the sweep writes follows one rule (`_csv_cell`), and a
-trials.csv row is a `TrialResult`'s fields in declaration order.
+summary.csv or trials.csv row is a `PointSummary`'s or `TrialResult`'s
+fields in declaration order.
 
 Every sweep process runs numpy's bundled OpenBLAS on one thread, so the
 process pool (`threads`) is the sweep's only parallelism. The sweep's BLAS
@@ -71,12 +72,6 @@ STATUS_FLAGGED = "flagged"
 
 FAILURE_FLAG_FRACTION = 0.2
 
-# `PointSummary`'s fields in order, except that its `tau` is the csi_tau
-# column: a literal, as readers of the record use the name `tau`
-SUMMARY_CSV_HEADER = (
-    "scheme,phase_rule,M,N,csi_tau,status,trials,failures,"
-    "mean_sum_rate,stderr_sum_rate,analytic_sum_rate,analytic_stderr,note"
-)
 PLOTDATA_CSV_HEADER = "curve,M,mean_rate,stderr"
 
 
@@ -106,6 +101,12 @@ class PointSummary:
     analytic_sum_rate: float
     analytic_stderr: float
     note: str = ""
+
+
+# a summary.csv row is a `PointSummary`'s fields in order, `tau` written as csi_tau
+SUMMARY_CSV_HEADER = ",".join(
+    "csi_tau" if f.name == "tau" else f.name for f in fields(PointSummary)
+)
 
 
 @dataclass

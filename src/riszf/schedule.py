@@ -156,14 +156,3 @@ def schedule(table: ProbeTable, params: ScheduleParams) -> ScheduleOutcome:
         idx = int(np.argmax(ris_first))
         assignment[u] = idx + 1 if idx < K else DIRECT_STATE
     return ScheduleOutcome(scheduled=tuple(chosen), assignment=assignment)
-
-
-def probe_table_csv(table: ProbeTable) -> str:
-    """Render the probe table with one row per UE and one column per state."""
-    K = table.n_states - 1
-    header = "ue_id," + ",".join(f"state_{s}" for s in range(K + 1))
-    lines = [header]
-    for u in range(table.n_candidates):
-        cells = ",".join(repr(float(p)) for p in table.powers[:, u])
-        lines.append(f"{u},{cells}")
-    return "\n".join(lines) + "\n"

@@ -587,52 +587,6 @@ def load_config(path: str) -> tuple[SystemConfig, ChannelModelConfig, RunConfig]
     return build_configs(read_config(path))
 
 
-def serialize_configs(
-    cfg: SystemConfig, ch: ChannelModelConfig, run: RunConfig
-) -> str:
-    """Render configs back into the flat key=value format.
-
-    Resolved numeric values are written with full precision so that a
-    load -> serialize -> load round trip reproduces identical fields.
-    """
-
-    def fmt(v: float) -> str:
-        return repr(float(v))
-
-    lines = ["# system", f"m={cfg.M}", f"n={cfg.N}", f"k={cfg.K}",
-             "l=" + ",".join(str(l) for l in cfg.L), f"u_d={cfg.U_d}", f"power_mode={cfg.power_mode}"]
-    if cfg.power_mode != "paper_literal":  # the literal mode reads no power budget
-        lines.append(f"total_power={fmt(cfg.total_power)}")
-    lines.append("noise_variance_blocked=" + ",".join(fmt(v) for v in cfg.noise_variance_blocked))
-    if cfg.U_d:  # an empty list does not parse; U_d = 0 loads as no variances
-        lines.append("noise_variance_direct=" + ",".join(fmt(v) for v in cfg.noise_variance_direct))
-    lines += ["# channel model", f"carrier_frequency={fmt(ch.carrier_frequency)}"]
-    # iid reads the spacing only as the default area's source: write one
-    derived_area = ch.element_area == ch.element_spacing**2
-    if ch.correlation_model != "iid" or derived_area:
-        lines.append(f"element_spacing={fmt(ch.element_spacing)}")
-    if ch.correlation_model != "iid" or not derived_area:
-        lines.append(f"element_area={fmt(ch.element_area)}")
-    lines += [
-        f"attenuation_mu_lambda2_db={fmt(ch.attenuation_mu_lambda2_db)}",
-        "grid_cols=" + ("auto" if ch.grid_cols is None else str(ch.grid_cols)),
-        f"direct_link_variance={fmt(ch.direct_link_variance)}",
-        f"ris_ue_link_variance={fmt(ch.ris_ue_link_variance)}",
-        f"correlation_model={ch.correlation_model}",
-        "# run",
-        "sweep_m=" + ",".join(str(m) for m in run.sweep_M),
-        "sweep_n=" + ",".join(str(n) for n in run.sweep_N),
-        "schemes=" + ",".join(run.schemes),
-        "phase_rules=" + ",".join(run.phase_rules),
-        f"trials={run.trials}",
-        f"master_seed={run.master_seed}",
-        "csi_tau=" + ",".join(fmt(t) for t in run.csi_tau),
-        f"output_dir={run.output_dir}",
-        f"threads={run.threads}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def default_configs() -> tuple[SystemConfig, ChannelModelConfig, RunConfig]:
     """The all-defaults scenario (K=4, U_d=2, one blocked UE per RIS)."""
     return build_configs({})

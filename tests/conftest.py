@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,3 +29,21 @@ def selftest_grid():
         ):
             return ast.literal_eval(node.value)
     raise AssertionError("perfbench/run.py defines no SELFTEST_GRID")
+
+
+@pytest.fixture(scope="session")
+def modules_after_import():
+    """The modules loaded by `import riszf, riszf.harness, riszf.cli` in a
+    fresh interpreter, as one subprocess shared by every import check."""
+    import riszf
+
+    code = "import sys, riszf, riszf.harness, riszf.cli\nprint('\\n'.join(sorted(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(riszf.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return proc.stdout.split()

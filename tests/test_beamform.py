@@ -1,15 +1,11 @@
 """Zero-forcing construction: exact nulling, targets, rank, power scaling."""
 
-import os
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-import riszf
 import riszf.beamform as beamform
 import riszf.metrics as metrics
 from riszf.beamform import (
@@ -169,20 +165,8 @@ def test_right_inverse_agrees_with_pinv_and_nulls_as_well_as_cholesky(shape):
             assert max(ours) < 1e-10
 
 
-def test_importing_riszf_loads_no_scipy():
-    code = (
-        "import sys, riszf, riszf.harness, riszf.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    src = os.path.dirname(os.path.dirname(riszf.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert proc.stdout.strip() == "[]"
+def test_importing_riszf_loads_no_scipy(modules_after_import):
+    assert [m for m in modules_after_import if m.split(".")[0] == "scipy"] == []
 
 
 def test_right_inverse_bit_identical_on_both_stacks():

@@ -188,6 +188,14 @@ EXIT_CODES = [
          _derived("noise_psd_dbm_hz", "noise variance = inf")),
     _row("noise_psd_-4000", ["validate", "--set", "noise_psd_dbm_hz=-4000"], 2,
          _derived("noise_psd_dbm_hz", "noise variance = 0.0")),
+    _row("integer_key_not_an_integer", ["validate", "--set", "m=abc"], 2,
+         "key 'm': expected integer, got 'abc'"),
+    # the complexity command's dimension lists and ranges
+    _row("range_with_four_parts", ["complexity", "--M", "8..16..4..2", "--N", "4"], 2,
+         "bad range '8..16..4..2'; expected a..b or a..b..step"),
+    _row("range_bounds_not_integers", ["complexity", "--M", "a..b", "--N", "4"], 2,
+         "bad range 'a..b'; bounds must be integers"),
+    _row("list_without_values", ["complexity", "--M", ",", "--N", "4"], 2, "bad list ','; no values"),
     _row("complexity_table",
          ["complexity", "--M", "8..16..8", "--N", "1,4", "--K", "4", "--U_b", "4", "--U_d", "2"], 0),
 ]

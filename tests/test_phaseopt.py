@@ -11,7 +11,7 @@ import riszf.beamform as beamform
 import riszf.phaseopt as phaseopt
 from riszf.beamform import bs_ris_zf_precoder, bs_ue_zf_precoder
 from riszf.channel import complex_normal, correlation_matrix, sample_channels, spawn_rng
-from riszf.harness import run_sweep
+from riszf.harness import TRIAL_CSV_HEADER, enumerate_grid, run_point, run_sweep, trial_csv_row
 from riszf.phaseopt import (
     UndefinedPhaseError,
     _gradient_hessian,
@@ -498,6 +498,38 @@ def test_asymptotic_config_reports_residual_and_iterations():
         c = h.conj() * (R @ (np.exp(-1j * phases[k]) * h))
         again = wrap_phase(-np.angle(c))
         assert np.max(np.abs(wrap_phase(again - phases[k]))) <= 1e-8
+
+
+def test_fixed_point_stopped_at_its_cap_reports_not_converged(monkeypatch):
+    # two updates from zeros leave every row short of the tolerance on a
+    # default draw: the residual is that of one more update, not the
+    # last one taken, and the sweep writes the trial as not converged
+    monkeypatch.setattr(phaseopt, "FIXED_POINT_MAX_ITER", 2)
+    cfg, ch, _ = build_configs({"m": "64", "n": "8"})
+    chs = sample_channels(cfg, ch, spawn_rng(0, 0))
+    phases, art = asymptotic_phase_config_bs_ue_zf(chs)
+    assert (art.iterations, art.converged) == (2, False)
+    c = chs.h_b.conj() * (chs.R @ (np.exp(-1j * phases) * chs.h_b).T).T
+    again = np.abs(wrap_phase(-np.angle(c) - phases)).max()
+    assert art.fixed_point_residual == pytest.approx(again, rel=1e-12)
+
+    cfg, ch, run = build_configs({"sweep_m": "64", "sweep_n": "8", "schemes": "bs_ue_zf",
+                                  "phase_rules": "asymptotic", "trials": "2"})
+    summary, results = run_point(enumerate_grid(run)[0], cfg, ch, run)
+    assert (summary.trials, summary.failures) == (2, 0)
+    columns = TRIAL_CSV_HEADER.split(",")
+    for r in results:
+        row = dict(zip(columns, trial_csv_row(r).split(",")))
+        assert (row["phase_iterations"], row["phase_converged"]) == ("2", "0")
+
+
+def test_alternating_update_zero_alignment_names_ris_and_element():
+    cfg, ch, _ = build_configs({"m": "64", "n": "8"})
+    chs = sample_channels(cfg, ch, spawn_rng(0, 0))
+    chs.h_b[2, 5] = 0.0
+    with pytest.raises(UndefinedPhaseError) as exc:
+        optimal_phases_bs_ue_zf(chs, random_phases(cfg, 1))
+    assert (exc.value.ris, exc.value.element) == (2, 5)
 
 
 def test_eigh_seam_is_numpy_eigh_bit_for_bit():

@@ -11,7 +11,6 @@ from riszf.schedule import (
     ScheduleParams,
     candidate_channels_from_set,
     probe_powers,
-    probe_table_csv,
     schedule,
 )
 from riszf.sysconfig import build_configs
@@ -163,13 +162,3 @@ def test_candidate_pool_from_sampled_set():
     row = chs.h_block(1, 0).conj() @ chs.H[1].conj().T
     assert table.powers[2, 1] == pytest.approx(np.linalg.norm(row) ** 2 / 8)
     assert table.powers[0, 1] == 0.0
-
-
-def test_probe_table_csv_golden():
-    t = _table([[0.25, 0.5], [1.0, 0.125]])
-    text = probe_table_csv(t)
-    assert text == (
-        "ue_id,state_0,state_1\n"
-        "0,0.25,0.5\n"
-        "1,1.0,0.125\n"
-    )
