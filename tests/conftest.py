@@ -7,16 +7,33 @@ from pathlib import Path
 import pytest
 
 
-@pytest.fixture
-def block_scipy(monkeypatch):
-    """A function that makes every later `import scipy...` in the test
-    raise ImportError, scipy's already loaded modules included."""
+@pytest.fixture(autouse=True)
+def scipy_unimportable(monkeypatch):
+    """Every test runs with `import scipy...` raising ImportError, scipy's
+    already loaded modules included: riszf needs numpy alone. Test modules
+    keep the scipy objects they imported at collection time, so scipy still
+    serves them as a reference."""
+    loaded = {m: sys.modules[m] for m in list(sys.modules) if m.split(".")[0] == "scipy"}
+    for name in [*loaded, "scipy"]:
+        monkeypatch.setitem(sys.modules, name, None)
+    return loaded
 
-    def block():
-        for name in [m for m in sys.modules if m.split(".")[0] == "scipy"] + ["scipy"]:
-            monkeypatch.setitem(sys.modules, name, None)
 
-    return block
+@pytest.fixture(params=["bundled"])
+def lapack_route(request, monkeypatch, scipy_unimportable):
+    """The LAPACK a test's linear algebra could reach. "bundled" checks
+    that scipy cannot be imported, so only the LAPACK that numpy bundles
+    can serve the test; "scipy" loads scipy's modules again, for the tests
+    that show the right inverse and its bounds take the same numpy.linalg
+    route with scipy.linalg in the process."""
+    if request.param == "scipy":
+        for name, module in scipy_unimportable.items():
+            monkeypatch.setitem(sys.modules, name, module)
+        import scipy.linalg  # noqa: F401
+    else:
+        with pytest.raises(ImportError):
+            import scipy.linalg  # noqa: F401
+    return request.param
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from riszf.beamform import (
     stack_bs_ris,
     stack_bs_ue,
 )
-from riszf.channel import complex_normal, sample_channels, spawn_rng
+from riszf.channel import complex_normal, spawn_rng
 from riszf.harness import emit_outputs, run_sweep
 from riszf.metrics import complexity_counts, rank_diagnostics, sinr_bs_ris_zf
 from riszf.phaseopt import (
@@ -30,6 +30,7 @@ from riszf.phaseopt import (
 )
 from riszf.schedule import ProbeTable, ScheduleParams, schedule
 from riszf.sysconfig import build_configs, default_configs
+from support import UNIT_SCALE, draw
 
 NULLING_TOL = 1e-9
 GRID_REL_TOL = 1e-3
@@ -38,13 +39,6 @@ TRACKING_REL_TOL = 0.02
 ANALYTIC_SE_FACTOR = 2.0
 CI_Z = 1.96
 
-_LAMBDA = 299_792_458.0 / 1.8e9
-UNIT_SCALE = {
-    "attenuation_mu_lambda2_db": "0.0",
-    "element_area": str(_LAMBDA * _LAMBDA),
-    "ris_ue_link_variance": "1.0",
-    "direct_link_variance": "1.0",
-}
 UNIT_NOISE = {
     "noise_variance_blocked": "1.0",
     "noise_variance_direct": "1.0",
@@ -57,18 +51,11 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _unit_draw(overrides, seed):
-    kv = dict(UNIT_SCALE)
-    kv.update(overrides)
-    cfg, ch, _ = build_configs(kv)
-    return sample_channels(cfg, ch, spawn_rng(seed, 0))
-
-
 def test_criterion_01_ue_side_nulling():
     t0 = time.time()
     worst = 0.0
     for i in range(100):
-        chs = _unit_draw({"m": "32"}, seed=100 + i)
+        chs = draw({"m": "32"}, seed=100 + i)
         phases = random_phases(chs.cfg, seed=1100 + i)
         W = bs_ue_zf_precoder(chs, phases)
         E = stack_bs_ue(chs, phases) @ W - np.eye(6)
@@ -83,7 +70,7 @@ def test_criterion_02_ris_side_constraints():
     t0 = time.time()
     worst = 0.0
     for i in range(100):
-        chs = _unit_draw({"m": "40"}, seed=200 + i)
+        chs = draw({"m": "40"}, seed=200 + i)
         W = bs_ris_zf_precoder(chs)
         cfg = chs.cfg
         target = gamma_matrix(cfg.N, cfg.K, cfg.U_d)
@@ -102,7 +89,7 @@ def test_criterion_03_phase_grid_oracle():
     worst_closed = 0.0
     worst_fixed = 0.0
     for s in range(20):
-        chs = _unit_draw(kv, seed=300 + s)
+        chs = draw(kv, seed=300 + s)
         cfg = chs.cfg
         sigma2 = cfg.noise_variance_blocked[0]
 
@@ -237,9 +224,8 @@ def test_criterion_07_complexity_orders():
 
 def test_criterion_08_stack_rank_bound():
     t0 = time.time()
-    cfg, ch, _ = build_configs({"m": "32", "k": "3"})
-    base = sample_channels(cfg, ch, spawn_rng(800, 0))
-    N, K, M = cfg.N, cfg.K, cfg.M
+    base = draw({"m": "32", "k": "3"}, seed=800, unit=False)
+    N, K, M = base.cfg.N, base.cfg.K, base.cfg.M
     violations = 0
     slack = 0
     for i in range(200):

@@ -20,38 +20,18 @@ from riszf.beamform import (
     stack_bs_ris,
     stack_bs_ue,
 )
-from riszf.channel import sample_channels, spawn_rng
+from riszf.channel import spawn_rng
 from riszf.metrics import rank_q2
 from riszf.phaseopt import _phase_update_bs_ue_zf
-from riszf.sysconfig import build_configs, default_configs
+from riszf.sysconfig import build_configs
+from support import count_calls, draw
 
-
-_LAMBDA = 299_792_458.0 / 1.8e9
-
-# Unit link variances keep every stacked row at a comparable scale, so exact
-# nulling can be asserted near float64 resolution. The default link budget
-# spreads row norms over ~90 dB, where products of O(1e8) precoder entries
-# with O(1e-8) rows measure no better than ~1e-8 (covered separately below).
-UNIT_SCALE = {
-    "attenuation_mu_lambda2_db": "0.0",
-    "element_area": str(_LAMBDA * _LAMBDA),
-    "ris_ue_link_variance": "1.0",
-    "direct_link_variance": "1.0",
-}
-
-
-def _draw(overrides=None, seed=0, physical=False):
-    kv = {"m": "32", "n": "4", "k": "3", "u_d": "2"}
-    if not physical:
-        kv.update(UNIT_SCALE)
-    if overrides:
-        kv.update(overrides)
-    cfg, ch, _ = build_configs(kv)
-    return sample_channels(cfg, ch, spawn_rng(seed, 0))
+# the draw most tests here start from, at unit link scales unless unit=False
+SMALL = {"m": "32", "n": "4", "k": "3", "u_d": "2"}
 
 
 def test_cascaded_rows_against_direct_formula():
-    chs = _draw()
+    chs = draw(SMALL)
     rng = spawn_rng(1)
     phases = rng.uniform(0.0, 2 * np.pi, size=(chs.cfg.K, chs.cfg.N))
     rows = cascaded_rows(chs, phases)
@@ -78,7 +58,7 @@ def _reference_cascaded_rows(chs, phases):
 
 @pytest.mark.parametrize("m", ["8", "256"])
 def test_cascaded_rows_mixed_ues_per_ris(m):
-    chs = _draw({"m": m, "k": "3", "l": "2,1,3"}, seed=5)
+    chs = draw({**SMALL, "m": m, "k": "3", "l": "2,1,3"}, seed=5)
     phases = spawn_rng(2).uniform(-np.pi, np.pi, size=(3, chs.cfg.N))
     rows = cascaded_rows(chs, phases)
     assert rows.shape == (6, int(m))
@@ -92,7 +72,7 @@ def test_cascaded_rows_mixed_ues_per_ris(m):
 
 
 def test_right_inverse_matches_pinv():
-    chs = _draw()
+    chs = draw(SMALL)
     phases = np.zeros((chs.cfg.K, chs.cfg.N))
     Q = stack_bs_ue(chs, phases)
     W = right_inverse_apply(Q)
@@ -170,7 +150,7 @@ def test_importing_riszf_loads_no_scipy(modules_after_import):
 
 
 def test_right_inverse_bit_identical_on_both_stacks():
-    chs = _draw(physical=True)
+    chs = draw(SMALL, unit=False)
     phases = spawn_rng(2).uniform(-np.pi, np.pi, size=(chs.cfg.K, chs.cfg.N))
     Q = stack_bs_ue(chs, phases)
     assert np.array_equal(right_inverse_apply(Q), _reference_right_inverse(Q))
@@ -191,29 +171,10 @@ def test_right_inverse_rejects_non_finite_input():
         right_inverse_apply(Q)
 
 
-@pytest.fixture(params=["bundled", "scipy"])
-def lapack_route(request, block_scipy):
-    """Run a test with scipy unimportable ("bundled": only the LAPACK that
-    numpy bundles can serve it) and with scipy.linalg loaded ("scipy"):
-    the right inverse and its bounds take the one numpy.linalg route
-    either way."""
-    if request.param == "bundled":
-        block_scipy()
-    return request.param
-
-
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
-    """Counts np.linalg.eigvalsh calls, which run only when the bound declines."""
-    calls = []
-    real = np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    return calls
+    """Shapes of np.linalg.eigvalsh calls, which run only when the bound declines."""
+    return count_calls(monkeypatch, np.linalg, "eigvalsh", record=np.shape)
 
 
 def _near_parallel_stack(theta):
@@ -233,6 +194,7 @@ def _gram_cond(Q):
 
 
 @pytest.mark.parametrize("with_targets", [False, True])
+@pytest.mark.parametrize("lapack_route", ["bundled", "scipy"], indirect=True)
 def test_well_conditioned_gram_skips_eigvalsh(lapack_route, eigvalsh_calls, with_targets):
     Q, targets = _random_stack((6, 16))
     W = right_inverse_apply(GramFactor(Q, targets if with_targets else None))
@@ -241,6 +203,7 @@ def test_well_conditioned_gram_skips_eigvalsh(lapack_route, eigvalsh_calls, with
 
 
 @pytest.mark.parametrize("with_targets", [False, True])
+@pytest.mark.parametrize("lapack_route", ["bundled", "scipy"], indirect=True)
 def test_bound_declines_below_cond_limit_and_eigvalsh_accepts(
     lapack_route, eigvalsh_calls, with_targets
 ):
@@ -345,7 +308,7 @@ def test_ris_side_right_inverse_bound_decides_at_benchmark_shapes(
     # the stacks of the ris_side_csi workload: N=8, K=4, U_d=2 gives 34 rows
     for m in ("128", "256"):
         for seed in range(3):
-            chs = _draw({"m": m, "n": "8", "k": "4", "u_d": "2"}, seed=seed, physical=True)
+            chs = draw({"m": m, "n": "8", "k": "4", "u_d": "2"}, seed=seed, unit=False)
             Q2 = stack_bs_ris(chs)
             assert Q2.shape == (34, int(m))
             G = gamma_matrix(8, 4, 2)
@@ -367,7 +330,7 @@ def test_cached_ris_side_factor_matches_a_fresh_one(lapack_route, eigvalsh_calls
     # rank_q2 and repeated precoder builds read the draw's one factor and
     # give the bits of a right inverse and a bound built from the raw stack
     for seed in range(3):
-        chs = _draw({"m": m, "n": "8", "k": "4", "u_d": "2"}, seed=seed, physical=True)
+        chs = draw({"m": m, "n": "8", "k": "4", "u_d": "2"}, seed=seed, unit=False)
         fresh = replace(chs)  # the same draw, with no per-draw values yet
         Q2 = stack_bs_ris(fresh)
         G = gamma_matrix(8, 4, 2)
@@ -416,17 +379,9 @@ def test_solve_seam_raises_on_a_singular_matrix():
 def linalg_calls(monkeypatch):
     """Names of the solves and inverses made: "solve" for the solve seam
     `beamform.solve`, "np.linalg.solve" and "inv" for numpy's public ones."""
-    calls = []
-    for module, name, label in ((beamform, "solve", "solve"),
-                                (np.linalg, "solve", "np.linalg.solve"),
-                                (np.linalg, "inv", "inv")):
-        real = getattr(module, name)
-
-        def counting(*args, _real=real, _label=label, **kwargs):
-            calls.append(_label)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counting)
+    calls = count_calls(monkeypatch, beamform, "solve")
+    count_calls(monkeypatch, np.linalg, "solve", calls, record=lambda *_: "np.linalg.solve")
+    count_calls(monkeypatch, np.linalg, "inv", calls)
     return calls
 
 
@@ -438,7 +393,7 @@ def test_ris_side_draw_makes_one_solve(linalg_calls, m, n):
     # bit for bit: the extra diag(inv) columns change no bit of it
     G = gamma_matrix(int(n), 4, 2)
     for seed in range(40):
-        chs = _draw({"m": m, "n": n, "k": "4", "u_d": "2"}, seed=seed, physical=True)
+        chs = draw({"m": m, "n": n, "k": "4", "u_d": "2"}, seed=seed, unit=False)
         linalg_calls.clear()
         for _ in range(2):
             assert rank_q2(chs) == 4 * int(n) + 2
@@ -491,7 +446,7 @@ def test_factored_stack_raises_as_the_raw_stack(lapack_route, eigvalsh_calls, fa
     # a GramFactor handed in, the draw's factor and the raw stack toward
     # the identity give the same exception after the same eigvalsh checks
     m = "9" if fault == "not_positive_definite" else "64"  # 10 rows
-    chs = _draw({"m": m, "n": "4", "k": "2", "l": "1,1"}, seed=3)
+    chs = draw({**SMALL, "m": m, "n": "4", "k": "2", "l": "1,1"}, seed=3)
     H, h_d = chs.H.copy(), chs.h_d.copy()
     G = np.array(gamma_matrix(4, 2, 2))
     if fault == "zero_row":
@@ -532,7 +487,7 @@ def test_failed_solve_raises_after_eigvalsh_accepts(eigvalsh_calls, with_targets
 @pytest.mark.parametrize("L", ["1,1,1,1", "2,1,3"])
 @pytest.mark.parametrize("m", ["8", "256"])
 def test_preallocated_stacks_bit_identical_to_vstack(m, L):
-    chs = _draw({"m": m, "k": str(len(L.split(","))), "l": L}, seed=6)
+    chs = draw({**SMALL, "m": m, "k": str(len(L.split(","))), "l": L}, seed=6)
     phases = spawn_rng(3).uniform(-np.pi, np.pi, size=(chs.cfg.K, chs.cfg.N))
     want_ue = np.vstack([cascaded_rows(chs, phases), chs.h_d.conj()])
     want_ris = np.vstack([chs.H[k].conj().T for k in range(chs.cfg.K)] + [chs.h_d.conj()])
@@ -541,7 +496,7 @@ def test_preallocated_stacks_bit_identical_to_vstack(m, L):
 
 
 def test_bs_ue_zf_nulls_exactly():
-    chs = _draw(seed=4)
+    chs = draw(SMALL, seed=4)
     rng = spawn_rng(2)
     phases = rng.uniform(0.0, 2 * np.pi, size=(chs.cfg.K, chs.cfg.N))
     W = bs_ue_zf_precoder(chs, phases)
@@ -552,7 +507,7 @@ def test_bs_ue_zf_nulls_exactly():
 
 
 def test_bs_ue_zf_nulling_depth_at_physical_scales():
-    chs = _draw(seed=4, physical=True)
+    chs = draw(SMALL, seed=4, unit=False)
     phases = np.zeros((chs.cfg.K, chs.cfg.N))
     Q = stack_bs_ue(chs, phases)
     W = bs_ue_zf_precoder(chs, phases)
@@ -569,12 +524,12 @@ def test_bs_ue_zf_nulling_depth_at_physical_scales():
 
 def test_bs_ue_zf_feasibility_boundary():
     # M exactly U_b + U_d still inverts; fewer antennas must raise
-    chs = _draw({"m": "5"})
+    chs = draw({**SMALL, "m": "5"})
     phases = np.zeros((chs.cfg.K, chs.cfg.N))
     W = bs_ue_zf_precoder(chs, phases)
     E = stack_bs_ue(chs, phases) @ W
     np.testing.assert_allclose(E, np.eye(5), atol=1e-8)
-    chs_bad = _draw({"m": "4"})
+    chs_bad = draw({**SMALL, "m": "4"})
     with pytest.raises(RankDeficiencyError) as exc:
         bs_ue_zf_precoder(chs_bad, np.zeros((chs_bad.cfg.K, chs_bad.cfg.N)))
     assert exc.value.shape == (5, 4)
@@ -593,7 +548,7 @@ def test_gamma_matrix_layout():
 
 
 def test_bs_ris_zf_hits_gamma_exactly():
-    chs = _draw({"m": "24", "k": "2", "l": "1,1"}, seed=9)
+    chs = draw({**SMALL, "m": "24", "k": "2", "l": "1,1"}, seed=9)
     W = bs_ris_zf_precoder(chs)
     cfg = chs.cfg
     assert W.shape == (cfg.M, cfg.K + cfg.U_d)
@@ -609,10 +564,10 @@ def test_bs_ris_zf_hits_gamma_exactly():
 
 def test_bs_ris_zf_antenna_shortfall_raises():
     # fewer antennas than stacked rows: 10 rows cannot be inverted in C^9
-    chs = _draw({"m": "9", "n": "4", "k": "2", "l": "1,1"})
+    chs = draw({**SMALL, "m": "9", "n": "4", "k": "2", "l": "1,1"})
     with pytest.raises(RankDeficiencyError):
         bs_ris_zf_precoder(chs)
-    chs_ok = _draw({"m": "11", "n": "4", "k": "2", "l": "1,1"})
+    chs_ok = draw({**SMALL, "m": "11", "n": "4", "k": "2", "l": "1,1"})
     W = bs_ris_zf_precoder(chs_ok)
     E = stack_bs_ris(chs_ok) @ W
     np.testing.assert_allclose(E, gamma_matrix(4, 2, 2), atol=1e-8)
@@ -632,7 +587,7 @@ def test_normalize_power_modes():
 
 @pytest.mark.parametrize("L", ["1,1,1,1", "2,1,3"])
 def test_in_place_edit_of_h_b_reaches_rows_and_phase_update(L):
-    chs = _draw({"m": "16", "k": str(len(L.split(","))), "l": L}, seed=8)
+    chs = draw({**SMALL, "m": "16", "k": str(len(L.split(","))), "l": L}, seed=8)
     phases = spawn_rng(4).uniform(-np.pi, np.pi, size=(chs.cfg.K, chs.cfg.N))
     W = bs_ue_zf_precoder(chs, phases)
     rows = cascaded_rows(chs, phases)

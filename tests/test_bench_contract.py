@@ -15,22 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from support import GRIDS
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
-
-
-# UE-side nulling with L = (2, 1, 3) and a CSI-error slice (the multi_ue_csi
-# grid of tests/test_golden.py): the L_k > 1 path of the phase update and
-# cascaded rows, and points skipped for L_k > N
-MULTI_UE_GRID = {
-    "k": "3",
-    "l": "2,1,3",
-    "schemes": "bs_ue_zf",
-    "sweep_m": "16,64",
-    "sweep_n": "2,4",
-    "csi_tau": "0.0,0.2",
-    "trials": "2",
-}
 
 
 def _traced_worker(config: dict, tmp_path: Path) -> dict:
@@ -64,7 +52,7 @@ def test_traced_selftest_grid_matches_call_counts(selftest_grid, tmp_path):
 
 @pytest.mark.parametrize("seed", ["1", "7"])
 def test_traced_multi_ue_grid_matches_call_counts(seed, tmp_path):
-    res = _traced_worker(dict(MULTI_UE_GRID, master_seed=seed), tmp_path)
+    res = _traced_worker(dict(GRIDS["multi_ue_csi"], master_seed=seed), tmp_path)
     assert res["trace_problems"] == []
     # 2 rules x 2 M x 2 tau at N=4 run; N=2 (L_k > N) and the asymptotic rule skip
     assert res["attempted"] == 16

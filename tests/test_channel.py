@@ -186,6 +186,15 @@ def test_estimation_error_zero_tau_is_identity():
     assert apply_estimation_error(chs, 0.0, seed=99) is chs
 
 
+@pytest.mark.parametrize("tau", [1.0, -0.1])
+def test_estimation_error_fraction_outside_unit_interval_raises(tau):
+    # RunConfig rejects such a csi_tau first; the function checks its own argument
+    cfg, ch, _ = default_configs()
+    chs = sample_channels(cfg, ch, spawn_rng(5, 0))
+    with pytest.raises(ValueError, match=rf"fraction {tau} outside \[0, 1\)"):
+        apply_estimation_error(chs, tau, seed=99)
+
+
 def test_estimation_error_energy_and_statistics():
     cfg, ch, _ = build_configs({"m": "24", "n": "4", "k": "2", "u_d": "2"})
     tau = 0.36

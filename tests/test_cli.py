@@ -17,9 +17,7 @@ FAST = ["--set", "sweep_m=16", "--set", "sweep_n=1",
         "--set", "schemes=bs_ue_zf", "--set", "phase_rules=random"]
 
 
-def test_run_writes_outputs_and_exits_zero(tmp_path, capsys, block_scipy):
-    # scipy is a test-only dependency: a sweep of both schemes runs with its import blocked
-    block_scipy()
+def test_run_writes_outputs_and_exits_zero(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["run", "--trials", "2", "--set", "sweep_m=64", "--set", "sweep_n=4",
                  "--out", str(out)]) == 0

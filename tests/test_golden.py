@@ -23,6 +23,7 @@ import pytest
 
 from riszf.harness import emit_outputs, numpy_openblas, run_sweep
 from riszf.sysconfig import build_configs
+from support import GRIDS
 
 GOLDEN_NUMPY = "2.4.6"
 GOLDEN_CORE = "SkylakeX"
@@ -38,30 +39,8 @@ def openblas_core() -> str | None:
     corename.restype = ctypes.c_char_p
     return corename().decode()
 
-# Small versions of perfbench's default_sweep and ris_side_csi workloads.
-GRIDS = {
-    "default_sweep": {"trials": "2"},
-    "ris_side_csi": {
-        "schemes": "bs_ris_zf",
-        "phase_rules": "optimal,random",
-        "sweep_m": "128,256",
-        "sweep_n": "8",
-        "csi_tau": "0.0,0.1,0.3",
-        "trials": "3",
-    },
-    # several UEs on one RIS with a CSI-error slice: the per-UE gather,
-    # eigh's dominant eigenvector, apply_estimation_error and skipped points
-    "multi_ue_csi": {
-        "k": "3",
-        "l": "2,1,3",
-        "schemes": "bs_ue_zf",
-        "sweep_m": "16,64",
-        "sweep_n": "2,4",
-        "csi_tau": "0.0,0.2",
-        "trials": "2",
-    },
-}
 
+# sha256 of each CSV a serial sweep of support.GRIDS[grid] writes at seed 1
 GOLDEN = {
     "default_sweep": {
         "summary.csv": "7cf1bffb80cd6a947a694250e0015f4ead18b5aff64c506f96a2a865e13ff7d0",

@@ -29,6 +29,7 @@ from riszf.harness import (
     run_sweep,
 )
 from riszf.sysconfig import build_configs
+from support import count_calls
 
 
 def _configs(extra=None):
@@ -219,29 +220,16 @@ def test_trial_records_carry_context():
     assert all(t.nulling_residual > 1e-6 for t in summary.trials)
 
 
-def _count_calls(monkeypatch, module, name):
-    """List that grows by one on every call of `module.name`."""
-    calls = []
-    real = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        calls.append(name)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 @pytest.mark.parametrize("tau, per_trial", [("0.0", 1), ("0.1,0.3", 2)])
 def test_ris_side_trial_factors_each_draw_once(tau, per_trial, monkeypatch):
     # the ris_side_csi grid: rank_q2 and both precoder builds of the
     # optimal rule read one Gram matrix and one solve per draw, the true
     # draw's and, when tau > 0, the estimated draw's; nothing inverts, and
     # every solve goes through the solve seam
-    factors = _count_calls(monkeypatch, beamform.GramFactor, "__init__")
-    solves = _count_calls(monkeypatch, beamform, "solve")
-    numpy_solves = _count_calls(monkeypatch, np.linalg, "solve")
-    inverses = _count_calls(monkeypatch, np.linalg, "inv")
+    factors = count_calls(monkeypatch, beamform.GramFactor, "__init__")
+    solves = count_calls(monkeypatch, beamform, "solve")
+    numpy_solves = count_calls(monkeypatch, np.linalg, "solve")
+    inverses = count_calls(monkeypatch, np.linalg, "inv")
     cfg, ch, run = build_configs({
         "schemes": "bs_ris_zf", "phase_rules": "optimal,random", "sweep_m": "128,256",
         "sweep_n": "8", "csi_tau": tau, "trials": "3",
@@ -256,12 +244,12 @@ def test_ue_side_trial_factors_once_per_right_inverse_and_rank(monkeypatch):
     # the default grid's UE-side points: every precoder build and every
     # rank_q2 builds one Gram factor, and every factor makes one solve,
     # through the solve seam
-    factors = _count_calls(monkeypatch, beamform.GramFactor, "__init__")
-    solves = _count_calls(monkeypatch, beamform, "solve")
-    numpy_solves = _count_calls(monkeypatch, np.linalg, "solve")
-    inverses = _count_calls(monkeypatch, np.linalg, "inv")
-    right_inverses = _count_calls(monkeypatch, beamform, "right_inverse_apply")
-    ranks = _count_calls(monkeypatch, harness, "rank_q2")
+    factors = count_calls(monkeypatch, beamform.GramFactor, "__init__")
+    solves = count_calls(monkeypatch, beamform, "solve")
+    numpy_solves = count_calls(monkeypatch, np.linalg, "solve")
+    inverses = count_calls(monkeypatch, np.linalg, "inv")
+    right_inverses = count_calls(monkeypatch, beamform, "right_inverse_apply")
+    ranks = count_calls(monkeypatch, harness, "rank_q2")
     cfg, ch, run = build_configs({"schemes": "bs_ue_zf", "trials": "1"})
     summary = run_sweep(run, cfg, ch)
     assert len(ranks) == len(summary.trials) > 0

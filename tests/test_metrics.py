@@ -14,7 +14,6 @@ from riszf.beamform import (
 from riszf.channel import (
     apply_estimation_error,
     complex_normal,
-    sample_channels,
     spawn_rng,
 )
 from riszf.harness import TRIAL_CSV_HEADER, TrialResult, trial_csv_row
@@ -31,26 +30,11 @@ from riszf.metrics import (
     sum_rate,
 )
 from riszf.phaseopt import optimal_phases_bs_ris_zf, random_phases
-from riszf.sysconfig import build_configs
-
-_LAMBDA = 299_792_458.0 / 1.8e9
-UNIT_SCALE = {
-    "attenuation_mu_lambda2_db": "0.0",
-    "element_area": str(_LAMBDA * _LAMBDA),
-    "ris_ue_link_variance": "1.0",
-    "direct_link_variance": "1.0",
-}
-
-
-def _draw(overrides, seed=0, unit=True):
-    kv = dict(UNIT_SCALE) if unit else {}
-    kv.update(overrides)
-    cfg, ch, _ = build_configs(kv)
-    return sample_channels(cfg, ch, spawn_rng(seed, 0))
+from support import count_calls, draw
 
 
 def test_bs_ue_zf_sinr_is_inverse_noise():
-    chs = _draw({"m": "32", "n": "4", "k": "4", "u_d": "2", "noise_variance_blocked": "0.5", "noise_variance_direct": "0.25"})
+    chs = draw({"m": "32", "n": "4", "k": "4", "u_d": "2", "noise_variance_blocked": "0.5", "noise_variance_direct": "0.25"})
     phases = random_phases(chs.cfg, seed=3)
     W = bs_ue_zf_precoder(chs, phases)
     sb, sd = sinr_exact(chs, phases, W, chs.cfg)
@@ -61,7 +45,7 @@ def test_bs_ue_zf_sinr_is_inverse_noise():
 def test_bs_ue_zf_sinr_at_physical_scales_near_inverse_noise():
     # the ~90 dB scale spread leaves float64 interference crumbs under the
     # direct UEs; they stay a small fraction of the noise floor
-    chs = _draw({"m": "32"}, unit=False)
+    chs = draw({"m": "32"}, unit=False)
     phases = random_phases(chs.cfg, seed=3)
     W = bs_ue_zf_precoder(chs, phases)
     sb, sd = sinr_exact(chs, phases, W, chs.cfg)
@@ -70,14 +54,14 @@ def test_bs_ue_zf_sinr_at_physical_scales_near_inverse_noise():
 
 
 def test_zero_precoder_gives_zero_sinr():
-    chs = _draw({"m": "16", "n": "2", "k": "2", "u_d": "1"})
+    chs = draw({"m": "16", "n": "2", "k": "2", "u_d": "1"})
     W = np.zeros((16, 3), dtype=complex)
     sb, sd = sinr_exact(chs, np.zeros((2, 2)), W, chs.cfg)
     assert np.all(sb == 0) and np.all(sd == 0)
 
 
 def test_single_ue_no_interference_matches_direct_formula():
-    chs = _draw({"m": "8", "n": "2", "k": "1", "u_d": "0", "noise_variance_blocked": "2.0"})
+    chs = draw({"m": "8", "n": "2", "k": "1", "u_d": "0", "noise_variance_blocked": "2.0"})
     phases = np.zeros((1, 2))
     rng = spawn_rng(7)
     w = complex_normal(rng, (8, 1))
@@ -89,7 +73,7 @@ def test_single_ue_no_interference_matches_direct_formula():
 
 def test_sinr_scales_with_beta_under_normalization():
     kv = {"m": "24", "n": "2", "k": "2", "u_d": "1", "power_mode": "sum_power_normalized", "noise_variance_blocked": "1e-3", "noise_variance_direct": "1e-3"}
-    chs = _draw(kv)
+    chs = draw(kv)
     phases = random_phases(chs.cfg, seed=1)
     W = bs_ue_zf_precoder(chs, phases)
     W2, beta = normalize_power(W, chs.cfg)
@@ -101,7 +85,7 @@ def test_sinr_scales_with_beta_under_normalization():
 
 def test_ris_zf_sinr_consistency_between_routes():
     kv = {"m": "24", "n": "4", "k": "2", "u_d": "2", "noise_variance_blocked": "1.0", "noise_variance_direct": "1.0"}
-    chs = _draw(kv, seed=5)
+    chs = draw(kv, seed=5)
     phases = optimal_phases_bs_ris_zf(chs)
     W = bs_ris_zf_precoder(chs)
     sb, _ = sinr_exact(chs, phases, W, chs.cfg)
@@ -111,7 +95,7 @@ def test_ris_zf_sinr_consistency_between_routes():
 
 
 def test_ris_zf_sinr_consistency_at_physical_scales():
-    chs = _draw({"m": "40"}, seed=6, unit=False)
+    chs = draw({"m": "40"}, seed=6, unit=False)
     phases = optimal_phases_bs_ris_zf(chs)
     W = bs_ris_zf_precoder(chs)
     sb, _ = sinr_exact(chs, phases, W, chs.cfg)
@@ -121,7 +105,7 @@ def test_ris_zf_sinr_consistency_at_physical_scales():
 
 
 def test_ris_zf_sinr_invariant_to_global_phase_rotation():
-    chs = _draw({"m": "24", "n": "4", "k": "2", "u_d": "1"}, seed=9)
+    chs = draw({"m": "24", "n": "4", "k": "2", "u_d": "1"}, seed=9)
     phases = optimal_phases_bs_ris_zf(chs)
     base = sinr_bs_ris_zf(chs, phases, 0, 1.0)
     rotated = phases.copy()
@@ -141,7 +125,7 @@ def test_sum_rate_exact_values():
 
 def test_nulling_residual_perfect_vs_estimated_csi():
     kv = {"m": "24", "n": "2", "k": "2", "u_d": "1"}
-    chs = _draw(kv, seed=12)
+    chs = draw(kv, seed=12)
     phases = random_phases(chs.cfg, seed=2)
     W = bs_ue_zf_precoder(chs, phases)
     assert nulling_residual(chs, phases, W, chs.cfg) < 1e-10
@@ -154,7 +138,7 @@ def test_nulling_residual_perfect_vs_estimated_csi():
 @pytest.mark.parametrize("L", ["1,1", "2,1"])
 def test_precoder_without_one_column_per_ue_is_rejected(L):
     # with L = 2,1 a RIS-side layout of K + U_d = 3 columns serves 4 UEs
-    chs = _draw({"m": "24", "n": "2", "k": "2", "l": L, "u_d": "1"}, seed=4)
+    chs = draw({"m": "24", "n": "2", "k": "2", "l": L, "u_d": "1"}, seed=4)
     cfg = chs.cfg
     phases = random_phases(cfg, seed=1)
     ues = cfg.U_b + cfg.U_d
@@ -206,7 +190,7 @@ def test_complexity_monotone_and_d_read_as_u_d():
 
 
 def test_rank_diagnostics_full_and_deficient(svd_calls):
-    chs = _draw({"m": "32", "n": "4", "k": "2", "u_d": "2"}, seed=2)
+    chs = draw({"m": "32", "n": "4", "k": "2", "u_d": "2"}, seed=2)
     rank, bound, holds = rank_diagnostics(chs, corr_ranks=[4, 4])
     assert (rank, bound, holds) == (10, 10, True)
 
@@ -228,16 +212,14 @@ def test_rank_diagnostics_full_and_deficient(svd_calls):
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """Counts np.linalg.svd calls, which rank_q2 makes only when its bound declines."""
-    calls = []
-    real = np.linalg.svd
+    """Shapes of np.linalg.svd calls, which rank_q2 makes only when its bound declines."""
+    return count_calls(monkeypatch, np.linalg, "svd", record=np.shape)
 
-    def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return calls
+# The bound tests below check that only numpy's bundled LAPACK serves
+# rank_q2; their case ids end in "True" from when they also ran with scipy
+# loaded ("False").
+BUNDLED = [pytest.param("bundled", id="True")]
 
 
 def _svd_rank(chs):
@@ -246,16 +228,14 @@ def _svd_rank(chs):
     return int(np.count_nonzero(sv > RANK_SV_THRESHOLD * sv[0]))
 
 
-@pytest.mark.parametrize("scipy_blocked", [False, True])
+@pytest.mark.parametrize("lapack_route", BUNDLED, indirect=True)
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 @pytest.mark.parametrize("m", [4, 6, 8, 18, 34, 64, 256])
-def test_rank_q2_bound_matches_svd_count(m, n, scipy_blocked, svd_calls, block_scipy):
+def test_rank_q2_bound_matches_svd_count(m, n, lapack_route, svd_calls):
     # K=4, U_d=2 stacks 4n+2 rows: fewer than, as many as (6, 18, 34) and
     # more than the m columns; physical link scales spread the row norms
-    if scipy_blocked:  # the bound needs only numpy
-        block_scipy()
     for seed in (0, 1):
-        chs = _draw({"m": str(m), "n": str(n)}, seed=seed, unit=False)
+        chs = draw({"m": str(m), "n": str(n)}, seed=seed, unit=False)
         rank = rank_q2(chs)
         assert svd_calls == []  # the bound decided
         assert rank == _svd_rank(chs) == min(stack_bs_ris(chs).shape)
@@ -268,26 +248,22 @@ def test_rank_q2_near_rank_deficient_correlation_falls_back_to_svd(m, n, svd_cal
     # spread by about 1e9, so the bound exceeds RANK_BOUND_LIMIT (by less
     # than 10x); at n=2 and n=8 the Gram bound exceeds COND_BOUND_LIMIT.
     # Each time the SVD counts
-    chs = _draw({"m": str(m), "n": str(n), "element_spacing": "1e-6"}, unit=False)
+    chs = draw({"m": str(m), "n": str(n), "element_spacing": "1e-6"}, unit=False)
     rank = rank_q2(chs)
     assert svd_calls == [stack_bs_ris(chs).shape]
     assert rank == _svd_rank(chs)
 
 
 
-@pytest.mark.parametrize("scipy_blocked", [False, True])
+@pytest.mark.parametrize("lapack_route", BUNDLED, indirect=True)
 @pytest.mark.parametrize("rows, m", [(3, 8), (6, 6), (10, 64), (34, 256), (40, 8)])
-def test_rank_q2_nearly_dependent_stack_falls_back_to_svd(
-    rows, m, scipy_blocked, svd_calls, block_scipy
-):
+def test_rank_q2_nearly_dependent_stack_falls_back_to_svd(rows, m, lapack_route, svd_calls):
     # the last row (the last column when rows > m) is the first plus 1e-13
     # times a random one: σmin/σmax is about 1e-13, so the SVD drops it. The
     # computed Gram matrix has λmin at the rounding floor and its
     # inverse often succeeds; forming it squares the ratio past what a
     # double can resolve, so its bound is not trusted and the SVD decides.
     # stack_rank applies rank_q2's rule to any stack
-    if scipy_blocked:
-        block_scipy()
     for seed in range(40):
         rng = np.random.default_rng(seed)
         Q = complex_normal(rng, (rows, m))
@@ -301,7 +277,7 @@ def test_rank_q2_nearly_dependent_stack_falls_back_to_svd(
         assert svd_calls == [Q.shape]
 
 def test_rank_diagnostics_single_identity_block():
-    chs = _draw({"m": "16", "n": "4", "k": "1", "u_d": "0", "correlation_model": "iid"}, seed=4)
+    chs = draw({"m": "16", "n": "4", "k": "1", "u_d": "0", "correlation_model": "iid"}, seed=4)
     rank, bound, holds = rank_diagnostics(chs, corr_ranks=[4])
     assert (rank, bound, holds) == (4, 4, True)
 

@@ -25,21 +25,7 @@ from riszf.phaseopt import (
     wrap_phase,
 )
 from riszf.sysconfig import build_configs
-
-_LAMBDA = 299_792_458.0 / 1.8e9
-UNIT_SCALE = {
-    "attenuation_mu_lambda2_db": "0.0",
-    "element_area": str(_LAMBDA * _LAMBDA),
-    "ris_ue_link_variance": "1.0",
-    "direct_link_variance": "1.0",
-}
-
-
-def _draw(overrides, seed=0):
-    kv = dict(UNIT_SCALE)
-    kv.update(overrides)
-    cfg, ch, _ = build_configs(kv)
-    return sample_channels(cfg, ch, spawn_rng(seed, 0))
+from support import UNIT_SCALE, count_calls, draw
 
 
 def test_wrap_phase_range_and_values():
@@ -63,7 +49,7 @@ def test_random_phases_deterministic_uniform():
 
 
 def test_single_ue_update_matches_closed_form_angle():
-    chs = _draw({"m": "16", "n": "4", "k": "2", "u_d": "1"}, seed=3)
+    chs = draw({"m": "16", "n": "4", "k": "2", "u_d": "1"}, seed=3)
     init = random_phases(chs.cfg, seed=8)
     # one sweep against the frozen precoder built from the init phases
     phases, _ = optimal_phases_bs_ue_zf(chs, init=init, tol=0.0, max_iter=1)
@@ -86,7 +72,7 @@ def test_multi_ue_eigenvector_matches_dense_decomposition():
     # with two UEs on one RIS the update takes the dominant eigenvector of
     # sum qq^H; check it against the top eigenpair, up to the common
     # rotation, and check the rotation: the first entry's phase is zero
-    chs = _draw({"m": "16", "n": "4", "k": "1", "l": "2", "u_d": "1"}, seed=6)
+    chs = draw({"m": "16", "n": "4", "k": "1", "l": "2", "u_d": "1"}, seed=6)
     init = np.zeros((1, 4))
     phases, _ = optimal_phases_bs_ue_zf(chs, init=init, tol=0.0, max_iter=1)
     W = bs_ue_zf_precoder(chs, init)
@@ -128,7 +114,7 @@ def _reference_phase_update(chs, W):
 @pytest.mark.parametrize("k,l", [("4", "1,1,1,1"), ("3", "2,1,3")])
 def test_one_update_step_matches_ris_by_ris_reference(k, l):
     for seed in range(3):
-        chs = _draw({"m": "32", "n": "4", "k": k, "l": l, "u_d": "2"}, seed=seed)
+        chs = draw({"m": "32", "n": "4", "k": k, "l": l, "u_d": "2"}, seed=seed)
         init = random_phases(chs.cfg, seed=seed + 10)
         phases, diag = optimal_phases_bs_ue_zf(chs, init=init, tol=0.0, max_iter=1)
         assert diag.iterations == 1
@@ -137,7 +123,7 @@ def test_one_update_step_matches_ris_by_ris_reference(k, l):
 
 
 def test_single_element_ris_degenerate():
-    chs = _draw({"m": "8", "n": "1", "k": "2", "u_d": "0"}, seed=2)
+    chs = draw({"m": "8", "n": "1", "k": "2", "u_d": "0"}, seed=2)
     phases, diag = optimal_phases_bs_ue_zf(chs, random_phases(chs.cfg, 0), max_iter=5)
     assert np.all(np.isfinite(phases))
     assert np.all(phases >= -np.pi) and np.all(phases < np.pi)
@@ -160,7 +146,7 @@ def _grid_gain(chs, step_deg=1.0):
 
 def test_alternating_optimizer_reaches_grid_optimum():
     for seed in (0, 1, 2):
-        chs = _draw({"m": "8", "n": "2", "k": "1", "u_d": "0"}, seed=seed)
+        chs = draw({"m": "8", "n": "2", "k": "1", "u_d": "0"}, seed=seed)
         _, diag = optimal_phases_bs_ue_zf(chs, random_phases(chs.cfg, seed), max_iter=30)
         best = _grid_gain(chs)
         assert diag.objective_trace[-1] >= best * (1.0 - 1e-3), (
@@ -173,7 +159,7 @@ def test_alternating_optimizer_reaches_grid_optimum():
 def test_objective_trace_monotone_for_single_ue():
     # with one UE the sweep is an exact majorize-maximize step, so the
     # monitored gain must never decrease
-    chs = _draw({"m": "8", "n": "4", "k": "1", "u_d": "0"}, seed=11)
+    chs = draw({"m": "8", "n": "4", "k": "1", "u_d": "0"}, seed=11)
     _, diag = optimal_phases_bs_ue_zf(chs, random_phases(chs.cfg, 1), max_iter=25)
     t = np.array(diag.objective_trace)
     assert np.all(np.diff(t) >= -1e-12 * t[0])
@@ -242,7 +228,7 @@ def _reference_fixed_point(h, R, tol=1e-8, max_iter=500, damping=0.5):
 def test_asymptotic_config_matches_per_ris_reference(N):
     ref_capped = 0
     for seed in range(6):
-        chs = _draw({"m": "8", "n": str(N), "k": "4", "u_d": "1"}, seed=seed)
+        chs = draw({"m": "8", "n": str(N), "k": "4", "u_d": "1"}, seed=seed)
         phases, art = asymptotic_phase_config_bs_ue_zf(chs)
         worst, most = 0.0, 0
         for k in range(4):
@@ -294,7 +280,7 @@ def test_gradient_and_hessian_match_finite_differences(N):
 
 
 def test_newton_finish_converges_where_damped_iteration_caps():
-    chs = _draw({"m": "8", "n": "8", "k": "4", "u_d": "1"}, seed=2)
+    chs = draw({"m": "8", "n": "8", "k": "4", "u_d": "1"}, seed=2)
     h = chs.h_block(0)
     ref, ref_res, ref_iters = _reference_fixed_point(h, chs.R)
     assert ref_iters == 500 and ref_res > 1e-8
@@ -304,7 +290,7 @@ def test_newton_finish_converges_where_damped_iteration_caps():
 
 
 def test_asymptotic_config_zero_channel_entry_names_ris_and_element():
-    chs = _draw({"m": "8", "n": "4", "k": "4", "u_d": "1"}, seed=4)
+    chs = draw({"m": "8", "n": "4", "k": "4", "u_d": "1"}, seed=4)
     chs.h_b[2][3] = 0.0
     with pytest.raises(UndefinedPhaseError) as exc:
         asymptotic_phase_config_bs_ue_zf(chs)
@@ -337,7 +323,7 @@ def test_fixed_point_scale_and_rotation_invariance():
 def test_closed_form_rotation_covariance():
     # in the closed forms the alignment partner is fixed data, so rotating
     # the UE channel by e^{j theta} shifts every phase by theta
-    chs = _draw({"m": "24", "n": "4", "k": "2", "u_d": "1"}, seed=33)
+    chs = draw({"m": "24", "n": "4", "k": "2", "u_d": "1"}, seed=33)
     base = optimal_phases_bs_ris_zf(chs)[0]
     theta = 0.8
     chs.h_b[0] *= np.exp(1j * theta)
@@ -352,7 +338,7 @@ def test_closed_form_rotation_covariance():
 
 
 def test_bs_ris_zf_closed_form_alignment_property():
-    chs = _draw({"m": "24", "n": "4", "k": "2", "u_d": "2"}, seed=17)
+    chs = draw({"m": "24", "n": "4", "k": "2", "u_d": "2"}, seed=17)
     phases = optimal_phases_bs_ris_zf(chs)
     W = bs_ris_zf_precoder(chs)
     for k in range(chs.cfg.K):
@@ -437,7 +423,7 @@ def _reference_closed_form_bs_ris_zf(chs):
 @pytest.mark.parametrize("m, n", [("8", "1"), ("64", "4"), ("256", "8")])
 def test_stacked_closed_form_matches_ris_by_ris_reference(m, n):
     for seed in range(4):
-        chs = _draw({"m": m, "n": n, "k": "4", "u_d": "2"}, seed=seed)
+        chs = draw({"m": m, "n": n, "k": "4", "u_d": "2"}, seed=seed)
         assert np.array_equal(optimal_phases_bs_ris_zf(chs), _reference_closed_form_bs_ris_zf(chs))
     # zeroed entries on two RISs: both routes name the lower RIS, then
     # its lower element, with the same message
@@ -472,7 +458,7 @@ def test_bs_ris_zf_closed_form_is_the_asymptotic_rule(power_mode):
 
 
 def test_zero_channel_entry_is_an_error_not_a_phase():
-    chs = _draw({"m": "24", "n": "4", "k": "2", "u_d": "1"}, seed=19)
+    chs = draw({"m": "24", "n": "4", "k": "2", "u_d": "1"}, seed=19)
     chs.h_b[1][2] = 0.0
     with pytest.raises(UndefinedPhaseError) as exc:
         optimal_phases_bs_ris_zf(chs)
@@ -481,13 +467,13 @@ def test_zero_channel_entry_is_an_error_not_a_phase():
 
 
 def test_asymptotic_config_requires_single_ue_per_ris():
-    chs = _draw({"m": "24", "n": "2", "k": "2", "l": "2,1", "u_d": "0"}, seed=1)
+    chs = draw({"m": "24", "n": "2", "k": "2", "l": "2,1", "u_d": "0"}, seed=1)
     with pytest.raises(ValueError, match="one UE per RIS"):
         asymptotic_phase_config_bs_ue_zf(chs)
 
 
 def test_asymptotic_config_reports_residual_and_iterations():
-    chs = _draw({"m": "32", "n": "4", "k": "3", "u_d": "1"}, seed=29)
+    chs = draw({"m": "32", "n": "4", "k": "3", "u_d": "1"}, seed=29)
     phases, art = asymptotic_phase_config_bs_ue_zf(chs)
     assert art.fixed_point_residual <= 1e-8
     assert art.iterations >= 1  # sinc correlation is not a no-op
@@ -505,8 +491,7 @@ def test_fixed_point_stopped_at_its_cap_reports_not_converged(monkeypatch):
     # default draw: the residual is that of one more update, not the
     # last one taken, and the sweep writes the trial as not converged
     monkeypatch.setattr(phaseopt, "FIXED_POINT_MAX_ITER", 2)
-    cfg, ch, _ = build_configs({"m": "64", "n": "8"})
-    chs = sample_channels(cfg, ch, spawn_rng(0, 0))
+    chs = draw({"m": "64", "n": "8"}, unit=False)
     phases, art = asymptotic_phase_config_bs_ue_zf(chs)
     assert (art.iterations, art.converged) == (2, False)
     c = chs.h_b.conj() * (chs.R @ (np.exp(-1j * phases) * chs.h_b).T).T
@@ -524,11 +509,10 @@ def test_fixed_point_stopped_at_its_cap_reports_not_converged(monkeypatch):
 
 
 def test_alternating_update_zero_alignment_names_ris_and_element():
-    cfg, ch, _ = build_configs({"m": "64", "n": "8"})
-    chs = sample_channels(cfg, ch, spawn_rng(0, 0))
+    chs = draw({"m": "64", "n": "8"}, unit=False)
     chs.h_b[2, 5] = 0.0
     with pytest.raises(UndefinedPhaseError) as exc:
-        optimal_phases_bs_ue_zf(chs, random_phases(cfg, 1))
+        optimal_phases_bs_ue_zf(chs, random_phases(chs.cfg, 1))
     assert (exc.value.ris, exc.value.element) == (2, 5)
 
 
@@ -556,19 +540,12 @@ def test_sweep_calls_the_seams_not_numpy_solve_or_eigh(selftest_grid, overrides,
     cfg, ch, run = build_configs({**selftest_grid, **overrides})
     want = run_sweep(run, cfg, ch)
     assert not any(p.failures for p in want.points)
-    calls = []
-
-    def spy(seam):
-        def counting(*args):
-            calls.append(seam.__name__)
-            return seam(*args)
-        return counting
+    calls = count_calls(monkeypatch, beamform, "solve")
+    count_calls(monkeypatch, phaseopt, "eigh", calls)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the sweep called numpy's public solve or eigh")
 
-    monkeypatch.setattr(beamform, "solve", spy(beamform.solve))
-    monkeypatch.setattr(phaseopt, "eigh", spy(phaseopt.eigh))
     monkeypatch.setattr(np.linalg, "solve", forbidden)
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     assert run_sweep(run, cfg, ch) == want
