@@ -9,7 +9,6 @@ from riszf.beamform import (
     RankDeficiencyError,
     bs_ris_zf_precoder,
     bs_ue_zf_precoder,
-    cascaded_rows,
     gamma_matrix,
     normalize_power,
     stack_bs_ris,
@@ -40,7 +39,6 @@ from riszf.phaseopt import (
     UndefinedPhaseError,
     asymptotic_phase_config_bs_ue_zf,
     asymptotic_phases_and_sinr_bs_ris_zf,
-    asymptotic_phases_bs_ue_zf,
     optimal_phases_bs_ris_zf,
     optimal_phases_bs_ue_zf,
     random_phases,
@@ -63,7 +61,6 @@ from riszf.sysconfig import (
     SystemConfig,
     ValidationReport,
     default_configs,
-    load_config,
     validate_config,
 )
 
@@ -90,17 +87,14 @@ __all__ = [
     "apply_estimation_error",
     "asymptotic_phase_config_bs_ue_zf",
     "asymptotic_phases_and_sinr_bs_ris_zf",
-    "asymptotic_phases_bs_ue_zf",
     "bs_ris_zf_precoder",
     "bs_ue_zf_precoder",
     "candidate_channels_from_set",
-    "cascaded_rows",
     "complexity_counts",
     "correlation_matrix",
     "default_configs",
     "emit_outputs",
     "gamma_matrix",
-    "load_config",
     "normalize_power",
     "optimal_phases_bs_ris_zf",
     "optimal_phases_bs_ue_zf",

@@ -67,12 +67,6 @@ class RankDeficiencyError(RuntimeError):
         self.shape = shape
 
 
-def cascaded_rows(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:
-    """(U_b, M) effective rows h^H Phi H^H for every blocked UE: the
-    leading rows of `stack_bs_ue`."""
-    return stack_bs_ue(chs, phases)[: chs.cfg.U_b]
-
-
 def stack_bs_ue(chs: ChannelSet, phases: np.ndarray) -> np.ndarray:
     """((U_b + U_d) x M) stacked rows: cascaded blocked UEs, then direct.
 

@@ -196,23 +196,29 @@ def _design_phases(
         if point.scheme == BS_UE_ZF:
             phases, art = asymptotic_phase_config_bs_ue_zf(chs_hat)
             return phases, art.iterations, art.converged, art.fixed_point_residual
-        phases = np.empty((cfg.K, cfg.N))
-        for k in range(cfg.K):
-            phases[k], _ = asymptotic_phases_and_sinr_bs_ris_zf(
-                chs_hat.h_block(k), chs_hat.R, cfg.noise_variance_blocked[k], k
-            )
-        return phases, 0, True, 0.0
+        return _asymptotic_ris_side(chs_hat)[0], 0, True, 0.0
     raise ValueError(f"unknown phase rule {point.phase_rule!r}")
+
+
+def _asymptotic_ris_side(chs) -> tuple[np.ndarray, list[float]]:
+    """Large-M RIS-side nulling of every RIS in turn: the (K, N) phases
+    and the K SINR ceilings."""
+    cfg = chs.cfg
+    phases = np.empty((cfg.K, cfg.N))
+    ceilings = []
+    for k in range(cfg.K):
+        phases[k], sinr_star = asymptotic_phases_and_sinr_bs_ris_zf(
+            chs.h_block(k), chs.R, cfg.noise_variance_blocked[k], k
+        )
+        ceilings.append(sinr_star)
+    return phases, ceilings
 
 
 def _analytic_sum_rate(chs, cfg: SystemConfig) -> float:
     """Large-M sum rate: blocked UEs at their SINR ceilings, direct UEs
     at the interference-free 1/sigma^2 the RIS-side nulling guarantees."""
     total = 0.0
-    for k in range(cfg.K):
-        _, sinr_star = asymptotic_phases_and_sinr_bs_ris_zf(
-            chs.h_block(k), chs.R, cfg.noise_variance_blocked[k], k
-        )
+    for sinr_star in _asymptotic_ris_side(chs)[1]:
         total += math.log2(1.0 + sinr_star)
     for u in range(cfg.U_d):
         total += math.log2(1.0 + 1.0 / cfg.noise_variance_direct[u])
@@ -460,15 +466,20 @@ def _plotdata_lines(points, scheme: str) -> list[str]:
 
 
 def emit_outputs(summary: SweepSummary, out_dir: str) -> list[str]:
-    """Write summary.csv, trials.csv, and per-scheme plot data files."""
+    """Write summary.csv, trials.csv, and per-scheme plot data files; a
+    plot data file of a scheme the sweep has no point of is deleted, so
+    none is left from an earlier run into `out_dir`."""
     os.makedirs(out_dir, exist_ok=True)
     files = {
         "summary.csv": [SUMMARY_CSV_HEADER] + [_csv_row(vars(p).values()) for p in summary.points],
         "trials.csv": [TRIAL_CSV_HEADER] + [trial_csv_row(t) for t in summary.trials],
     }
     for scheme in (BS_UE_ZF, BS_RIS_ZF):
+        name = f"plotdata_{scheme}.csv"
         if any(p.scheme == scheme for p in summary.points):
-            files[f"plotdata_{scheme}.csv"] = _plotdata_lines(summary.points, scheme)
+            files[name] = _plotdata_lines(summary.points, scheme)
+        elif os.path.exists(path := os.path.join(out_dir, name)):
+            os.remove(path)
     written = [os.path.join(out_dir, name) for name in files]
     for path, lines in zip(written, files.values()):
         _write_lines(path, lines)

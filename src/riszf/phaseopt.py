@@ -174,7 +174,7 @@ FIXED_POINT_MAX_ITER = 500  # updates per row before the fixed point stops
 
 
 def _delta_to_target(
-    phi: np.ndarray, h: np.ndarray, R: np.ndarray, rows: np.ndarray, first_ris: int
+    phi: np.ndarray, h: np.ndarray, R: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """wrap(target - phi) per row, target being one undamped update
     -angle(conj(h) * (R y)) with y = e^{-j phi} h; R y is the stacked
@@ -184,9 +184,7 @@ def _delta_to_target(
     c = h.conj() * Ry
     if np.count_nonzero(c) < c.size:
         row, element = (int(v) for v in np.argwhere(np.abs(c) == 0.0)[0])
-        raise UndefinedPhaseError(
-            first_ris + int(rows[row]), element, "fixed-point argument"
-        )
+        raise UndefinedPhaseError(int(rows[row]), element, "fixed-point argument")
     return wrap_phase(wrapped_angle(c, -1.0) - phi), y, Ry
 
 
@@ -227,36 +225,31 @@ def _newton_step(y: np.ndarray, Ry: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def _fixed_point_rows(
-    h: np.ndarray,
-    R: np.ndarray,
-    init: np.ndarray | None = None,
-    tol: float = 1e-8,
-    first_ris: int = 0,
+    h: np.ndarray, R: np.ndarray, tol: float = 1e-8
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed point of every row of `h` at once: damped iteration, finished
-    by Newton steps.
+    """Fixed point of every row of `h` at once: damped iteration from
+    zero phases, finished by Newton steps.
 
     h : (K, N) RIS-side channels, one row per RIS, all sharing the (N, N)
-    correlation R; init : (K, N) start phases, zeros when None. A row
-    whose residual (the max wrapped distance to one undamped update) is
-    at least NEWTON_RESIDUAL moves FIXED_POINT_DAMPING of the way to the
-    update; below it the row takes a `_newton_step`, which converges
-    quadratically where the damped update creeps along nearly flat
-    directions. A row stops when `residual <= tol` holds before an
+    correlation R. A row whose residual (the max wrapped distance to one
+    undamped update) is at least NEWTON_RESIDUAL moves
+    FIXED_POINT_DAMPING of the way to the update; below it the row
+    takes a `_newton_step`, which converges quadratically where the
+    damped update creeps along nearly flat directions. A row stops when `residual <= tol` holds before an
     update, or after FIXED_POINT_MAX_ITER updates with the residual of
     one more update. A stopped row leaves the active set `rows`, so later
     iterations compute only the rows still running, and every row gets
     the bits it would get solved alone. A zero fixed-point argument
-    raises for the lowest active row that has one (RIS first_ris + row).
+    raises for the lowest active row that has one, as that row's RIS.
     Returns (phases (K, N), residual (K,), iterations (K,)).
     """
-    phases = np.zeros(h.shape) if init is None else wrap_phase(np.array(init, dtype=float))
+    phases = np.zeros(h.shape)
     residual = np.empty(h.shape[0])
     iterations = np.full(h.shape[0], FIXED_POINT_MAX_ITER)
     rows = np.arange(h.shape[0])  # active rows; phi and h hold their data
     phi = phases.copy()
     for it in range(FIXED_POINT_MAX_ITER):
-        delta, y, Ry = _delta_to_target(phi, h, R, rows, first_ris)
+        delta, y, Ry = _delta_to_target(phi, h, R, rows)
         res = np.abs(delta).max(axis=1)
         done = res <= tol
         if np.count_nonzero(done):
@@ -278,43 +271,16 @@ def _fixed_point_rows(
             step[newton] = _newton_step(y[newton], Ry[newton], R)
         phi = wrap_phase(phi + step)
     phases[rows] = phi
-    residual[rows] = np.abs(_delta_to_target(phi, h, R, rows, first_ris)[0]).max(axis=1)
+    residual[rows] = np.abs(_delta_to_target(phi, h, R, rows)[0]).max(axis=1)
     return phases, residual, iterations
-
-
-def asymptotic_phases_bs_ue_zf(
-    h_k1: np.ndarray,
-    R_k: np.ndarray,
-    init: np.ndarray | None = None,
-    tol: float = 1e-8,
-    ris_index: int = 0,
-) -> tuple[np.ndarray, float, int]:
-    """Large-M optimal phases for one RIS serving a single UE.
-
-    Solves phi_i = -angle(h_i^* sum_l R_il e^{-j phi_l} h_l) by damped
-    iteration finished by Newton steps, from `init` (zeros by default),
-    as a one-row call of the solver `asymptotic_phase_config_bs_ue_zf`
-    runs on every RIS at once. When R is diagonal every point is already
-    fixed, so the init comes back unchanged with zero residual. Returns
-    (phases, residual, iterations), where the residual is the max wrapped
-    distance between the phases and one more update; a residual above
-    `tol` means the iteration cap was hit.
-    """
-    phases, residual, iterations = _fixed_point_rows(
-        h_k1[None, :],
-        R_k,
-        None if init is None else np.asarray(init)[None, :],
-        tol=tol,
-        first_ris=ris_index,
-    )
-    return phases[0], float(residual[0]), int(iterations[0])
 
 
 def asymptotic_phase_config_bs_ue_zf(
     chs: ChannelSet, tol: float = 1e-8
 ) -> tuple[np.ndarray, AsymptoticArtifacts]:
-    """Fixed-point phases for every RIS, solved as one (K, N) block of
-    rows; requires one UE per RIS, so row k of h_b is RIS k's UE."""
+    """Large-M phases phi_i = -angle(h_i^* sum_l R_il e^{-j phi_l} h_l)
+    for every RIS, solved as one (K, N) block of rows; requires one UE
+    per RIS, so row k of h_b is RIS k's UE."""
     cfg = chs.cfg
     if any(l != 1 for l in cfg.L):
         raise ValueError(

@@ -251,7 +251,6 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    scheme: str
     checks: tuple[CheckResult, ...]
 
     @property
@@ -298,7 +297,7 @@ def validate_config(
             f"L={list(cfg.L)}; {BS_RIS_ZF} is defined for one UE per RIS")
     add("element_geometry", ch.grid_cols is None or cfg.N % ch.grid_cols == 0,
         f"d={ch.element_spacing} m, A={ch.element_area} m^2, grid_cols={ch.grid_cols}")
-    return ValidationReport(scheme=scheme, checks=tuple(checks))
+    return ValidationReport(checks=tuple(checks))
 
 
 # --------------------------------------------------------------------------
@@ -580,11 +579,6 @@ def read_config(path: str) -> dict[str, str]:
         raise ConfigError(f"config file {path!r} is not UTF-8: "
                           f"undecodable byte at offset {exc.start}") from exc
     return parse_kv_text(text, source=path)
-
-
-def load_config(path: str) -> tuple[SystemConfig, ChannelModelConfig, RunConfig]:
-    """Load and materialize a config file; see `build_configs` for defaults."""
-    return build_configs(read_config(path))
 
 
 def default_configs() -> tuple[SystemConfig, ChannelModelConfig, RunConfig]:

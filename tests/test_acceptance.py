@@ -23,7 +23,7 @@ from riszf.channel import complex_normal, spawn_rng
 from riszf.harness import emit_outputs, run_sweep
 from riszf.metrics import complexity_counts, rank_diagnostics, sinr_bs_ris_zf
 from riszf.phaseopt import (
-    asymptotic_phases_bs_ue_zf,
+    asymptotic_phase_config_bs_ue_zf,
     optimal_phases_bs_ris_zf,
     quadratic_form_objective,
     random_phases,
@@ -103,7 +103,7 @@ def test_criterion_03_phase_grid_oracle():
         worst_closed = max(worst_closed, abs(closed - grid_best) / grid_best)
 
         h, R = chs.h_block(0), chs.R
-        phases, _, _ = asymptotic_phases_bs_ue_zf(h, R)
+        phases = asymptotic_phase_config_bs_ue_zf(chs)[0][0]
         val = quadratic_form_objective(h, R, phases)
         y1 = np.exp(-1j * deg) * h[0]
         y2 = np.exp(-1j * deg) * h[1]

@@ -13,7 +13,6 @@ from riszf.beamform import (
     RankDeficiencyError,
     bs_ris_zf_precoder,
     bs_ue_zf_precoder,
-    cascaded_rows,
     gamma_matrix,
     normalize_power,
     right_inverse_apply,
@@ -34,7 +33,7 @@ def test_cascaded_rows_against_direct_formula():
     chs = draw(SMALL)
     rng = spawn_rng(1)
     phases = rng.uniform(0.0, 2 * np.pi, size=(chs.cfg.K, chs.cfg.N))
-    rows = cascaded_rows(chs, phases)
+    rows = stack_bs_ue(chs, phases)[: chs.cfg.U_b]
     # row for blocked UE (k) must equal h^H diag(e^{j phi}) H^H elementwise
     for k in range(chs.cfg.K):
         Phi = np.diag(np.exp(1j * phases[k]))
@@ -60,7 +59,7 @@ def _reference_cascaded_rows(chs, phases):
 def test_cascaded_rows_mixed_ues_per_ris(m):
     chs = draw({**SMALL, "m": m, "k": "3", "l": "2,1,3"}, seed=5)
     phases = spawn_rng(2).uniform(-np.pi, np.pi, size=(3, chs.cfg.N))
-    rows = cascaded_rows(chs, phases)
+    rows = stack_bs_ue(chs, phases)[: chs.cfg.U_b]
     assert rows.shape == (6, int(m))
     assert np.array_equal(rows, _reference_cascaded_rows(chs, phases))
     for k in range(3):
@@ -489,7 +488,7 @@ def test_failed_solve_raises_after_eigvalsh_accepts(eigvalsh_calls, with_targets
 def test_preallocated_stacks_bit_identical_to_vstack(m, L):
     chs = draw({**SMALL, "m": m, "k": str(len(L.split(","))), "l": L}, seed=6)
     phases = spawn_rng(3).uniform(-np.pi, np.pi, size=(chs.cfg.K, chs.cfg.N))
-    want_ue = np.vstack([cascaded_rows(chs, phases), chs.h_d.conj()])
+    want_ue = np.vstack([_reference_cascaded_rows(chs, phases), chs.h_d.conj()])
     want_ris = np.vstack([chs.H[k].conj().T for k in range(chs.cfg.K)] + [chs.h_d.conj()])
     assert np.array_equal(stack_bs_ue(chs, phases), want_ue)
     assert np.array_equal(stack_bs_ris(chs), want_ris)
@@ -590,12 +589,12 @@ def test_in_place_edit_of_h_b_reaches_rows_and_phase_update(L):
     chs = draw({**SMALL, "m": "16", "k": str(len(L.split(","))), "l": L}, seed=8)
     phases = spawn_rng(4).uniform(-np.pi, np.pi, size=(chs.cfg.K, chs.cfg.N))
     W = bs_ue_zf_precoder(chs, phases)
-    rows = cascaded_rows(chs, phases)
+    rows = stack_bs_ue(chs, phases)[: chs.cfg.U_b]
     update = _phase_update_bs_ue_zf(chs, W)
     operand = chs.HH_first  # built by the update above, from H alone
     chs.h_b[-1] *= np.exp(0.7j * np.arange(1, chs.cfg.N + 1))  # edits the draw itself
     fresh = replace(chs, h_b=chs.h_b.copy())  # a new set, with no per-draw arrays yet
-    edited_rows = cascaded_rows(chs, phases)
+    edited_rows = stack_bs_ue(chs, phases)[: chs.cfg.U_b]
     assert np.array_equal(edited_rows, _reference_cascaded_rows(chs, phases))
     assert np.array_equal(edited_rows[:-1], rows[:-1])
     assert not np.array_equal(edited_rows[-1], rows[-1])

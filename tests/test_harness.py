@@ -300,6 +300,19 @@ def test_trials_csv_reports_phase_solver_convergence(tmp_path):
     assert max(residuals["bs_ue_zf", "optimal"]) > 0.0
 
 
+def test_emit_deletes_plot_data_of_a_scheme_the_run_lacks(tmp_path):
+    # a later run into the same directory leaves no curve of an earlier one
+    cfg, ch, run = _configs({"sweep_m": "32", "sweep_n": "1", "phase_rules": "random",
+                             "trials": "1"})
+    summary = run_sweep(run, cfg, ch)
+    emit_outputs(summary, str(tmp_path))
+    assert (tmp_path / "plotdata_bs_ris_zf.csv").exists()
+    ue_only = SweepSummary(points=summary.points[:1], trials=summary.trials[:1])
+    written = emit_outputs(ue_only, str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(p) for p in written) == [
+        "plotdata_bs_ue_zf.csv", "summary.csv", "trials.csv"]
+
+
 def test_emit_empty_summary_writes_header_only(tmp_path):
     emit_outputs(SweepSummary(points=(), trials=()), str(tmp_path))
     assert (tmp_path / "summary.csv").read_text() == SUMMARY_CSV_HEADER + "\n"

@@ -14,10 +14,10 @@ from riszf.channel import complex_normal, correlation_matrix, sample_channels, s
 from riszf.harness import TRIAL_CSV_HEADER, enumerate_grid, run_point, run_sweep, trial_csv_row
 from riszf.phaseopt import (
     UndefinedPhaseError,
+    _fixed_point_rows,
     _gradient_hessian,
     asymptotic_phase_config_bs_ue_zf,
     asymptotic_phases_and_sinr_bs_ris_zf,
-    asymptotic_phases_bs_ue_zf,
     optimal_phases_bs_ris_zf,
     optimal_phases_bs_ue_zf,
     quadratic_form_objective,
@@ -165,12 +165,17 @@ def test_objective_trace_monotone_for_single_ue():
     assert np.all(np.diff(t) >= -1e-12 * t[0])
 
 
-def test_fixed_point_identity_correlation_returns_init():
-    rng = spawn_rng(14)
-    h = complex_normal(rng, (4,))
-    init = rng.uniform(-np.pi, np.pi, 4)
-    phases, residual, iterations = asymptotic_phases_bs_ue_zf(h, np.eye(4), init=init)
-    np.testing.assert_array_equal(phases, wrap_phase(init))
+def _one_row(h, R):
+    """The solver on one RIS: (phases, residual, iterations) of row 0."""
+    phases, residual, iterations = _fixed_point_rows(h[None], R)
+    return phases[0], float(residual[0]), int(iterations[0])
+
+
+def test_fixed_point_identity_correlation_returns_zeros():
+    # with R = I every point is fixed, so the zero start comes back unchanged
+    h = complex_normal(spawn_rng(14), (4,))
+    phases, residual, iterations = _one_row(h, np.eye(4))
+    np.testing.assert_array_equal(phases, np.zeros(4))
     assert residual == 0.0
     assert iterations == 0
 
@@ -185,7 +190,7 @@ def test_fixed_point_real_positive_channel():
             [0.0, 0.1, 0.3, 1.0],
         ]
     )
-    phases, residual, _ = asymptotic_phases_bs_ue_zf(h, R, init=np.zeros(4))
+    phases, residual, _ = _one_row(h, R)
     np.testing.assert_allclose(phases, np.zeros(4), atol=1e-12)
     assert residual == 0.0
 
@@ -195,7 +200,7 @@ def test_fixed_point_beats_grid_on_quadratic_form():
     rng = spawn_rng(99)
     for trial in range(5):
         h = complex_normal(rng, (2,))
-        phases, residual, _ = asymptotic_phases_bs_ue_zf(h, R)
+        phases, residual, _ = _one_row(h, R)
         assert residual <= 1e-8
         achieved = quadratic_form_objective(h, R, phases)
         angles = np.deg2rad(np.arange(0.0, 360.0, 0.5))
@@ -234,7 +239,7 @@ def test_asymptotic_config_matches_per_ris_reference(N):
         for k in range(4):
             h = chs.h_block(k)
             ref, _, ref_iters = _reference_fixed_point(h, chs.R)
-            one, res, iters = asymptotic_phases_bs_ue_zf(h, chs.R, ris_index=k)
+            one, res, iters = _one_row(h, chs.R)
             assert res <= 1e-8 and iters < 500
             ref_objective = quadratic_form_objective(h, chs.R, ref)
             assert quadratic_form_objective(h, chs.R, one) >= ref_objective * (1.0 - 1e-12)
@@ -284,7 +289,7 @@ def test_newton_finish_converges_where_damped_iteration_caps():
     h = chs.h_block(0)
     ref, ref_res, ref_iters = _reference_fixed_point(h, chs.R)
     assert ref_iters == 500 and ref_res > 1e-8
-    phases, res, iters = asymptotic_phases_bs_ue_zf(h, chs.R)
+    phases, res, iters = _one_row(h, chs.R)
     assert res <= 1e-8 and iters < 500
     assert quadratic_form_objective(h, chs.R, phases) >= quadratic_form_objective(h, chs.R, ref)
 
@@ -311,12 +316,12 @@ def test_fixed_point_scale_and_rotation_invariance():
     rng = spawn_rng(55)
     h = complex_normal(rng, (4,))
     R = np.eye(4) * 0.5 + 0.5 * np.ones((4, 4)) / 2
-    base, _, _ = asymptotic_phases_bs_ue_zf(h, R)
-    scaled, _, _ = asymptotic_phases_bs_ue_zf(3.7 * h, R)
+    base, _, _ = _one_row(h, R)
+    scaled, _, _ = _one_row(3.7 * h, R)
     np.testing.assert_allclose(scaled, base, atol=1e-12)
     # the channel enters the update once conjugated and once plain, so a
     # common rotation cancels: the fixed point is rotation invariant
-    rotated, _, _ = asymptotic_phases_bs_ue_zf(np.exp(1j * 0.8) * h, R)
+    rotated, _, _ = _one_row(np.exp(1j * 0.8) * h, R)
     np.testing.assert_allclose(rotated, base, atol=1e-10)
 
 

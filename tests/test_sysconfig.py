@@ -14,10 +14,10 @@ from riszf.sysconfig import (
     ConfigError,
     build_configs,
     default_configs,
-    load_config,
     parse_kv_text,
     parse_set_items,
     psd_dbm_hz_to_variance,
+    read_config,
     validate_config,
     with_dimensions,
 )
@@ -405,7 +405,7 @@ def test_roundtrip_identical(tmp_path):
     path = tmp_path / "cfg.txt"
     for kv in (custom, {"u_d": "0"}):
         path.write_text("# by hand\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()))
-        configs = load_config(str(path))
+        configs = build_configs(read_config(str(path)))
         assert configs == build_configs(kv)
     assert configs[0].noise_variance_direct == ()
 
