@@ -214,9 +214,10 @@ def _asymptotic_ris_side(chs) -> tuple[np.ndarray, list[float]]:
     return phases, ceilings
 
 
-def _analytic_sum_rate(chs, cfg: SystemConfig) -> float:
+def _analytic_sum_rate(chs) -> float:
     """Large-M sum rate: blocked UEs at their SINR ceilings, direct UEs
     at the interference-free 1/sigma^2 the RIS-side nulling guarantees."""
+    cfg = chs.cfg
     total = 0.0
     for sinr_star in _asymptotic_ris_side(chs)[1]:
         total += math.log2(1.0 + sinr_star)
@@ -266,9 +267,9 @@ def run_point(
             else:
                 W = bs_ris_zf_precoder(chs_hat)
             W, _ = normalize_power(W, cfg_point)
-            sinrs = np.concatenate(sinr_exact(chs, phases, W, cfg_point))
+            sinrs = np.concatenate(sinr_exact(chs, phases, W))
             if want_analytic:
-                analytic_vals.append(_analytic_sum_rate(chs, cfg_point))
+                analytic_vals.append(_analytic_sum_rate(chs))
         except (RankDeficiencyError, UndefinedPhaseError, np.linalg.LinAlgError):
             failures += 1
             continue
@@ -285,7 +286,7 @@ def run_point(
                 sinr_min=float(sinrs.min()),
                 sinr_max=float(sinrs.max()),
                 sum_rate=sum_rate(sinrs),
-                nulling_residual=nulling_residual(chs, phases, W, cfg_point),
+                nulling_residual=nulling_residual(chs, phases, W),
                 rank_q2=rank_q2(chs),
                 seed=seed_tag,
                 phase_iterations=iters,

@@ -42,15 +42,16 @@ def _check_streams(cfg: SystemConfig, W: np.ndarray) -> None:
 
 
 def sinr_exact(
-    chs: ChannelSet, phases: np.ndarray, W: np.ndarray, cfg: SystemConfig
+    chs: ChannelSet, phases: np.ndarray, W: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-UE SINRs with the provided (possibly rescaled) precoder.
 
     Desired power over the summed power of every other stream plus that
-    UE's noise variance. Works for either scheme's column layout and any
-    phase configuration, which makes it the common ground for cross-scheme
-    and imperfect-CSI comparisons.
+    UE's noise variance, both read from the draw's own config. Works for
+    either scheme's column layout and any phase configuration, which makes
+    it the common ground for cross-scheme and imperfect-CSI comparisons.
     """
+    cfg = chs.cfg
     _check_streams(cfg, W)
     E = effective_matrix(chs, phases, W)
     power = np.abs(E) ** 2
@@ -60,30 +61,27 @@ def sinr_exact(
     return sinr[: cfg.U_b], sinr[cfg.U_b :]
 
 
-def nulling_residual(
-    chs: ChannelSet, phases: np.ndarray, W: np.ndarray, cfg: SystemConfig
-) -> float:
+def nulling_residual(chs: ChannelSet, phases: np.ndarray, W: np.ndarray) -> float:
     """Largest leaked cross-stream gain |E_{u,j}|, j not the UE's stream.
 
     Zero for exact interference nulling; grows with CSI error since the
     precoder then nulls the estimated channels, not the true ones.
     """
-    _check_streams(cfg, W)
+    _check_streams(chs.cfg, W)
     leak = np.abs(effective_matrix(chs, phases, W))
     np.fill_diagonal(leak, 0.0)
     return float(leak.max())
 
 
-def sinr_bs_ris_zf(
-    chs: ChannelSet, phases: np.ndarray, k: int, sigma2_k: float
-) -> float:
+def sinr_bs_ris_zf(chs: ChannelSet, phases: np.ndarray, k: int) -> float:
     """Blocked-UE SINR under RIS-side nulling, from the scheme's own
     closed form: the per-element responses are pinned by the precoder, so
-    the SINR is the coherently summed reflection divided by noise."""
+    the SINR is the coherently summed reflection divided by UE k's noise
+    variance."""
     W = bs_ris_zf_precoder(chs)
     a = chs.H[k].conj().T @ W[:, k]
     gain = np.sum(np.exp(1j * phases[k]) * chs.h_block(k).conj() * a)
-    return float(np.abs(gain) ** 2 / sigma2_k)
+    return float(np.abs(gain) ** 2 / chs.cfg.noise_variance_blocked[k])
 
 
 def sum_rate(sinrs: np.ndarray) -> float:

@@ -171,6 +171,7 @@ def optimal_phases_bs_ue_zf(
 NEWTON_RESIDUAL = 0.1  # a row below this residual takes Newton steps
 FIXED_POINT_DAMPING = 0.5  # share of the way to the update a damped step moves
 FIXED_POINT_MAX_ITER = 500  # updates per row before the fixed point stops
+FIXED_POINT_TOL = 1e-8  # residual at or below which a row has converged
 
 
 def _delta_to_target(
@@ -225,7 +226,7 @@ def _newton_step(y: np.ndarray, Ry: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def _fixed_point_rows(
-    h: np.ndarray, R: np.ndarray, tol: float = 1e-8
+    h: np.ndarray, R: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed point of every row of `h` at once: damped iteration from
     zero phases, finished by Newton steps.
@@ -276,7 +277,7 @@ def _fixed_point_rows(
 
 
 def asymptotic_phase_config_bs_ue_zf(
-    chs: ChannelSet, tol: float = 1e-8
+    chs: ChannelSet, tol: float = FIXED_POINT_TOL
 ) -> tuple[np.ndarray, AsymptoticArtifacts]:
     """Large-M phases phi_i = -angle(h_i^* sum_l R_il e^{-j phi_l} h_l)
     for every RIS, solved as one (K, N) block of rows; requires one UE
@@ -287,7 +288,7 @@ def asymptotic_phase_config_bs_ue_zf(
             "the asymptotic phase rule is defined for one UE per RIS, "
             f"got L={list(cfg.L)}"
         )
-    phases, residual, iterations = _fixed_point_rows(chs.h_b, chs.R, tol=tol)
+    phases, residual, iterations = _fixed_point_rows(chs.h_b, chs.R, tol)
     worst = float(residual.max())
     return (
         phases,

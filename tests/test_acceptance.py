@@ -99,7 +99,7 @@ def test_criterion_03_phase_grid_oracle():
             np.add.outer(np.exp(1j * deg) * align[0], np.exp(1j * deg) * align[1])
         ) ** 2
         grid_best = float(gain.max()) / sigma2
-        closed = sinr_bs_ris_zf(chs, optimal_phases_bs_ris_zf(chs), 0, sigma2)
+        closed = sinr_bs_ris_zf(chs, optimal_phases_bs_ris_zf(chs), 0)
         worst_closed = max(worst_closed, abs(closed - grid_best) / grid_best)
 
         h, R = chs.h_block(0), chs.R

@@ -14,6 +14,10 @@ diff in CHANGES.md.
 
 import ctypes
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -70,15 +74,42 @@ def sweep_hashes(grid: str, threads: int, out_dir: Path) -> dict[str, str]:
     }
 
 
-@pytest.mark.skipif(
+golden_platform = pytest.mark.skipif(
     (np.__version__, openblas_core()) != (GOLDEN_NUMPY, GOLDEN_CORE),
     reason=f"golden hashes are for numpy {GOLDEN_NUMPY} with OpenBLAS core "
     f"{GOLDEN_CORE}; this is numpy {np.__version__} with core {openblas_core()}",
 )
+
+
+@golden_platform
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 def test_sweep_outputs_match_golden_hashes(grid, threads, tmp_path):
     assert sweep_hashes(grid, threads, tmp_path) == GOLDEN[grid]
+
+
+@golden_platform
+def test_openblas_env_pin_keeps_golden_hashes(tmp_path):
+    # OPENBLAS_NUM_THREADS=1 stops OpenBLAS from starting its helper thread
+    # when numpy loads; a fresh interpreter started with it writes the same
+    # bytes as the in-process sweep
+    tests = Path(__file__).resolve().parent
+    code = (
+        "import json, sys; from pathlib import Path; from test_golden import sweep_hashes; "
+        "print(json.dumps(sweep_hashes('default_sweep', 1, Path(sys.argv[1]))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env={
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+        },
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == GOLDEN["default_sweep"]
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ def test_bs_ue_zf_sinr_is_inverse_noise():
     chs = draw({"m": "32", "n": "4", "k": "4", "u_d": "2", "noise_variance_blocked": "0.5", "noise_variance_direct": "0.25"})
     phases = random_phases(chs.cfg, seed=3)
     W = bs_ue_zf_precoder(chs, phases)
-    sb, sd = sinr_exact(chs, phases, W, chs.cfg)
+    sb, sd = sinr_exact(chs, phases, W)
     np.testing.assert_allclose(sb, 2.0, rtol=1e-9)
     np.testing.assert_allclose(sd, 4.0, rtol=1e-9)
 
@@ -48,7 +48,7 @@ def test_bs_ue_zf_sinr_at_physical_scales_near_inverse_noise():
     chs = draw({"m": "32"}, unit=False)
     phases = random_phases(chs.cfg, seed=3)
     W = bs_ue_zf_precoder(chs, phases)
-    sb, sd = sinr_exact(chs, phases, W, chs.cfg)
+    sb, sd = sinr_exact(chs, phases, W)
     target = 1.0 / chs.cfg.noise_variance_blocked[0]
     np.testing.assert_allclose(np.concatenate([sb, sd]), target, rtol=0.2)
 
@@ -56,7 +56,7 @@ def test_bs_ue_zf_sinr_at_physical_scales_near_inverse_noise():
 def test_zero_precoder_gives_zero_sinr():
     chs = draw({"m": "16", "n": "2", "k": "2", "u_d": "1"})
     W = np.zeros((16, 3), dtype=complex)
-    sb, sd = sinr_exact(chs, np.zeros((2, 2)), W, chs.cfg)
+    sb, sd = sinr_exact(chs, np.zeros((2, 2)), W)
     assert np.all(sb == 0) and np.all(sd == 0)
 
 
@@ -65,7 +65,7 @@ def test_single_ue_no_interference_matches_direct_formula():
     phases = np.zeros((1, 2))
     rng = spawn_rng(7)
     w = complex_normal(rng, (8, 1))
-    sb, sd = sinr_exact(chs, phases, w, chs.cfg)
+    sb, sd = sinr_exact(chs, phases, w)
     row = effective_matrix(chs, phases, w)
     assert sd.size == 0
     assert sb[0] == pytest.approx(abs(row[0, 0]) ** 2 / 2.0, rel=1e-12)
@@ -77,7 +77,7 @@ def test_sinr_scales_with_beta_under_normalization():
     phases = random_phases(chs.cfg, seed=1)
     W = bs_ue_zf_precoder(chs, phases)
     W2, beta = normalize_power(W, chs.cfg)
-    sb, sd = sinr_exact(chs, phases, W2, chs.cfg)
+    sb, sd = sinr_exact(chs, phases, W2)
     np.testing.assert_allclose(
         np.concatenate([sb, sd]), beta**2 / 1e-3, rtol=1e-9
     )
@@ -88,9 +88,9 @@ def test_ris_zf_sinr_consistency_between_routes():
     chs = draw(kv, seed=5)
     phases = optimal_phases_bs_ris_zf(chs)
     W = bs_ris_zf_precoder(chs)
-    sb, _ = sinr_exact(chs, phases, W, chs.cfg)
+    sb, _ = sinr_exact(chs, phases, W)
     for k in range(chs.cfg.K):
-        closed = sinr_bs_ris_zf(chs, phases, k, 1.0)
+        closed = sinr_bs_ris_zf(chs, phases, k)
         assert closed == pytest.approx(sb[k], rel=1e-8)
 
 
@@ -98,19 +98,19 @@ def test_ris_zf_sinr_consistency_at_physical_scales():
     chs = draw({"m": "40"}, seed=6, unit=False)
     phases = optimal_phases_bs_ris_zf(chs)
     W = bs_ris_zf_precoder(chs)
-    sb, _ = sinr_exact(chs, phases, W, chs.cfg)
+    sb, _ = sinr_exact(chs, phases, W)
     for k in range(chs.cfg.K):
-        closed = sinr_bs_ris_zf(chs, phases, k, chs.cfg.noise_variance_blocked[k])
+        closed = sinr_bs_ris_zf(chs, phases, k)
         assert closed == pytest.approx(sb[k], rel=1e-6)
 
 
 def test_ris_zf_sinr_invariant_to_global_phase_rotation():
     chs = draw({"m": "24", "n": "4", "k": "2", "u_d": "1"}, seed=9)
     phases = optimal_phases_bs_ris_zf(chs)
-    base = sinr_bs_ris_zf(chs, phases, 0, 1.0)
+    base = sinr_bs_ris_zf(chs, phases, 0)
     rotated = phases.copy()
     rotated[0] += 1.234
-    assert sinr_bs_ris_zf(chs, rotated, 0, 1.0) == pytest.approx(base, rel=1e-12)
+    assert sinr_bs_ris_zf(chs, rotated, 0) == pytest.approx(base, rel=1e-12)
 
 
 def test_sum_rate_exact_values():
@@ -128,11 +128,11 @@ def test_nulling_residual_perfect_vs_estimated_csi():
     chs = draw(kv, seed=12)
     phases = random_phases(chs.cfg, seed=2)
     W = bs_ue_zf_precoder(chs, phases)
-    assert nulling_residual(chs, phases, W, chs.cfg) < 1e-10
+    assert nulling_residual(chs, phases, W) < 1e-10
     noisy = apply_estimation_error(chs, 0.2, seed=77)
     W_hat = bs_ue_zf_precoder(noisy, phases)
     # precoder nulls the estimated channels; true leakage is visible
-    assert nulling_residual(chs, phases, W_hat, chs.cfg) > 1e-3
+    assert nulling_residual(chs, phases, W_hat) > 1e-3
 
 
 @pytest.mark.parametrize("L", ["1,1", "2,1"])
@@ -146,7 +146,7 @@ def test_precoder_without_one_column_per_ue_is_rejected(L):
         W = complex_normal(spawn_rng(5, cols), (cfg.M, cols))
         for fn in (sinr_exact, nulling_residual):
             with pytest.raises(ValueError, match=f"cannot map {cols} streams"):
-                fn(chs, phases, W, cfg)
+                fn(chs, phases, W)
 
 
 def test_complexity_formula_values_and_orders():

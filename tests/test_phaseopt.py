@@ -13,6 +13,7 @@ from riszf.beamform import bs_ris_zf_precoder, bs_ue_zf_precoder
 from riszf.channel import complex_normal, correlation_matrix, sample_channels, spawn_rng
 from riszf.harness import TRIAL_CSV_HEADER, enumerate_grid, run_point, run_sweep, trial_csv_row
 from riszf.phaseopt import (
+    FIXED_POINT_TOL,
     UndefinedPhaseError,
     _fixed_point_rows,
     _gradient_hessian,
@@ -167,7 +168,7 @@ def test_objective_trace_monotone_for_single_ue():
 
 def _one_row(h, R):
     """The solver on one RIS: (phases, residual, iterations) of row 0."""
-    phases, residual, iterations = _fixed_point_rows(h[None], R)
+    phases, residual, iterations = _fixed_point_rows(h[None], R, FIXED_POINT_TOL)
     return phases[0], float(residual[0]), int(iterations[0])
 
 
