@@ -3,14 +3,9 @@
 A grid point is one (scheme, phase rule, M, N, tau) combination. Channel
 draws are keyed by the (M, N, tau) slice and the trial index only, so
 every scheme and phase rule sees the same realizations and curve
-comparisons are paired. Spawn-key layout under the master seed, fixed as
-a reproducibility contract:
-
-    (dims_index, trial, 0) -> channel draw
-    (dims_index, trial, 1) -> estimation error draw
-    (dims_index, trial, 2) -> random phase rule
-    (dims_index, trial, 3) -> alternating-optimization starting point,
-                              drawn here and passed to the solver as `init`
+comparisons are paired. Every per-trial stream is keyed
+(master_seed, dims_index, trial, stream), with `stream` a `SpawnStream`;
+that map is a reproducibility contract.
 
 Results merge deterministically by grid-point position, so serial and
 parallel runs emit byte-identical files.
@@ -19,8 +14,9 @@ Every CSV cell the sweep writes follows one rule (`_csv_cell`), and a
 summary.csv or trials.csv row is a `PointSummary`'s or `TrialResult`'s
 fields in declaration order.
 
-Every sweep process runs numpy's bundled OpenBLAS on one thread, so the
-process pool (`threads`) is the sweep's only parallelism. The sweep's BLAS
+Every sweep process runs numpy's bundled OpenBLAS on one thread with its
+helper threads stopped, so the process pool (`threads`) is the sweep's
+only parallelism and a sweep process is one OS thread. The sweep's BLAS
 and LAPACK calls all go through numpy, and so through that build. Each
 sweep process also warms up the allocator (see `_pin_one_blas_thread`).
 """
@@ -32,6 +28,7 @@ import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, fields
+from enum import IntEnum
 from itertools import product
 
 import numpy as np
@@ -73,6 +70,16 @@ STATUS_FLAGGED = "flagged"
 FAILURE_FLAG_FRACTION = 0.2
 
 PLOTDATA_CSV_HEADER = "curve,M,mean_rate,stderr"
+
+
+class SpawnStream(IntEnum):
+    """The last spawn key of a trial's streams, (master_seed, dims_index,
+    trial, stream); the draw's seed tag is `derive_seed` of its key."""
+
+    DRAW = 0  # channel draw
+    CSI_ERROR = 1  # estimation error draw
+    RANDOM_PHASES = 2  # random phase rule
+    ALTERNATING_INIT = 3  # alternating optimizer's starting point (`init`)
 
 
 @dataclass(frozen=True)
@@ -184,11 +191,12 @@ def _design_phases(
     forms and random phases."""
     cfg = chs_hat.cfg
     if point.phase_rule == "random":
-        seed = derive_seed(master_seed, point.dims_index, trial, 2)
+        seed = derive_seed(master_seed, point.dims_index, trial, SpawnStream.RANDOM_PHASES)
         return random_phases(cfg, seed), 0, True, 0.0
     if point.phase_rule == "optimal":
         if point.scheme == BS_UE_ZF:
-            init = random_phases(cfg, derive_seed(master_seed, point.dims_index, trial, 3))
+            seed = derive_seed(master_seed, point.dims_index, trial, SpawnStream.ALTERNATING_INIT)
+            init = random_phases(cfg, seed)
             phases, diag = optimal_phases_bs_ue_zf(chs_hat, init)
             return phases, diag.iterations, diag.converged, diag.final_phase_change
         return optimal_phases_bs_ris_zf(chs_hat), 0, True, 0.0
@@ -252,12 +260,14 @@ def run_point(
     analytic_vals: list[float] = []
     failures = 0
     for t in range(run.trials if note is None else 0):
-        rng = spawn_rng(run.master_seed, point.dims_index, t, 0)
-        seed_tag = derive_seed(run.master_seed, point.dims_index, t, 0)
+        rng = spawn_rng(run.master_seed, point.dims_index, t, SpawnStream.DRAW)
+        seed_tag = derive_seed(run.master_seed, point.dims_index, t, SpawnStream.DRAW)
         chs = sample_channels(cfg_point, ch, rng)
         try:
             chs_hat = apply_estimation_error(
-                chs, point.tau, derive_seed(run.master_seed, point.dims_index, t, 1)
+                chs,
+                point.tau,
+                derive_seed(run.master_seed, point.dims_index, t, SpawnStream.CSI_ERROR),
             )
             phases, iters, converged, residual = _design_phases(
                 point, chs_hat, run.master_seed, t
@@ -352,21 +362,29 @@ def numpy_openblas() -> ctypes.CDLL | None:
 
 
 def _openblas_thread_controls() -> tuple | None:
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS
+    """(get, set, shutdown) thread functions of numpy's bundled OpenBLAS
     (`numpy_openblas`), which every BLAS and LAPACK call of the sweep
-    runs in; None for any other BLAS (system OpenBLAS, MKL).
+    runs in; None for any other BLAS (system OpenBLAS, MKL), and shutdown
+    None for a build that does not export `blas_thread_shutdown_`.
 
     Its helper threads slow down the sweep's small matrices (Gram
     matrices of at most tens of rows) and oversubscribe the pool's cores.
+    Setting the count to 1 keeps them out of every call, but the helper
+    started when numpy loads stays alive and busy-waits about 0.13 s of
+    CPU; shutdown stops it. OpenBLAS starts its helpers again when the
+    count is next set above 1.
     """
     lib = numpy_openblas()
     get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
     set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
     if get_threads is None or set_threads is None:
         return None
+    shutdown = getattr(lib, "blas_thread_shutdown_", None)
     get_threads.argtypes, get_threads.restype = [], ctypes.c_int
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    return get_threads, set_threads
+    if shutdown is not None:
+        shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+    return get_threads, set_threads, shutdown
 
 
 # Size of the allocation that raises glibc's dynamic mmap threshold.
@@ -374,8 +392,13 @@ _ALLOCATOR_WARMUP_BYTES = 8 << 20
 
 
 def _pin_one_blas_thread() -> Callable[[], None]:
-    """Set numpy's bundled OpenBLAS to one thread; returns the call that
-    restores the previous count. Also the pool's initializer.
+    """Set numpy's bundled OpenBLAS to one thread and stop its helper
+    threads; returns the call that restores the previous count, which
+    starts the helpers again. Also the pool's initializer, so each worker
+    runs on one OS thread.
+
+    No other Python thread may be inside OpenBLAS until the count is
+    restored: stopping the helpers under its threaded call is unsafe.
 
     It also allocates and frees one untouched 8 MiB block. glibc then
     raises its mmap threshold to 8 MiB and its trim threshold to 16 MiB,
@@ -387,9 +410,11 @@ def _pin_one_blas_thread() -> Callable[[], None]:
     controls = _openblas_thread_controls()
     if controls is None:
         return lambda: None
-    get_threads, set_threads = controls
+    get_threads, set_threads, shutdown = controls
     restore = functools.partial(set_threads, get_threads())
     set_threads(1)
+    if shutdown is not None:
+        shutdown()
     return restore
 
 

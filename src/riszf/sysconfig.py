@@ -525,6 +525,8 @@ def build_configs(
     K = _to_int("k", get("k"))
     L = _to_int_list("l", kv["l"]) if "l" in kv else (1,) * K
     U_d = _to_int("u_d", get("u_d"))
+    if U_d == 0:  # no direct UE, so no direct link is drawn
+        _reject_unread(kv, ("direct_link_variance",), "under u_d=0")
     power_mode = get("power_mode")
     if power_mode == "paper_literal":
         _reject_unread(kv, ("total_power",), "under power_mode=paper_literal")

@@ -20,8 +20,11 @@ UNIT_SCALE = {
 
 def draw(overrides, seed=0, unit=True):
     """The channels of config `overrides` drawn from spawn_rng(seed, 0), at
-    UNIT_SCALE's link scales unless `unit` is False."""
+    UNIT_SCALE's link scales (the direct one only where there are direct
+    UEs) unless `unit` is False."""
     kv = dict(UNIT_SCALE) if unit else {}
+    if overrides.get("u_d") == "0":
+        kv.pop("direct_link_variance", None)  # a config error without direct UEs
     kv.update(overrides)
     cfg, ch, _ = build_configs(kv)
     return sample_channels(cfg, ch, spawn_rng(seed, 0))

@@ -296,7 +296,7 @@ def test_stacked_draws_bit_identical_to_per_block_loops(N, L):
     {"k": "3", "l": "2,1,3", "u_d": "0"},
     {"k": "3", "l": "2,1,3", "u_d": "2", "direct_link_variance": "3.0",
      "ris_ue_link_variance": "2.0"},
-    {"l": "1,1,1,1", "u_d": "0", "direct_link_variance": "0.5", "ris_ue_link_variance": "4.0"},
+    {"l": "1,1,1,1", "u_d": "0", "ris_ue_link_variance": "4.0"},
 ])
 def test_estimation_error_is_a_second_draw_by_the_same_recipe(kv):
     # e is the draw sample_channels makes on the error seed's stream

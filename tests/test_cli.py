@@ -161,6 +161,9 @@ EXIT_CODES = [
          ["validate", "--set", "correlation_model=iid", "--set", "element_spacing=0.05",
           "--set", "element_area=0.01"], 2,
          "key 'element_spacing': has no effect under correlation_model=iid when element_area is set"),
+    _row("direct_link_variance_without_direct_ues",
+         ["validate", "--set", "u_d=0", "--set", "direct_link_variance=2.0"], 2,
+         "key 'direct_link_variance': has no effect under u_d=0"),
     _row("total_power_under_sum_power",
          ["validate", "--set", "power_mode=sum_power_normalized", "--set", "total_power=2"], 0),
     # a number that is not finite: a config error, not a traceback or NaN rates

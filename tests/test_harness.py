@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import riszf.beamform as beamform
 import riszf.harness as harness
 from riszf.beamform import RankDeficiencyError
+from riszf.channel import derive_seed
 from riszf.harness import (
     PLOTDATA_CSV_HEADER,
     STATUS_FLAGGED,
@@ -21,6 +23,7 @@ from riszf.harness import (
     STATUS_SKIPPED,
     SUMMARY_CSV_HEADER,
     TRIAL_CSV_HEADER,
+    SpawnStream,
     SweepSummary,
     TrialResult,
     emit_outputs,
@@ -89,6 +92,63 @@ def test_channel_draws_pair_across_schemes_and_rules():
         seeds.setdefault((t.M, t.N, t.csi_tau, t.trial), set()).add(t.seed)
     assert seeds
     assert all(len(s) == 1 for s in seeds.values())
+
+
+def test_spawn_stream_numbers_are_the_contract():
+    # renumbering a stream draws statistically identical channels, so only
+    # this pin and the golden hashes would see it
+    assert {s.name: s.value for s in SpawnStream} == {
+        "DRAW": 0, "CSI_ERROR": 1, "RANDOM_PHASES": 2, "ALTERNATING_INIT": 3,
+    }
+
+
+def _trial_streams(point):
+    """The streams each trial of `point` keys, in the order it keys them."""
+    streams = [("spawn_rng", SpawnStream.DRAW), ("derive_seed", SpawnStream.DRAW),
+               ("derive_seed", SpawnStream.CSI_ERROR)]
+    if point.phase_rule == "random":
+        streams.append(("derive_seed", SpawnStream.RANDOM_PHASES))
+    elif point.phase_rule == "optimal" and point.scheme == "bs_ue_zf":
+        streams.append(("derive_seed", SpawnStream.ALTERNATING_INIT))
+    return streams
+
+
+def test_every_trial_keys_the_streams_the_map_states(tmp_path, monkeypatch):
+    # seeds are SeedSequence words, which no BLAS build moves, so this pins
+    # the spawn-key map on every platform the golden hashes skip
+    cfg, ch, run = _configs({"csi_tau": "0.0,0.2", "master_seed": "5"})
+    calls = count_calls(monkeypatch, harness, "run_point", record=lambda p, *_: p)
+    for name in ("spawn_rng", "derive_seed"):
+        count_calls(monkeypatch, harness, name, calls, lambda *a, name=name: (name, a))
+    summary = run_sweep(run, cfg, ch)
+    emit_outputs(summary, str(tmp_path))
+
+    points = enumerate_grid(run)
+    assert calls[0] == points[0]
+    seen = {}
+    for c in calls:
+        if isinstance(c, harness.GridPoint):
+            keys = seen.setdefault(c, [])
+        else:
+            keys.append(c)
+    expected = {}
+    for p, s in zip(points, summary.points):
+        trials = 0 if s.status == STATUS_SKIPPED else run.trials
+        expected[p] = [(name, (run.master_seed, p.dims_index, t, stream))
+                       for t in range(trials) for name, stream in _trial_streams(p)]
+    assert seen == expected
+    # the grid reaches every stream
+    assert {key[-1] for keys in seen.values() for _, key in keys} == set(SpawnStream)
+
+    dims = {(p.M, p.N, p.tau): p.dims_index for p in points}
+    rows = (tmp_path / "trials.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    assert len(rows) - 1 == len(summary.trials) > 0
+    for line in rows[1:]:
+        row = dict(zip(header, line.split(",")))
+        d = dims[(int(row["M"]), int(row["N"]), float(row["csi_tau"]))]
+        assert int(row["seed"]) == derive_seed(run.master_seed, d, int(row["trial"]),
+                                               SpawnStream.DRAW)
 
 
 def test_infeasible_point_is_skipped_with_reason_not_zeros(tmp_path):
@@ -360,13 +420,35 @@ def test_runconfig_with_no_schemes_yields_empty_grid():
 
 
 def _blas_threads():
-    get_threads, _ = harness._openblas_thread_controls()
+    get_threads = harness._openblas_thread_controls()[0]
     return get_threads()
 
 
-def _blas_threads_in_worker(args):
+def _os_threads_settled(want):
+    """This process's OS threads once they number `want`, or after 2 s;
+    None where no /proc/self/task counts them. A joined thread's entry
+    can outlast pthread_join by a moment."""
+    if not os.path.isdir("/proc/self/task"):
+        return None
+    deadline = time.monotonic() + 2.0
+    while (n := len(os.listdir("/proc/self/task"))) != want and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return n
+
+
+def _threads_in_worker(args):
     # stands in for harness._run_point_star inside the pool's workers
-    return _blas_threads(), []
+    return (_blas_threads(), _os_threads_settled(1)), []
+
+
+def _no_helper_shutdown_check():
+    """Why OS threads cannot show the helper shutdown here, or None."""
+    controls = harness._openblas_thread_controls()
+    if controls is None or controls[2] is None:
+        return "numpy's BLAS exports no blas_thread_shutdown_ here"
+    if not os.path.isdir("/proc/self/task"):
+        return "no /proc/self/task to count OS threads"
+    return None
 
 
 @pytest.fixture
@@ -376,7 +458,7 @@ def openblas_at_two_threads():
     if controls is None:
         pytest.skip("numpy bundles no OpenBLAS here; run_sweep leaves "
                     "other BLAS builds alone")
-    get_threads, set_threads = controls
+    get_threads, set_threads, _ = controls
     saved = get_threads()
     set_threads(2)
     assert _blas_threads() == 2
@@ -417,12 +499,56 @@ def test_serial_sweep_restores_blas_threads_when_a_point_raises(
 
 def test_pool_workers_run_on_one_blas_thread(openblas_at_two_threads, monkeypatch):
     # workers start from a parent at 2 threads, so only the pool's
-    # initializer can bring them to 1
-    monkeypatch.setattr(harness, "_run_point_star", _blas_threads_in_worker)
+    # initializer can bring them to 1; its helper shutdown also leaves
+    # each worker one OS thread
+    monkeypatch.setattr(harness, "_run_point_star", _threads_in_worker)
     cfg, ch, run = _configs({"sweep_m": "16", "sweep_n": "1"})
     summary = run_sweep(replace(run, threads=2), cfg, ch)
-    assert summary.points == (1,) * 6
+    blas_threads, os_threads = zip(*summary.points)
+    assert blas_threads == (1,) * 6
+    if _no_helper_shutdown_check() is None:
+        assert os_threads == (1,) * 6
     assert _blas_threads() == 2
+
+
+_THREADS_AROUND_PIN = """
+import os, time
+tasks = lambda: len(os.listdir("/proc/self/task"))
+before_numpy = tasks()
+import riszf.harness as harness
+get_threads = harness._openblas_thread_controls()[0]
+loaded, saved = tasks(), get_threads()
+restore = harness._pin_one_blas_thread()
+# a joined thread's entry can outlast pthread_join by a moment
+deadline = time.monotonic() + 2.0
+while tasks() != before_numpy and time.monotonic() < deadline:
+    time.sleep(0.001)
+pinned, pinned_count = tasks(), get_threads()
+restore()
+print(before_numpy, loaded, saved, pinned, pinned_count, get_threads())
+"""
+
+
+@pytest.mark.parametrize("env", [None, "1"], ids=["env_unset", "env_one_thread"])
+def test_pin_stops_the_helper_threads_numpy_started_and_restore_gives_the_count_back(env):
+    if reason := _no_helper_shutdown_check():
+        pytest.skip(reason)
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if env is not None:
+        environ["OPENBLAS_NUM_THREADS"] = env
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREADS_AROUND_PIN],
+        env={**environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    before_numpy, loaded, saved, pinned, pinned_count, restored = map(int, proc.stdout.split())
+    # loading numpy at a count above 1 starts helpers the pin has to stop
+    assert (loaded > before_numpy) == (saved > 1)
+    assert (pinned, pinned_count) == (before_numpy, 1)
+    assert restored == saved
 
 
 _FAULTS_AFTER_PIN = """
