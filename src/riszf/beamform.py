@@ -246,8 +246,8 @@ def gram_cond_bound(A: np.ndarray, inverse: np.ndarray) -> float:
     eigenvalue at least 1/||A^{-1}||_F >= tr(A)/1e11 away from zero, far
     beyond that rounding, so every eigenvalue is positive.
     """
-    f = inverse.ravel()  # ||A^{-1}||_F as np.linalg.norm computes it
-    bound = float(A.trace().real * math.sqrt(f.real.dot(f.real) + f.imag.dot(f.imag)))
+    f = inverse.ravel().view(np.float64)  # the real and imaginary parts
+    bound = float(A.trace().real * math.sqrt(f.dot(f)))  # tr(A)·||A^{-1}||_F
     return bound if bound <= COND_BOUND_LIMIT else math.inf
 
 

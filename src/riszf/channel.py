@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,6 +19,32 @@ from riszf.sysconfig import ChannelModelConfig, SystemConfig, read_only
 
 CACHE_SIZE = 32  # entries of each `content_cache`, oldest evicted first
 CLIP_TOL = 1e-12  # eigenvalues of `matrix_sqrt_psd` below this times the largest are 0
+SEED_POOL_WORDS = 4  # np.random.SeedSequence's default pool_size
+
+
+def _seed_sequence(master_seed: int, spawn_key: tuple) -> np.random.SeedSequence:
+    """np.random.SeedSequence(master_seed, spawn_key=spawn_key), built from
+    the one uint32 entropy array numpy assembles from those two: the
+    master's little-endian words, zero-padded to the pool size when a key
+    is present, then each key element's words. Every integer is at least
+    one word, and a negative one raises ValueError as numpy's does."""
+    words = _uint32_words(master_seed)
+    if spawn_key:
+        words += [0] * (SEED_POOL_WORDS - len(words))
+        for n in spawn_key:
+            words += _uint32_words(n)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The little-endian uint32 words of n >= 0, at least one."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
 
 
 def spawn_rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
@@ -26,15 +53,13 @@ def spawn_rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
     Philox is counter-based: streams for different keys never collide and
     the mapping is stable across processes.
     """
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(spawn_key))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(master_seed, spawn_key)))
 
 
 def derive_seed(master_seed: int, *spawn_key: int) -> int:
     """Stable 64-bit sub-seed for APIs that want an integer seed."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(spawn_key))
     # generate_state(1, np.uint64)[0], joined from its two uint32 words
-    low, high = ss.generate_state(2).tolist()
+    low, high = _seed_sequence(master_seed, spawn_key).generate_state(2).tolist()
     return low | high << 32
 
 
@@ -44,18 +69,19 @@ def complex_normal(
     """Circularly symmetric complex Gaussian samples, E{|x|^2} = variance:
     one block of `_complex_blocks`."""
     dims = (shape,) if isinstance(shape, int) else tuple(shape)
-    return _complex_blocks(rng, (1, *dims), math.sqrt(variance / 2.0))[0]
+    z = rng.standard_normal(2 * math.prod(dims))
+    return _complex_blocks(z, (1, *dims), math.sqrt(variance / 2.0))[0]
 
 
 def _complex_blocks(
-    rng: np.random.Generator, shape: tuple[int, ...], scale: float = math.sqrt(0.5)
+    z: np.ndarray, shape: tuple[int, ...], scale: float = math.sqrt(0.5)
 ) -> np.ndarray:
     """scale * (re + 1j * im) blocks along the first axis (unit variance by
-    default), drawn in one call: each block reads its real parts, then its
-    imaginary parts, as one draw per block would. Both parts are scaled
-    straight into place, the bits of the complex expression without its
-    three complex temporaries."""
-    z = rng.standard_normal((shape[0], 2, *shape[1:]))
+    default) from the standard normals `z`, read in order: each block its
+    real parts, then its imaginary parts. Both parts are scaled straight
+    into place, the bits of the complex expression without its three
+    complex temporaries."""
+    z = z.reshape(shape[0], 2, *shape[1:])
     out = np.empty(shape, dtype=np.complex128)
     np.multiply(z[:, 0], scale, out=out.real)
     np.multiply(z[:, 1], scale, out=out.imag)
@@ -211,22 +237,26 @@ class ChannelSet:
 
 def _draw_links(
     rng: np.random.Generator, cfg: SystemConfig, ch: ChannelModelConfig, sqrt_C: np.ndarray
-):
-    """Yield H, then h_b, then h_d of one draw: the only code that draws
-    links, so its order is the reproducibility contract.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H, h_b and h_d of one draw: the only code that draws links, so its
+    order is the reproducibility contract.
 
     The BS side of each RIS link is isotropic; correlation enters only on
-    the RIS side, so H_k = F_k D with F_k iid and D = (mu A C)^(1/2). All
-    BS-RIS blocks (H_1..H_K) come from one generator call, all blocked-UE
-    vectors (RIS-major) from another, then the direct UEs; within each
-    block the real parts come before the imaginary parts. Lazy, so a
-    caller can finish with one link before the next is drawn.
+    the RIS side, so H_k = F_k D with F_k iid and D = (mu A C)^(1/2). One
+    generator call draws every standard normal of the draw, read in
+    order: the BS-RIS blocks (H_1..H_K), then the blocked-UE vectors
+    (RIS-major), then the direct UEs; within each block the real parts
+    come before the imaginary parts.
     """
+    K, M, N, U_b, U_d = cfg.K, cfg.M, cfg.N, cfg.U_b, cfg.U_d
+    n_H, n_b = 2 * K * M * N, 2 * U_b * N
+    z = rng.standard_normal(n_H + n_b + 2 * U_d * M)
     D = math.sqrt(ch.ris_element_scale) * sqrt_C
-    yield _complex_blocks(rng, (cfg.K, cfg.M, cfg.N)) @ D
-    z = _complex_blocks(rng, (cfg.U_b, cfg.N))
-    yield math.sqrt(ch.ris_ue_link_variance) * (sqrt_C @ z[:, :, None])[:, :, 0]
-    yield complex_normal(rng, (cfg.U_d, cfg.M), variance=ch.direct_link_variance)
+    H = _complex_blocks(z[:n_H], (K, M, N)) @ D
+    h_b = _complex_blocks(z[n_H : n_H + n_b], (U_b, N))
+    h_b = math.sqrt(ch.ris_ue_link_variance) * (sqrt_C @ h_b[:, :, None])[:, :, 0]
+    h_d = _complex_blocks(z[n_H + n_b :], (1, U_d, M), math.sqrt(ch.direct_link_variance / 2.0))[0]
+    return H, h_b, h_d
 
 
 def sample_channels(

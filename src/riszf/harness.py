@@ -362,17 +362,21 @@ def numpy_openblas() -> ctypes.CDLL | None:
 
 
 def _openblas_thread_controls() -> tuple | None:
-    """(get, set, shutdown) thread functions of numpy's bundled OpenBLAS
-    (`numpy_openblas`), which every BLAS and LAPACK call of the sweep
-    runs in; None for any other BLAS (system OpenBLAS, MKL), and shutdown
-    None for a build that does not export `blas_thread_shutdown_`.
+    """(get, set, shutdown, cpu_number) thread controls of numpy's bundled
+    OpenBLAS (`numpy_openblas`), which every BLAS and LAPACK call of the
+    sweep runs in; None for any other BLAS (system OpenBLAS, MKL).
+    shutdown is None for a build that does not export
+    `blas_thread_shutdown_`, and cpu_number (its `blas_cpu_number`, the
+    count `get` reads, as a ctypes int) None for one that does not export
+    that.
 
     Its helper threads slow down the sweep's small matrices (Gram
     matrices of at most tens of rows) and oversubscribe the pool's cores.
     Setting the count to 1 keeps them out of every call, but the helper
     started when numpy loads stays alive and busy-waits about 0.13 s of
-    CPU; shutdown stops it. OpenBLAS starts its helpers again when the
-    count is next set above 1.
+    CPU; shutdown stops it. Every `set` starts stopped helpers again, and
+    they then spin again; writing cpu_number does not, and OpenBLAS starts
+    them at its next threaded call.
     """
     lib = numpy_openblas()
     get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
@@ -384,7 +388,11 @@ def _openblas_thread_controls() -> tuple | None:
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
     if shutdown is not None:
         shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-    return get_threads, set_threads, shutdown
+    try:
+        cpu_number = ctypes.c_int.in_dll(lib, "blas_cpu_number")
+    except ValueError:
+        cpu_number = None
+    return get_threads, set_threads, shutdown, cpu_number
 
 
 # Size of the allocation that raises glibc's dynamic mmap threshold.
@@ -393,9 +401,12 @@ _ALLOCATOR_WARMUP_BYTES = 8 << 20
 
 def _pin_one_blas_thread() -> Callable[[], None]:
     """Set numpy's bundled OpenBLAS to one thread and stop its helper
-    threads; returns the call that restores the previous count, which
-    starts the helpers again. Also the pool's initializer, so each worker
-    runs on one OS thread.
+    threads; returns the call that restores the previous count. The
+    restore writes the count into `blas_cpu_number`, so the helpers stay
+    stopped until the next threaded BLAS call starts them; a build without
+    that symbol restores through `set_num_threads`, which starts them at
+    once. Also the pool's initializer, so each worker runs on one OS
+    thread.
 
     No other Python thread may be inside OpenBLAS until the count is
     restored: stopping the helpers under its threaded call is unsafe.
@@ -410,12 +421,14 @@ def _pin_one_blas_thread() -> Callable[[], None]:
     controls = _openblas_thread_controls()
     if controls is None:
         return lambda: None
-    get_threads, set_threads, shutdown = controls
-    restore = functools.partial(set_threads, get_threads())
+    get_threads, set_threads, shutdown, cpu_number = controls
+    saved = get_threads()
     set_threads(1)
     if shutdown is not None:
         shutdown()
-    return restore
+    if cpu_number is None:
+        return functools.partial(set_threads, saved)
+    return functools.partial(setattr, cpu_number, "value", saved)
 
 
 def run_sweep(

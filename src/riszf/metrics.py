@@ -4,6 +4,8 @@ diagnostics, and the closed-form multiplication counts of both schemes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from riszf.beamform import (
@@ -146,9 +148,12 @@ def _sv_ratio_bound(gram: GramFactor) -> float:
     the trusted range, so the SVD decides.
     """
     d = gram.norms
-    if not (d.size > 0 and d.min() > 0.0 and d.max() < np.inf):
-        return np.inf
-    return float(d.max() / d.min() * np.sqrt(gram.bound))
+    if d.size == 0:
+        return math.inf
+    lo, hi = float(d.min()), float(d.max())
+    if not (lo > 0.0 and hi < math.inf):
+        return math.inf
+    return hi / lo * math.sqrt(gram.bound)
 
 
 def rank_diagnostics(

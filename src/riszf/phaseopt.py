@@ -69,8 +69,13 @@ class OptimizeDiagnostics:
 
 
 def wrap_phase(phi: np.ndarray | float) -> np.ndarray | float:
-    """Wrap angles into [-pi, pi)."""
-    return (np.asarray(phi) + np.pi) % TWO_PI - np.pi
+    """Wrap angles into [-pi, pi): (phi + pi) % 2pi - pi, an array's in
+    place in the one new array of the sum."""
+    out = np.add(phi, np.pi)
+    if not isinstance(out, np.ndarray):
+        return out % TWO_PI - np.pi
+    np.remainder(out, TWO_PI, out=out)
+    return np.subtract(out, np.pi, out=out)
 
 
 def wrapped_angle(z: np.ndarray, sign: float = 1.0) -> np.ndarray:

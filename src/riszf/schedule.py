@@ -7,6 +7,7 @@ probe power clears ``p_min``.  Each scheduled UE is assigned to the state
 that maximizes its probe row.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,8 @@ class ProbeTable:
     def __post_init__(self):
         if self.powers.ndim != 2:
             raise ValueError(f"probe table must be 2-D, got {self.powers.ndim}-D")
+        if not np.isfinite(self.powers).all():
+            raise ValueError("probe powers must be finite")
         if np.any(self.powers < 0):
             raise ValueError("probe powers must be nonnegative")
 
@@ -77,8 +80,12 @@ class ScheduleParams:
     p_min: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.U_max, (int, np.integer)):
+            raise ValueError(f"U_max must be an integer, got {self.U_max!r}")
         if self.U_max < 1:
             raise ValueError(f"U_max must be at least 1, got {self.U_max}")
+        if not math.isfinite(self.p_min):
+            raise ValueError(f"p_min must be finite, got {self.p_min}")
         if self.p_min < 0:
             raise ValueError(f"p_min must be nonnegative, got {self.p_min}")
 

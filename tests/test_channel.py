@@ -19,6 +19,7 @@ from riszf.channel import (
     sample_channels,
     spawn_rng,
 )
+from riszf.harness import SpawnStream
 from riszf.sysconfig import build_configs, default_configs
 
 SINC_HALF = 2.0 / math.pi  # sin(pi/2) / (pi/2)
@@ -107,19 +108,47 @@ def test_spawn_rng_reproducible_and_streams_independent():
     assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
 
 
+def _philox_states_equal(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(
+        _philox_states_equal(a[k], b[k]) if isinstance(a[k], dict)
+        else np.array_equal(a[k], b[k]) for k in a
+    )
+
+
 def test_derive_seed_is_the_first_uint64_state_word_and_philox_key():
     # derive_seed joins generate_state(2)'s two uint32 words; that must be
     # generate_state(1, np.uint64)'s word, which is also the first key word
-    # of the Philox generator spawn_rng builds for the same key
+    # of the Philox generator spawn_rng builds for the same key. Both build
+    # the SeedSequence from one entropy array, which must be the one numpy
+    # assembles from (master, spawn_key): masters of one to seven uint32
+    # words (numpy pads fewer than four with zeros when a key follows, and
+    # five or more not at all), key elements of one to three words, and
+    # the harness's SpawnStream members as key elements
     draw = np.random.default_rng(2)
-    masters = (0, 1, 7, 2**32 - 1, 2**32, 2**32 + 5, 2**63 + 11, 2**70 + 3)
+    masters = (0, 1, 7, 2**32 - 1, 2**32, 2**32 + 5, 2**63 + 11, 2**70 + 3,
+               2**96 + 1, 2**128, 2**128 + 2**64 + 9, 2**200 + 17)
     keys = [()] + [tuple(draw.integers(0, 2**31, size=draw.integers(1, 5)).tolist())
                    for _ in range(299)]
+    keys += [(2**32,), (0, 2**32 - 1, 2**32 + 7), (2**64 + 5, 3), (2**95, 1, 2**33)]
+    keys += [(d, t, stream) for d, t in ((0, 0), (3, 9)) for stream in SpawnStream]
     for i, key in enumerate(keys):
         m = masters[i % len(masters)]
-        want = int(np.random.SeedSequence(m, spawn_key=key).generate_state(1, np.uint64)[0])
+        ss = np.random.SeedSequence(m, spawn_key=key)
+        want = int(ss.generate_state(1, np.uint64)[0])
         assert derive_seed(m, *key) == want, (m, key)
-        assert int(spawn_rng(m, *key).bit_generator.state["state"]["key"][0]) == want
+        state = spawn_rng(m, *key).bit_generator.state
+        assert int(state["state"]["key"][0]) == want
+        assert _philox_states_equal(state, np.random.Philox(ss).state), (m, key)
+
+
+@pytest.mark.parametrize("master, key", [(-1, ()), (-1, (0,)), (2**70, (-1,)), (0, (1, 2, -3))])
+def test_seeding_rejects_negative_integers_as_numpy_does(master, key):
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(master, spawn_key=key)
+    with pytest.raises(ValueError):
+        derive_seed(master, *key)
+    with pytest.raises(ValueError):
+        spawn_rng(master, *key)
 
 
 def _mean_gram(seed: int, trials: int, cfg, ch):

@@ -458,7 +458,7 @@ def openblas_at_two_threads():
     if controls is None:
         pytest.skip("numpy bundles no OpenBLAS here; run_sweep leaves "
                     "other BLAS builds alone")
-    get_threads, set_threads, _ = controls
+    get_threads, set_threads, *_ = controls
     saved = get_threads()
     set_threads(2)
     assert _blas_threads() == 2
@@ -512,10 +512,15 @@ def test_pool_workers_run_on_one_blas_thread(openblas_at_two_threads, monkeypatc
 
 
 _THREADS_AROUND_PIN = """
-import os, time
+import os, sys, time
 tasks = lambda: len(os.listdir("/proc/self/task"))
 before_numpy = tasks()
+import numpy as np
 import riszf.harness as harness
+if sys.argv[1] == "set_threads":
+    # a build that does not export blas_cpu_number
+    controls = harness._openblas_thread_controls()
+    harness._openblas_thread_controls = lambda: (*controls[:3], None)
 get_threads = harness._openblas_thread_controls()[0]
 loaded, saved = tasks(), get_threads()
 restore = harness._pin_one_blas_thread()
@@ -525,30 +530,49 @@ while tasks() != before_numpy and time.monotonic() < deadline:
     time.sleep(0.001)
 pinned, pinned_count = tasks(), get_threads()
 restore()
-print(before_numpy, loaded, saved, pinned, pinned_count, get_threads())
+restored, restored_count = tasks(), get_threads()
+a = np.linspace(-1.0, 1.0, 600 * 600).reshape(600, 600)
+product_holds = int(np.array_equal(a @ a, np.dot(a, a)))
+print(before_numpy, loaded, saved, pinned, pinned_count, restored, restored_count,
+      product_holds, tasks())
 """
 
 
-@pytest.mark.parametrize("env", [None, "1"], ids=["env_unset", "env_one_thread"])
-def test_pin_stops_the_helper_threads_numpy_started_and_restore_gives_the_count_back(env):
+@pytest.mark.parametrize(
+    "env, route",
+    [(None, "blas_cpu_number"), ("1", "blas_cpu_number"), (None, "set_threads"), ("1", "set_threads")],
+    ids=["env_unset", "env_one_thread", "env_unset-set_threads", "env_one_thread-set_threads"],
+)
+def test_pin_stops_the_helper_threads_numpy_started_and_restore_gives_the_count_back(
+    env, route
+):
     if reason := _no_helper_shutdown_check():
         pytest.skip(reason)
+    if route == "blas_cpu_number" and harness._openblas_thread_controls()[3] is None:
+        pytest.skip("numpy's BLAS exports no blas_cpu_number here")
     environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if env is not None:
         environ["OPENBLAS_NUM_THREADS"] = env
     src = os.path.dirname(os.path.dirname(harness.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", _THREADS_AROUND_PIN],
+        [sys.executable, "-c", _THREADS_AROUND_PIN, route],
         env={**environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
     )
-    before_numpy, loaded, saved, pinned, pinned_count, restored = map(int, proc.stdout.split())
+    (before_numpy, loaded, saved, pinned, pinned_count, restored, restored_count,
+     product_holds, after_product) = map(int, proc.stdout.split())
     # loading numpy at a count above 1 starts helpers the pin has to stop
     assert (loaded > before_numpy) == (saved > 1)
     assert (pinned, pinned_count) == (before_numpy, 1)
-    assert restored == saved
+    assert restored_count == saved
+    # writing blas_cpu_number leaves the helpers stopped; set_num_threads
+    # starts them at once
+    assert restored == (pinned if route == "blas_cpu_number" else loaded)
+    # the next threaded product runs, correct, and starts them again
+    assert product_holds == 1
+    assert after_product == loaded
 
 
 _FAULTS_AFTER_PIN = """

@@ -118,6 +118,33 @@ def test_param_and_table_validation():
         ProbeTable(powers=np.zeros(3))
 
 
+@pytest.mark.parametrize("powers", [[[np.nan, 1.0, 0.5], [0.2, np.nan, 0.7]],
+                                    [[0.1, np.inf], [0.2, 0.3]]])
+def test_probe_table_rejects_non_finite_powers(powers):
+    # a NaN best power fails every threshold, so its UE would be dropped silently
+    with pytest.raises(ValueError, match="finite"):
+        ProbeTable(powers=np.array(powers))
+
+
+@pytest.mark.parametrize("p_min", [np.nan, np.inf])
+def test_schedule_params_reject_a_non_finite_threshold(p_min):
+    # a NaN threshold schedules nobody
+    with pytest.raises(ValueError, match="finite"):
+        ScheduleParams(U_max=2, p_min=p_min)
+
+
+@pytest.mark.parametrize("U_max", [2.5, 2.0, "2"])
+def test_schedule_params_reject_a_non_integer_cap(U_max):
+    # the cap slices the ranking, which takes only an integer
+    with pytest.raises(ValueError, match="integer"):
+        ScheduleParams(U_max=U_max)
+
+
+def test_schedule_params_take_a_numpy_integer_cap():
+    t = _table([[0.1, 0.2], [0.3, 0.1], [0.05, 0.0]])
+    assert schedule(t, ScheduleParams(U_max=np.int64(2))).scheduled == (1, 0)
+
+
 def test_probe_rows_from_handmade_channels():
     M, N, K = 4, 2, 2
     H = np.zeros((K, M, N), dtype=complex)
