@@ -47,7 +47,8 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 
 # Field rules of the config types; each error names the field's config
-# key, which is the field name lower-cased.
+# key, which is the field name lower-cased, except that M and N name the
+# sweep keys every grid point takes them from.
 
 def _check_minimum(key: str, values: Iterable[int], minimum: int) -> None:
     for v in values:
@@ -123,7 +124,7 @@ class SystemConfig:
     power_mode: str
 
     def __post_init__(self) -> None:
-        for key, values, minimum in (("m", (self.M,), 1), ("n", (self.N,), 1),
+        for key, values, minimum in (("sweep_m", (self.M,), 1), ("sweep_n", (self.N,), 1),
                                      ("k", (self.K,), 1), ("l", self.L, 1), ("u_d", (self.U_d,), 0)):
             _check_minimum(key, values, minimum)
         _check_count("l", self.L, self.K)
@@ -261,9 +262,6 @@ class ValidationReport:
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
-    def __str__(self) -> str:
-        return "\n".join(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in self.checks)
-
 
 def validate_config(
     cfg: SystemConfig, ch: ChannelModelConfig, scheme: str
@@ -307,8 +305,6 @@ def validate_config(
 # Every legal key with its default raw value; None means "derived elsewhere".
 _KEY_DEFAULTS: dict[str, str | None] = {
     # system
-    "m": "64",
-    "n": "4",
     "k": "4",
     "l": None,  # defaults to one blocked UE per RIS
     "u_d": "2",
@@ -414,7 +410,7 @@ def _to_float_list(key: str, value: str) -> tuple[float, ...]:
     return tuple(_to_float(key, p) for p in _split_list(key, value))
 
 
-def _first_occurrences(values: Sequence) -> tuple:
+def _first_occurrences(values: Iterable) -> tuple:
     """`values` with every repeat after the first dropped, order kept."""
     return tuple(dict.fromkeys(values))
 
@@ -541,10 +537,13 @@ def build_configs(
     for key in {"noise_variance_blocked", "noise_variance_direct"} - kv.keys():
         derived[key] = ("noise variance", ("noise_psd_dbm_hz", "bandwidth"))
 
+    # a repeated sweep value would redraw the same grid points
+    sweep_M = _first_occurrences(_to_int_list("sweep_m", get("sweep_m")))
+    sweep_N = _first_occurrences(_to_int_list("sweep_n", get("sweep_n")))
     cfg = _built(
         SystemConfig, kv, derived,
-        M=_to_int("m", get("m")),
-        N=_to_int("n", get("n")),
+        M=sweep_M[0],  # the grid's first point; `with_dimensions` moves it
+        N=sweep_N[0],
         K=K,
         L=L,
         U_d=U_d,
@@ -555,14 +554,14 @@ def build_configs(
     )
 
     run = RunConfig(
-        # a repeated sweep value would redraw the same grid points
-        sweep_M=_first_occurrences(_to_int_list("sweep_m", get("sweep_m"))),
-        sweep_N=_first_occurrences(_to_int_list("sweep_n", get("sweep_n"))),
+        sweep_M=sweep_M,
+        sweep_N=sweep_N,
         schemes=_first_occurrences(_split_list("schemes", get("schemes"))),
         phase_rules=_first_occurrences(_split_list("phase_rules", get("phase_rules"))),
         trials=_to_int("trials", get("trials")),
         master_seed=_to_int("master_seed", get("master_seed")),
-        csi_tau=_first_occurrences(_to_float_list("csi_tau", get("csi_tau"))),
+        # + 0.0 reads -0 as 0.0, so its rows and curve label are tau 0's
+        csi_tau=_first_occurrences(t + 0.0 for t in _to_float_list("csi_tau", get("csi_tau"))),
         output_dir=str(get("output_dir")),
         threads=_to_int("threads", get("threads")),
     )
@@ -584,7 +583,8 @@ def read_config(path: str) -> dict[str, str]:
 
 
 def default_configs() -> tuple[SystemConfig, ChannelModelConfig, RunConfig]:
-    """The all-defaults scenario (K=4, U_d=2, one blocked UE per RIS)."""
+    """The all-defaults scenario (K=4, U_d=2, one blocked UE per RIS) at
+    the default grid's first point, M=8 and N=1."""
     return build_configs({})
 
 

@@ -55,7 +55,7 @@ def test_criterion_01_ue_side_nulling():
     t0 = time.time()
     worst = 0.0
     for i in range(100):
-        chs = draw({"m": "32"}, seed=100 + i)
+        chs = draw({"sweep_m": "32", "sweep_n": "4"}, seed=100 + i)
         phases = random_phases(chs.cfg, seed=1100 + i)
         W = bs_ue_zf_precoder(chs, phases)
         E = stack_bs_ue(chs, phases) @ W - np.eye(6)
@@ -70,7 +70,7 @@ def test_criterion_02_ris_side_constraints():
     t0 = time.time()
     worst = 0.0
     for i in range(100):
-        chs = draw({"m": "40"}, seed=200 + i)
+        chs = draw({"sweep_m": "40", "sweep_n": "4"}, seed=200 + i)
         W = bs_ris_zf_precoder(chs)
         cfg = chs.cfg
         target = gamma_matrix(cfg.N, cfg.K, cfg.U_d)
@@ -84,7 +84,7 @@ def test_criterion_02_ris_side_constraints():
 
 def test_criterion_03_phase_grid_oracle():
     t0 = time.time()
-    kv = {"m": "8", "n": "2", "k": "1", "u_d": "1"}
+    kv = {"sweep_m": "8", "sweep_n": "2", "k": "1", "u_d": "1"}
     deg = np.deg2rad(np.arange(360))
     worst_closed = 0.0
     worst_fixed = 0.0
@@ -224,7 +224,7 @@ def test_criterion_07_complexity_orders():
 
 def test_criterion_08_stack_rank_bound():
     t0 = time.time()
-    base = draw({"m": "32", "k": "3"}, seed=800, unit=False)
+    base = draw({"sweep_m": "32", "sweep_n": "4", "k": "3"}, seed=800, unit=False)
     N, K, M = base.cfg.N, base.cfg.K, base.cfg.M
     violations = 0
     slack = 0

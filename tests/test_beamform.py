@@ -26,7 +26,7 @@ from riszf.sysconfig import build_configs
 from support import count_calls, draw
 
 # the draw most tests here start from, at unit link scales unless unit=False
-SMALL = {"m": "32", "n": "4", "k": "3", "u_d": "2"}
+SMALL = {"sweep_m": "32", "sweep_n": "4", "k": "3", "u_d": "2"}
 
 
 def test_cascaded_rows_against_direct_formula():
@@ -57,7 +57,7 @@ def _reference_cascaded_rows(chs, phases):
 
 @pytest.mark.parametrize("m", ["8", "256"])
 def test_cascaded_rows_mixed_ues_per_ris(m):
-    chs = draw({**SMALL, "m": m, "k": "3", "l": "2,1,3"}, seed=5)
+    chs = draw({**SMALL, "sweep_m": m, "k": "3", "l": "2,1,3"}, seed=5)
     phases = spawn_rng(2).uniform(-np.pi, np.pi, size=(3, chs.cfg.N))
     rows = stack_bs_ue(chs, phases)[: chs.cfg.U_b]
     assert rows.shape == (6, int(m))
@@ -307,7 +307,7 @@ def test_ris_side_right_inverse_bound_decides_at_benchmark_shapes(
     # the stacks of the ris_side_csi workload: N=8, K=4, U_d=2 gives 34 rows
     for m in ("128", "256"):
         for seed in range(3):
-            chs = draw({"m": m, "n": "8", "k": "4", "u_d": "2"}, seed=seed, unit=False)
+            chs = draw({"sweep_m": m, "sweep_n": "8", "k": "4", "u_d": "2"}, seed=seed, unit=False)
             Q2 = stack_bs_ris(chs)
             assert Q2.shape == (34, int(m))
             G = gamma_matrix(8, 4, 2)
@@ -329,7 +329,7 @@ def test_cached_ris_side_factor_matches_a_fresh_one(lapack_route, eigvalsh_calls
     # rank_q2 and repeated precoder builds read the draw's one factor and
     # give the bits of a right inverse and a bound built from the raw stack
     for seed in range(3):
-        chs = draw({"m": m, "n": "8", "k": "4", "u_d": "2"}, seed=seed, unit=False)
+        chs = draw({"sweep_m": m, "sweep_n": "8", "k": "4", "u_d": "2"}, seed=seed, unit=False)
         fresh = replace(chs)  # the same draw, with no per-draw values yet
         Q2 = stack_bs_ris(fresh)
         G = gamma_matrix(8, 4, 2)
@@ -392,7 +392,7 @@ def test_ris_side_draw_makes_one_solve(linalg_calls, m, n):
     # bit for bit: the extra diag(inv) columns change no bit of it
     G = gamma_matrix(int(n), 4, 2)
     for seed in range(40):
-        chs = draw({"m": m, "n": n, "k": "4", "u_d": "2"}, seed=seed, unit=False)
+        chs = draw({"sweep_m": m, "sweep_n": n, "k": "4", "u_d": "2"}, seed=seed, unit=False)
         linalg_calls.clear()
         for _ in range(2):
             assert rank_q2(chs) == 4 * int(n) + 2
@@ -445,7 +445,7 @@ def test_factored_stack_raises_as_the_raw_stack(lapack_route, eigvalsh_calls, fa
     # a GramFactor handed in, the draw's factor and the raw stack toward
     # the identity give the same exception after the same eigvalsh checks
     m = "9" if fault == "not_positive_definite" else "64"  # 10 rows
-    chs = draw({**SMALL, "m": m, "n": "4", "k": "2", "l": "1,1"}, seed=3)
+    chs = draw({**SMALL, "sweep_m": m, "sweep_n": "4", "k": "2", "l": "1,1"}, seed=3)
     H, h_d = chs.H.copy(), chs.h_d.copy()
     G = np.array(gamma_matrix(4, 2, 2))
     if fault == "zero_row":
@@ -486,7 +486,7 @@ def test_failed_solve_raises_after_eigvalsh_accepts(eigvalsh_calls, with_targets
 @pytest.mark.parametrize("L", ["1,1,1,1", "2,1,3"])
 @pytest.mark.parametrize("m", ["8", "256"])
 def test_preallocated_stacks_bit_identical_to_vstack(m, L):
-    chs = draw({**SMALL, "m": m, "k": str(len(L.split(","))), "l": L}, seed=6)
+    chs = draw({**SMALL, "sweep_m": m, "k": str(len(L.split(","))), "l": L}, seed=6)
     phases = spawn_rng(3).uniform(-np.pi, np.pi, size=(chs.cfg.K, chs.cfg.N))
     want_ue = np.vstack([_reference_cascaded_rows(chs, phases), chs.h_d.conj()])
     want_ris = np.vstack([chs.H[k].conj().T for k in range(chs.cfg.K)] + [chs.h_d.conj()])
@@ -523,12 +523,12 @@ def test_bs_ue_zf_nulling_depth_at_physical_scales():
 
 def test_bs_ue_zf_feasibility_boundary():
     # M exactly U_b + U_d still inverts; fewer antennas must raise
-    chs = draw({**SMALL, "m": "5"})
+    chs = draw({**SMALL, "sweep_m": "5"})
     phases = np.zeros((chs.cfg.K, chs.cfg.N))
     W = bs_ue_zf_precoder(chs, phases)
     E = stack_bs_ue(chs, phases) @ W
     np.testing.assert_allclose(E, np.eye(5), atol=1e-8)
-    chs_bad = draw({**SMALL, "m": "4"})
+    chs_bad = draw({**SMALL, "sweep_m": "4"})
     with pytest.raises(RankDeficiencyError) as exc:
         bs_ue_zf_precoder(chs_bad, np.zeros((chs_bad.cfg.K, chs_bad.cfg.N)))
     assert exc.value.shape == (5, 4)
@@ -547,7 +547,7 @@ def test_gamma_matrix_layout():
 
 
 def test_bs_ris_zf_hits_gamma_exactly():
-    chs = draw({**SMALL, "m": "24", "k": "2", "l": "1,1"}, seed=9)
+    chs = draw({**SMALL, "sweep_m": "24", "k": "2", "l": "1,1"}, seed=9)
     W = bs_ris_zf_precoder(chs)
     cfg = chs.cfg
     assert W.shape == (cfg.M, cfg.K + cfg.U_d)
@@ -563,10 +563,10 @@ def test_bs_ris_zf_hits_gamma_exactly():
 
 def test_bs_ris_zf_antenna_shortfall_raises():
     # fewer antennas than stacked rows: 10 rows cannot be inverted in C^9
-    chs = draw({**SMALL, "m": "9", "n": "4", "k": "2", "l": "1,1"})
+    chs = draw({**SMALL, "sweep_m": "9", "sweep_n": "4", "k": "2", "l": "1,1"})
     with pytest.raises(RankDeficiencyError):
         bs_ris_zf_precoder(chs)
-    chs_ok = draw({**SMALL, "m": "11", "n": "4", "k": "2", "l": "1,1"})
+    chs_ok = draw({**SMALL, "sweep_m": "11", "sweep_n": "4", "k": "2", "l": "1,1"})
     W = bs_ris_zf_precoder(chs_ok)
     E = stack_bs_ris(chs_ok) @ W
     np.testing.assert_allclose(E, gamma_matrix(4, 2, 2), atol=1e-8)
@@ -586,7 +586,7 @@ def test_normalize_power_modes():
 
 @pytest.mark.parametrize("L", ["1,1,1,1", "2,1,3"])
 def test_in_place_edit_of_h_b_reaches_rows_and_phase_update(L):
-    chs = draw({**SMALL, "m": "16", "k": str(len(L.split(","))), "l": L}, seed=8)
+    chs = draw({**SMALL, "sweep_m": "16", "k": str(len(L.split(","))), "l": L}, seed=8)
     phases = spawn_rng(4).uniform(-np.pi, np.pi, size=(chs.cfg.K, chs.cfg.N))
     W = bs_ue_zf_precoder(chs, phases)
     rows = stack_bs_ue(chs, phases)[: chs.cfg.U_b]

@@ -20,7 +20,7 @@ from riszf.channel import (
     spawn_rng,
 )
 from riszf.harness import SpawnStream
-from riszf.sysconfig import build_configs, default_configs
+from riszf.sysconfig import build_configs
 
 SINC_HALF = 2.0 / math.pi  # sin(pi/2) / (pi/2)
 
@@ -169,7 +169,7 @@ def _mean_gram(seed: int, trials: int, cfg, ch):
 
 
 def test_sample_channels_second_order_statistics():
-    cfg, ch, _ = build_configs({"m": "32", "n": "4", "k": "2", "u_d": "2"})
+    cfg, ch, _ = build_configs({"sweep_m": "32", "sweep_n": "4", "k": "2", "u_d": "2"})
     gram, outer, d_power = _mean_gram(seed=11, trials=400, cfg=cfg, ch=ch)
     C = correlation_matrix(
         cfg.N, ch.element_spacing, ch.wavelength, ch.correlation_model, ch.grid_cols
@@ -187,7 +187,7 @@ def test_sample_channels_second_order_statistics():
 
 def test_sample_channels_iid_switch_gives_flat_variance():
     cfg, ch, _ = build_configs(
-        {"m": "16", "n": "4", "k": "1", "u_d": "1", "correlation_model": "iid"}
+        {"sweep_m": "16", "sweep_n": "4", "k": "1", "u_d": "1", "correlation_model": "iid"}
     )
     gram, _, _ = _mean_gram(seed=3, trials=400, cfg=cfg, ch=ch)
     target = cfg.M * ch.ris_element_scale * np.eye(cfg.N)
@@ -196,7 +196,7 @@ def test_sample_channels_iid_switch_gives_flat_variance():
 
 
 def test_sample_channels_shapes_and_determinism():
-    cfg, ch, _ = default_configs()
+    cfg, ch, _ = build_configs({"sweep_m": "64", "sweep_n": "4"})
     chs1 = sample_channels(cfg, ch, spawn_rng(42, 0))
     chs2 = sample_channels(cfg, ch, spawn_rng(42, 0))
     assert chs1.H.shape == (cfg.K, cfg.M, cfg.N)
@@ -210,7 +210,7 @@ def test_sample_channels_shapes_and_determinism():
 
 
 def test_estimation_error_zero_tau_is_identity():
-    cfg, ch, _ = default_configs()
+    cfg, ch, _ = build_configs({"sweep_m": "64", "sweep_n": "4"})
     chs = sample_channels(cfg, ch, spawn_rng(5, 0))
     assert apply_estimation_error(chs, 0.0, seed=99) is chs
 
@@ -218,14 +218,14 @@ def test_estimation_error_zero_tau_is_identity():
 @pytest.mark.parametrize("tau", [1.0, -0.1])
 def test_estimation_error_fraction_outside_unit_interval_raises(tau):
     # RunConfig rejects such a csi_tau first; the function checks its own argument
-    cfg, ch, _ = default_configs()
+    cfg, ch, _ = build_configs({"sweep_m": "64", "sweep_n": "4"})
     chs = sample_channels(cfg, ch, spawn_rng(5, 0))
     with pytest.raises(ValueError, match=rf"fraction {tau} outside \[0, 1\)"):
         apply_estimation_error(chs, tau, seed=99)
 
 
 def test_estimation_error_energy_and_statistics():
-    cfg, ch, _ = build_configs({"m": "24", "n": "4", "k": "2", "u_d": "2"})
+    cfg, ch, _ = build_configs({"sweep_m": "24", "sweep_n": "4", "k": "2", "u_d": "2"})
     tau = 0.36
     expected_ratio = 2.0 * (1.0 - math.sqrt(1.0 - tau))
     num = 0.0
@@ -255,7 +255,7 @@ def test_estimation_error_energy_and_statistics():
 
 
 def test_estimation_error_deterministic_in_seed():
-    cfg, ch, _ = default_configs()
+    cfg, ch, _ = build_configs({"sweep_m": "64", "sweep_n": "4"})
     chs = sample_channels(cfg, ch, spawn_rng(8, 0))
     a = apply_estimation_error(chs, 0.2, seed=1234)
     b = apply_estimation_error(chs, 0.2, seed=1234)
@@ -307,7 +307,7 @@ def _reference_apply_estimation_error(chs, tau, seed):
 @pytest.mark.parametrize("N", [1, 2, 4, 8, 9, 16])
 def test_stacked_draws_bit_identical_to_per_block_loops(N, L):
     for M in (8, 16, 32, 64, 128, 256):
-        kv = {"m": str(M), "n": str(N), "k": str(len(L.split(","))), "l": L, "u_d": "2"}
+        kv = {"sweep_m": str(M), "sweep_n": str(N), "k": str(len(L.split(","))), "l": L, "u_d": "2"}
         cfg, ch, _ = build_configs(kv)
         chs = sample_channels(cfg, ch, spawn_rng(3, M, N))
         ref = _reference_sample_channels(cfg, ch, spawn_rng(3, M, N))
@@ -329,7 +329,7 @@ def test_stacked_draws_bit_identical_to_per_block_loops(N, L):
 ])
 def test_estimation_error_is_a_second_draw_by_the_same_recipe(kv):
     # e is the draw sample_channels makes on the error seed's stream
-    cfg, ch, _ = build_configs({"m": "32", "n": "4", **kv})
+    cfg, ch, _ = build_configs({"sweep_m": "32", "sweep_n": "4", **kv})
     chs = sample_channels(cfg, ch, spawn_rng(9, 2, 5))
     errors = sample_channels(cfg, ch, spawn_rng(41))
     true_links = [a.copy() for a in (chs.H, chs.h_b, chs.h_d)]
@@ -373,7 +373,7 @@ def test_correlation_and_root_are_cached_read_only():
 
 
 def test_draws_share_the_cached_correlation():
-    cfg, ch, _ = build_configs({"m": "8", "n": "4"})
+    cfg, ch, _ = build_configs({"sweep_m": "8", "sweep_n": "4"})
     a = sample_channels(cfg, ch, spawn_rng(1, 0))
     b = sample_channels(cfg, ch, spawn_rng(1, 1))
     assert a.C is b.C and a.sqrt_C is b.sqrt_C
@@ -387,7 +387,7 @@ def test_per_draw_arrays_are_read_only_and_exact(L):
     # the RIS-side stack has 18 rows at L=1,1,1,1, more than M, so its
     # Gram matrix is singular and its bound inf; at L=2,1,3 it has 14 and
     # the bound is finite
-    cfg, ch, _ = build_configs({"m": "16", "n": "4", "k": str(len(L.split(","))), "l": L})
+    cfg, ch, _ = build_configs({"sweep_m": "16", "sweep_n": "4", "k": str(len(L.split(","))), "l": L})
     ris = np.repeat(np.arange(cfg.K), cfg.L)
     # many draws in a row: a freed draw's memory, and so its id, is reused,
     # and every draw must still see its own arrays
@@ -416,7 +416,7 @@ def test_per_draw_arrays_are_read_only_and_exact(L):
 
 
 def test_replaced_draw_gets_fresh_per_draw_arrays():
-    cfg, ch, _ = build_configs({"m": "16", "n": "4", "k": "3", "l": "2,1,3"})
+    cfg, ch, _ = build_configs({"sweep_m": "16", "sweep_n": "4", "k": "3", "l": "2,1,3"})
     chs = sample_channels(cfg, ch, spawn_rng(3, 0))
     before = chs.H_conj_blocked
     gram = chs.ris_gram
@@ -433,7 +433,7 @@ def test_replaced_draw_gets_fresh_per_draw_arrays():
 
 @pytest.mark.parametrize("L", ["1,1,1,1", "2,1,3"])
 def test_first_ue_operand_is_a_read_only_transpose_of_the_stack(L):
-    cfg, ch, _ = build_configs({"m": "16", "n": "4", "k": str(len(L.split(","))), "l": L})
+    cfg, ch, _ = build_configs({"sweep_m": "16", "sweep_n": "4", "k": str(len(L.split(","))), "l": L})
     for seed in range(6):
         chs = sample_channels(cfg, ch, spawn_rng(seed, 0))
         got = chs.HH_first
@@ -451,7 +451,7 @@ def test_first_ue_operand_is_a_read_only_transpose_of_the_stack(L):
 
 @pytest.mark.parametrize("L", ["1,1,1,1", "2,1,3"])
 def test_replaced_draw_builds_its_own_first_ue_operand(L):
-    cfg, ch, _ = build_configs({"m": "16", "n": "4", "k": str(len(L.split(","))), "l": L})
+    cfg, ch, _ = build_configs({"sweep_m": "16", "sweep_n": "4", "k": str(len(L.split(","))), "l": L})
     chs = sample_channels(cfg, ch, spawn_rng(3, 0))
     before = chs.HH_first
     for other in (replace(chs, H=2.0 * chs.H), apply_estimation_error(chs, 0.3, seed=11)):

@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, overrides, exit codes."""
 
+import math
 import os
 import re
 import subprocess
@@ -12,6 +13,7 @@ import riszf.harness as harness
 from riszf.beamform import RankDeficiencyError
 from riszf.cli import main
 from riszf.metrics import complexity_counts
+from support import GRIDS
 
 FAST = ["--set", "sweep_m=16", "--set", "sweep_n=1",
         "--set", "schemes=bs_ue_zf", "--set", "phase_rules=random"]
@@ -74,6 +76,22 @@ def test_run_reports_skipped_points(tmp_path, capsys):
     assert "skipped: bs_ris_zf/optimal M=16 N=4" in capsys.readouterr().out
 
 
+def test_run_reads_negative_zero_csi_tau_as_zero(tmp_path):
+    # -0 draws what tau 0 draws, so it writes tau 0's cells and curve label,
+    # and dedupes with 0 to one point whatever the order
+    for text in ("-0", "0,-0", "-0,0"):
+        out = tmp_path / text
+        assert main(["run", *FAST, "--trials", "1", "--set", f"csi_tau={text}",
+                     "--out", str(out)]) == 0
+        for name in ("summary.csv", "trials.csv"):
+            header, *rows = (out / name).read_text().splitlines()
+            column = header.split(",").index("csi_tau")
+            cells = [float(r.split(",")[column]) for r in rows]
+            assert [math.copysign(1.0, c) for c in cells] == [1.0], (text, name)
+        curves = [r.split(",")[0] for r in (out / "plotdata_bs_ue_zf.csv").read_text().splitlines()]
+        assert curves[1:] == ["random_N1_tau0.0"], text
+
+
 def test_run_flagged_failures_exit_three(tmp_path, monkeypatch):
     def always_raise(chs, phases):
         raise RankDeficiencyError("forced", cond=float("inf"), shape=(6, 16))
@@ -92,12 +110,13 @@ def _derived(key, what):
 
 
 # The CLI's exit-code contract: (argv, config-file bytes, exit code, the
-# config error that is the whole of stderr, none for exit 0). "{cfg}" is
+# config error that is the whole of stderr, none where stderr stays empty:
+# exit 0, or `validate`'s 2 for a scheme with no runnable point). "{cfg}" is
 # a file holding the bytes (no file when they are None) and "{out}" an
 # output directory no row may make.
 EXIT_CODES = [
     _row("unknown_key", ["run", "--set", "no_such_key=1"], 2, "--set:1: unknown key 'no_such_key'"),
-    _row("unknown_key_position", ["validate", "--set", "m=32", "--set", "bogus=1"], 2,
+    _row("unknown_key_position", ["validate", "--set", "sweep_m=32", "--set", "bogus=1"], 2,
          "--set:2: unknown key 'bogus'"),
     # csi_tau is the CSI-error knob; the old key is rejected, not ignored
     _row("removed_estimation_error_fraction",
@@ -134,20 +153,20 @@ EXIT_CODES = [
          cfg=b"trials = 2\nsweep_m = 16\n"),
     # keys are lower-cased before the check, so TRIALS repeats trials
     _row("repeated_set_key_run",
-         ["run", "--out", "{out}", "--set", "trials=2", "--set", "m=32", "--set", "TRIALS=3"], 2,
+         ["run", "--out", "{out}", "--set", "trials=2", "--set", "sweep_m=32", "--set", "TRIALS=3"], 2,
          "--set:3: key 'trials' repeated (first set by --set 1)"),
     _row("repeated_set_key_validate",
-         ["validate", "--set", "trials=2", "--set", "m=32", "--set", "TRIALS=3"], 2,
+         ["validate", "--set", "trials=2", "--set", "sweep_m=32", "--set", "TRIALS=3"], 2,
          "--set:3: key 'trials' repeated (first set by --set 1)"),
     _row("repeated_set_key_adjacent", ["validate", "--set", "trials=2", "--set", "trials=3"], 2,
          "--set:2: key 'trials' repeated (first set by --set 1)"),
-    _row("repeated_set_dimension", ["validate", "--set", "m=8", "--set", "m=64"], 2,
-         "--set:2: key 'm' repeated (first set by --set 1)"),
+    _row("repeated_set_dimension", ["validate", "--set", "sweep_m=8", "--set", "sweep_m=64"], 2,
+         "--set:2: key 'sweep_m' repeated (first set by --set 1)"),
     _row("trials_flag_clashes_with_set",
          ["run", "--set", "trials=2", "--trials", "3", "--out", "{out}"], 2,
          "--trials: key 'trials' repeated (first set by --set 1)"),
     _row("seed_flag_clashes_with_set",
-         ["run", "--set", "m=32", "--set", "master_seed=4", "--seed", "4", "--out", "{out}"], 2,
+         ["run", "--set", "sweep_m=32", "--set", "master_seed=4", "--seed", "4", "--out", "{out}"], 2,
          "--seed: key 'master_seed' repeated (first set by --set 2)"),
     _row("out_flag_clashes_with_set", ["run", "--set", "output_dir={out}", "--out", "{out}"], 2,
          "--out: key 'output_dir' repeated (first set by --set 1)"),
@@ -189,8 +208,15 @@ EXIT_CODES = [
          _derived("noise_psd_dbm_hz", "noise variance = inf")),
     _row("noise_psd_-4000", ["validate", "--set", "noise_psd_dbm_hz=-4000"], 2,
          _derived("noise_psd_dbm_hz", "noise variance = 0.0")),
-    _row("integer_key_not_an_integer", ["validate", "--set", "m=abc"], 2,
-         "key 'm': expected integer, got 'abc'"),
+    _row("integer_key_not_an_integer", ["validate", "--set", "k=abc"], 2,
+         "key 'k': expected integer, got 'abc'"),
+    # every M and N comes from the sweep grid, so the single-point keys are unknown
+    _row("single_point_m", ["run", "--set", "m=32", "--out", "{out}"], 2, "--set:1: unknown key 'm'"),
+    _row("single_point_n_in_config", ["validate", "--config", "{cfg}"], 2,
+         "{cfg}:1: unknown key 'n'", cfg=b"n = 4\n"),
+    # `validate` exits 2 when a configured scheme has no runnable grid point
+    _row("validate_scheme_without_runnable_point",
+         ["validate", "--set", "sweep_m=8", "--set", "sweep_n=4", "--set", "schemes=bs_ris_zf"], 2),
     # the complexity command's dimension lists and ranges
     _row("range_with_four_parts", ["complexity", "--M", "8..16..4..2", "--N", "4"], 2,
          "bad range '8..16..4..2'; expected a..b or a..b..step"),
@@ -267,34 +293,40 @@ def test_unwritable_output_dir_exits_two_before_the_sweep(tmp_path, capsys, monk
 
 def test_validate_good_and_bad_configs(tmp_path, capsys):
     good = tmp_path / "good.cfg"
-    good.write_text("m = 32\nn = 4\n")
+    good.write_text("sweep_m = 32\nsweep_n = 4\n")
     assert main(["validate", "--config", str(good)]) == 0
-    out = capsys.readouterr().out
-    assert "# scheme bs_ue_zf" in out
-    assert "# scheme bs_ris_zf" in out
-    assert "[FAIL]" not in out
+    assert capsys.readouterr().out.splitlines() == [
+        "scheme bs_ue_zf: 3 of 3 points run",
+        "scheme bs_ris_zf: 3 of 3 points run",
+    ]
 
     bad = tmp_path / "bad.cfg"
-    bad.write_text("m = 4\n")
+    bad.write_text("sweep_m = 4\nsweep_n = 4\n")
     assert main(["validate", "--config", str(bad)]) == 2
-    assert "[FAIL]" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "skip: bs_ue_zf/optimal M=4 N=4 (bs_ue_zf_feasible: " in out
+    assert "scheme bs_ue_zf: 0 of 3 points run" in out
+    assert "scheme bs_ris_zf: 0 of 3 points run" in out
 
 
 def test_validate_more_ues_than_elements_on_a_ris_exits_two(tmp_path, capsys):
     cfg = tmp_path / "multi.cfg"
-    cfg.write_text("k = 3\nl = 2,1,3\nn = 2\nschemes = bs_ue_zf\n")
+    cfg.write_text("k = 3\nl = 2,1,3\nsweep_m = 64\nsweep_n = 2\nschemes = bs_ue_zf\n")
     assert main(["validate", "--config", str(cfg)]) == 2
-    assert "[FAIL] ues_per_ris_within_n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "skip: bs_ue_zf/random M=64 N=2 (ues_per_ris_within_n: " in out
+    assert out.endswith("scheme bs_ue_zf: 0 of 3 points run\n")
 
 
 def test_validate_takes_set_without_config(capsys):
     # like `run`, every key has a default, so --set alone is a config
-    assert main(["validate", "--set", "n=4"]) == 0
+    assert main(["validate", "--set", "sweep_n=4"]) == 0
     out = capsys.readouterr().out
-    assert "# scheme bs_ue_zf" in out and "[FAIL]" not in out
-    assert main(["validate", "--set", "k=3", "--set", "l=2,1,3", "--set", "n=2",
-                 "--set", "schemes=bs_ue_zf"]) == 2
-    assert "[FAIL] ues_per_ris_within_n" in capsys.readouterr().out
+    assert "scheme bs_ue_zf: 18 of 18 points run" in out
+    assert "scheme bs_ris_zf: 12 of 18 points run" in out  # M > 18 at M >= 32
+    assert main(["validate", "--set", "k=3", "--set", "l=2,1,3", "--set", "sweep_m=64",
+                 "--set", "sweep_n=2", "--set", "schemes=bs_ue_zf"]) == 2
+    assert "(ues_per_ris_within_n: " in capsys.readouterr().out
     assert main(["validate"]) == 0  # the all-defaults scenario
 
 
@@ -302,7 +334,6 @@ def test_validate_lists_the_points_run_would_skip(tmp_path, capsys):
     sweep = ["--set", "sweep_m=8", "--set", "sweep_n=1,4", "--set", "csi_tau=0,0.1"]
     assert main(["validate", *sweep]) == 0  # skips are not failures
     out = capsys.readouterr().out
-    assert "[FAIL]" not in out
     skips = [line for line in out.splitlines() if line.startswith("skip: ")]
     # M=8 > N*K+U_d holds at N=1 only; one line per (scheme, rule, M, N)
     assert skips == [
@@ -310,16 +341,31 @@ def test_validate_lists_the_points_run_would_skip(tmp_path, capsys):
         "got M=8; blocks bs_ris_zf)"
         for rule in ("optimal", "asymptotic", "random")
     ]
-    # the points and notes `run` reports, once per tau
-    assert main(["run", *sweep, "--trials", "1", "--out", str(tmp_path / "o")]) == 0
-    skipped = [re.sub(r"^skipped: (.*) tau=\S+ ", r"skip: \1 ", line)
-               for line in capsys.readouterr().out.splitlines() if line.startswith("skipped: ")]
-    assert skipped == [line for line in skips for _ in range(2)]
-    # the default grid skips points too, and still fails no check
-    assert main(["validate"]) == 0
-    out = capsys.readouterr().out
-    assert "skip: bs_ue_zf/" in out or "skip: bs_ris_zf/" in out
-    assert "[FAIL]" not in out
+    assert out.splitlines()[len(skips):] == ["scheme bs_ue_zf: 6 of 6 points run",
+                                             "scheme bs_ris_zf: 3 of 6 points run"]
+    # on each grid, validate lists the points and notes `run` reports, once
+    # per tau, and exits 2 exactly when a scheme's every summary.csv row is
+    # skipped
+    grids = {"sweep": {"sweep_m": "8", "sweep_n": "1,4", "csi_tau": "0,0.1", "trials": "1"},
+             "default": GRIDS["default_sweep"], "multi_ue_csi": GRIDS["multi_ue_csi"],
+             "all_skipped": {"sweep_m": "8", "sweep_n": "4", "schemes": "bs_ris_zf",
+                             "trials": "1"}}
+    all_skipped = {}
+    for name, kv in grids.items():
+        args = [arg for key, value in kv.items() for arg in ("--set", f"{key}={value}")]
+        code = main(["validate", *args])
+        skips = [line for line in capsys.readouterr().out.splitlines() if line.startswith("skip: ")]
+        out = tmp_path / name
+        assert main(["run", *args, "--out", str(out)]) == 0
+        skipped = [re.sub(r"^skipped: (.*) tau=\S+ ", r"skip: \1 ", line)
+                   for line in capsys.readouterr().out.splitlines() if line.startswith("skipped: ")]
+        taus = len(kv.get("csi_tau", "0").split(","))
+        assert skipped == [line for line in skips for _ in range(taus)], name
+        rows = [r.split(",") for r in (out / "summary.csv").read_text().splitlines()[1:]]
+        all_skipped[name] = sorted({r[0] for r in rows} - {r[0] for r in rows if r[5] != "skipped"})
+        assert code == (2 if all_skipped[name] else 0), name
+    assert all_skipped == {"sweep": [], "default": [], "multi_ue_csi": [],
+                           "all_skipped": ["bs_ris_zf"]}
 
 
 def test_complexity_table_matches_library(capsys):

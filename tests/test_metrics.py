@@ -34,7 +34,7 @@ from support import count_calls, draw
 
 
 def test_bs_ue_zf_sinr_is_inverse_noise():
-    chs = draw({"m": "32", "n": "4", "k": "4", "u_d": "2", "noise_variance_blocked": "0.5", "noise_variance_direct": "0.25"})
+    chs = draw({"sweep_m": "32", "sweep_n": "4", "k": "4", "u_d": "2", "noise_variance_blocked": "0.5", "noise_variance_direct": "0.25"})
     phases = random_phases(chs.cfg, seed=3)
     W = bs_ue_zf_precoder(chs, phases)
     sb, sd = sinr_exact(chs, phases, W)
@@ -45,7 +45,7 @@ def test_bs_ue_zf_sinr_is_inverse_noise():
 def test_bs_ue_zf_sinr_at_physical_scales_near_inverse_noise():
     # the ~90 dB scale spread leaves float64 interference crumbs under the
     # direct UEs; they stay a small fraction of the noise floor
-    chs = draw({"m": "32"}, unit=False)
+    chs = draw({"sweep_m": "32", "sweep_n": "4"}, unit=False)
     phases = random_phases(chs.cfg, seed=3)
     W = bs_ue_zf_precoder(chs, phases)
     sb, sd = sinr_exact(chs, phases, W)
@@ -54,14 +54,14 @@ def test_bs_ue_zf_sinr_at_physical_scales_near_inverse_noise():
 
 
 def test_zero_precoder_gives_zero_sinr():
-    chs = draw({"m": "16", "n": "2", "k": "2", "u_d": "1"})
+    chs = draw({"sweep_m": "16", "sweep_n": "2", "k": "2", "u_d": "1"})
     W = np.zeros((16, 3), dtype=complex)
     sb, sd = sinr_exact(chs, np.zeros((2, 2)), W)
     assert np.all(sb == 0) and np.all(sd == 0)
 
 
 def test_single_ue_no_interference_matches_direct_formula():
-    chs = draw({"m": "8", "n": "2", "k": "1", "u_d": "0", "noise_variance_blocked": "2.0"})
+    chs = draw({"sweep_m": "8", "sweep_n": "2", "k": "1", "u_d": "0", "noise_variance_blocked": "2.0"})
     phases = np.zeros((1, 2))
     rng = spawn_rng(7)
     w = complex_normal(rng, (8, 1))
@@ -72,7 +72,7 @@ def test_single_ue_no_interference_matches_direct_formula():
 
 
 def test_sinr_scales_with_beta_under_normalization():
-    kv = {"m": "24", "n": "2", "k": "2", "u_d": "1", "power_mode": "sum_power_normalized", "noise_variance_blocked": "1e-3", "noise_variance_direct": "1e-3"}
+    kv = {"sweep_m": "24", "sweep_n": "2", "k": "2", "u_d": "1", "power_mode": "sum_power_normalized", "noise_variance_blocked": "1e-3", "noise_variance_direct": "1e-3"}
     chs = draw(kv)
     phases = random_phases(chs.cfg, seed=1)
     W = bs_ue_zf_precoder(chs, phases)
@@ -84,7 +84,7 @@ def test_sinr_scales_with_beta_under_normalization():
 
 
 def test_ris_zf_sinr_consistency_between_routes():
-    kv = {"m": "24", "n": "4", "k": "2", "u_d": "2", "noise_variance_blocked": "1.0", "noise_variance_direct": "1.0"}
+    kv = {"sweep_m": "24", "sweep_n": "4", "k": "2", "u_d": "2", "noise_variance_blocked": "1.0", "noise_variance_direct": "1.0"}
     chs = draw(kv, seed=5)
     phases = optimal_phases_bs_ris_zf(chs)
     W = bs_ris_zf_precoder(chs)
@@ -95,7 +95,7 @@ def test_ris_zf_sinr_consistency_between_routes():
 
 
 def test_ris_zf_sinr_consistency_at_physical_scales():
-    chs = draw({"m": "40"}, seed=6, unit=False)
+    chs = draw({"sweep_m": "40", "sweep_n": "4"}, seed=6, unit=False)
     phases = optimal_phases_bs_ris_zf(chs)
     W = bs_ris_zf_precoder(chs)
     sb, _ = sinr_exact(chs, phases, W)
@@ -105,7 +105,7 @@ def test_ris_zf_sinr_consistency_at_physical_scales():
 
 
 def test_ris_zf_sinr_invariant_to_global_phase_rotation():
-    chs = draw({"m": "24", "n": "4", "k": "2", "u_d": "1"}, seed=9)
+    chs = draw({"sweep_m": "24", "sweep_n": "4", "k": "2", "u_d": "1"}, seed=9)
     phases = optimal_phases_bs_ris_zf(chs)
     base = sinr_bs_ris_zf(chs, phases, 0)
     rotated = phases.copy()
@@ -124,7 +124,7 @@ def test_sum_rate_exact_values():
 
 
 def test_nulling_residual_perfect_vs_estimated_csi():
-    kv = {"m": "24", "n": "2", "k": "2", "u_d": "1"}
+    kv = {"sweep_m": "24", "sweep_n": "2", "k": "2", "u_d": "1"}
     chs = draw(kv, seed=12)
     phases = random_phases(chs.cfg, seed=2)
     W = bs_ue_zf_precoder(chs, phases)
@@ -138,7 +138,7 @@ def test_nulling_residual_perfect_vs_estimated_csi():
 @pytest.mark.parametrize("L", ["1,1", "2,1"])
 def test_precoder_without_one_column_per_ue_is_rejected(L):
     # with L = 2,1 a RIS-side layout of K + U_d = 3 columns serves 4 UEs
-    chs = draw({"m": "24", "n": "2", "k": "2", "l": L, "u_d": "1"}, seed=4)
+    chs = draw({"sweep_m": "24", "sweep_n": "2", "k": "2", "l": L, "u_d": "1"}, seed=4)
     cfg = chs.cfg
     phases = random_phases(cfg, seed=1)
     ues = cfg.U_b + cfg.U_d
@@ -190,7 +190,7 @@ def test_complexity_monotone_and_d_read_as_u_d():
 
 
 def test_rank_diagnostics_full_and_deficient(svd_calls):
-    chs = draw({"m": "32", "n": "4", "k": "2", "u_d": "2"}, seed=2)
+    chs = draw({"sweep_m": "32", "sweep_n": "4", "k": "2", "u_d": "2"}, seed=2)
     rank, bound, holds = rank_diagnostics(chs, corr_ranks=[4, 4])
     assert (rank, bound, holds) == (10, 10, True)
 
@@ -235,7 +235,7 @@ def test_rank_q2_bound_matches_svd_count(m, n, lapack_route, svd_calls):
     # K=4, U_d=2 stacks 4n+2 rows: fewer than, as many as (6, 18, 34) and
     # more than the m columns; physical link scales spread the row norms
     for seed in (0, 1):
-        chs = draw({"m": str(m), "n": str(n)}, seed=seed, unit=False)
+        chs = draw({"sweep_m": str(m), "sweep_n": str(n)}, seed=seed, unit=False)
         rank = rank_q2(chs)
         assert svd_calls == []  # the bound decided
         assert rank == _svd_rank(chs) == min(stack_bs_ris(chs).shape)
@@ -248,7 +248,7 @@ def test_rank_q2_near_rank_deficient_correlation_falls_back_to_svd(m, n, svd_cal
     # spread by about 1e9, so the bound exceeds RANK_BOUND_LIMIT (by less
     # than 10x); at n=2 and n=8 the Gram bound exceeds COND_BOUND_LIMIT.
     # Each time the SVD counts
-    chs = draw({"m": str(m), "n": str(n), "element_spacing": "1e-6"}, unit=False)
+    chs = draw({"sweep_m": str(m), "sweep_n": str(n), "element_spacing": "1e-6"}, unit=False)
     rank = rank_q2(chs)
     assert svd_calls == [stack_bs_ris(chs).shape]
     assert rank == _svd_rank(chs)
@@ -277,7 +277,7 @@ def test_rank_q2_nearly_dependent_stack_falls_back_to_svd(rows, m, lapack_route,
         assert svd_calls == [Q.shape]
 
 def test_rank_diagnostics_single_identity_block():
-    chs = draw({"m": "16", "n": "4", "k": "1", "u_d": "0", "correlation_model": "iid"}, seed=4)
+    chs = draw({"sweep_m": "16", "sweep_n": "4", "k": "1", "u_d": "0", "correlation_model": "iid"}, seed=4)
     rank, bound, holds = rank_diagnostics(chs, corr_ranks=[4])
     assert (rank, bound, holds) == (4, 4, True)
 

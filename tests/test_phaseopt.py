@@ -38,7 +38,7 @@ def test_wrap_phase_range_and_values():
 
 
 def test_random_phases_deterministic_uniform():
-    cfg, _, _ = build_configs({"k": "100", "n": "100", "m": "256", "l": ",".join(["1"] * 100)})
+    cfg, _, _ = build_configs({"k": "100", "sweep_n": "100", "sweep_m": "256", "l": ",".join(["1"] * 100)})
     a = random_phases(cfg, seed=5)
     b = random_phases(cfg, seed=5)
     np.testing.assert_array_equal(a, b)
@@ -50,7 +50,7 @@ def test_random_phases_deterministic_uniform():
 
 
 def test_single_ue_update_matches_closed_form_angle():
-    chs = draw({"m": "16", "n": "4", "k": "2", "u_d": "1"}, seed=3)
+    chs = draw({"sweep_m": "16", "sweep_n": "4", "k": "2", "u_d": "1"}, seed=3)
     init = random_phases(chs.cfg, seed=8)
     # one sweep against the frozen precoder built from the init phases
     phases, _ = optimal_phases_bs_ue_zf(chs, init=init, tol=0.0, max_iter=1)
@@ -73,7 +73,7 @@ def test_multi_ue_eigenvector_matches_dense_decomposition():
     # with two UEs on one RIS the update takes the dominant eigenvector of
     # sum qq^H; check it against the top eigenpair, up to the common
     # rotation, and check the rotation: the first entry's phase is zero
-    chs = draw({"m": "16", "n": "4", "k": "1", "l": "2", "u_d": "1"}, seed=6)
+    chs = draw({"sweep_m": "16", "sweep_n": "4", "k": "1", "l": "2", "u_d": "1"}, seed=6)
     init = np.zeros((1, 4))
     phases, _ = optimal_phases_bs_ue_zf(chs, init=init, tol=0.0, max_iter=1)
     W = bs_ue_zf_precoder(chs, init)
@@ -115,7 +115,7 @@ def _reference_phase_update(chs, W):
 @pytest.mark.parametrize("k,l", [("4", "1,1,1,1"), ("3", "2,1,3")])
 def test_one_update_step_matches_ris_by_ris_reference(k, l):
     for seed in range(3):
-        chs = draw({"m": "32", "n": "4", "k": k, "l": l, "u_d": "2"}, seed=seed)
+        chs = draw({"sweep_m": "32", "sweep_n": "4", "k": k, "l": l, "u_d": "2"}, seed=seed)
         init = random_phases(chs.cfg, seed=seed + 10)
         phases, diag = optimal_phases_bs_ue_zf(chs, init=init, tol=0.0, max_iter=1)
         assert diag.iterations == 1
@@ -124,7 +124,7 @@ def test_one_update_step_matches_ris_by_ris_reference(k, l):
 
 
 def test_single_element_ris_degenerate():
-    chs = draw({"m": "8", "n": "1", "k": "2", "u_d": "0"}, seed=2)
+    chs = draw({"sweep_m": "8", "sweep_n": "1", "k": "2", "u_d": "0"}, seed=2)
     phases, diag = optimal_phases_bs_ue_zf(chs, random_phases(chs.cfg, 0), max_iter=5)
     assert np.all(np.isfinite(phases))
     assert np.all(phases >= -np.pi) and np.all(phases < np.pi)
@@ -147,7 +147,7 @@ def _grid_gain(chs, step_deg=1.0):
 
 def test_alternating_optimizer_reaches_grid_optimum():
     for seed in (0, 1, 2):
-        chs = draw({"m": "8", "n": "2", "k": "1", "u_d": "0"}, seed=seed)
+        chs = draw({"sweep_m": "8", "sweep_n": "2", "k": "1", "u_d": "0"}, seed=seed)
         _, diag = optimal_phases_bs_ue_zf(chs, random_phases(chs.cfg, seed), max_iter=30)
         best = _grid_gain(chs)
         assert diag.objective_trace[-1] >= best * (1.0 - 1e-3), (
@@ -160,7 +160,7 @@ def test_alternating_optimizer_reaches_grid_optimum():
 def test_objective_trace_monotone_for_single_ue():
     # with one UE the sweep is an exact majorize-maximize step, so the
     # monitored gain must never decrease
-    chs = draw({"m": "8", "n": "4", "k": "1", "u_d": "0"}, seed=11)
+    chs = draw({"sweep_m": "8", "sweep_n": "4", "k": "1", "u_d": "0"}, seed=11)
     _, diag = optimal_phases_bs_ue_zf(chs, random_phases(chs.cfg, 1), max_iter=25)
     t = np.array(diag.objective_trace)
     assert np.all(np.diff(t) >= -1e-12 * t[0])
@@ -234,7 +234,7 @@ def _reference_fixed_point(h, R, tol=1e-8, max_iter=500, damping=0.5):
 def test_asymptotic_config_matches_per_ris_reference(N):
     ref_capped = 0
     for seed in range(6):
-        chs = draw({"m": "8", "n": str(N), "k": "4", "u_d": "1"}, seed=seed)
+        chs = draw({"sweep_m": "8", "sweep_n": str(N), "k": "4", "u_d": "1"}, seed=seed)
         phases, art = asymptotic_phase_config_bs_ue_zf(chs)
         worst, most = 0.0, 0
         for k in range(4):
@@ -257,7 +257,7 @@ def test_asymptotic_config_matches_per_ris_reference(N):
 
 @pytest.mark.parametrize("N", [4, 8])
 def test_gradient_and_hessian_match_finite_differences(N):
-    _, ch, _ = build_configs({**UNIT_SCALE, "n": str(N)})
+    _, ch, _ = build_configs({**UNIT_SCALE, "sweep_n": str(N)})
     R = correlation_matrix(N, ch.element_spacing, ch.wavelength)
     rng = spawn_rng(7, N)
     h = complex_normal(rng, (N,))
@@ -286,7 +286,7 @@ def test_gradient_and_hessian_match_finite_differences(N):
 
 
 def test_newton_finish_converges_where_damped_iteration_caps():
-    chs = draw({"m": "8", "n": "8", "k": "4", "u_d": "1"}, seed=2)
+    chs = draw({"sweep_m": "8", "sweep_n": "8", "k": "4", "u_d": "1"}, seed=2)
     h = chs.h_block(0)
     ref, ref_res, ref_iters = _reference_fixed_point(h, chs.R)
     assert ref_iters == 500 and ref_res > 1e-8
@@ -296,7 +296,7 @@ def test_newton_finish_converges_where_damped_iteration_caps():
 
 
 def test_asymptotic_config_zero_channel_entry_names_ris_and_element():
-    chs = draw({"m": "8", "n": "4", "k": "4", "u_d": "1"}, seed=4)
+    chs = draw({"sweep_m": "8", "sweep_n": "4", "k": "4", "u_d": "1"}, seed=4)
     chs.h_b[2][3] = 0.0
     with pytest.raises(UndefinedPhaseError) as exc:
         asymptotic_phase_config_bs_ue_zf(chs)
@@ -329,7 +329,7 @@ def test_fixed_point_scale_and_rotation_invariance():
 def test_closed_form_rotation_covariance():
     # in the closed forms the alignment partner is fixed data, so rotating
     # the UE channel by e^{j theta} shifts every phase by theta
-    chs = draw({"m": "24", "n": "4", "k": "2", "u_d": "1"}, seed=33)
+    chs = draw({"sweep_m": "24", "sweep_n": "4", "k": "2", "u_d": "1"}, seed=33)
     base = optimal_phases_bs_ris_zf(chs)[0]
     theta = 0.8
     chs.h_b[0] *= np.exp(1j * theta)
@@ -344,7 +344,7 @@ def test_closed_form_rotation_covariance():
 
 
 def test_bs_ris_zf_closed_form_alignment_property():
-    chs = draw({"m": "24", "n": "4", "k": "2", "u_d": "2"}, seed=17)
+    chs = draw({"sweep_m": "24", "sweep_n": "4", "k": "2", "u_d": "2"}, seed=17)
     phases = optimal_phases_bs_ris_zf(chs)
     W = bs_ris_zf_precoder(chs)
     for k in range(chs.cfg.K):
@@ -391,7 +391,7 @@ def test_bs_ris_zf_asymptotic_singular_correlation_names_matrix():
 def test_bs_ris_zf_asymptotic_matches_literal_gain_vector(N):
     # reference: the literal gain vector f = R (R^{-1} 1) on the sinc
     # correlation the sweep uses, aligned and summed element by element
-    _, ch, _ = build_configs({**UNIT_SCALE, "n": str(N)})
+    _, ch, _ = build_configs({**UNIT_SCALE, "sweep_n": str(N)})
     R = correlation_matrix(N, ch.element_spacing, ch.wavelength)
     rng = spawn_rng(61, N)
     for _ in range(5):
@@ -429,7 +429,7 @@ def _reference_closed_form_bs_ris_zf(chs):
 @pytest.mark.parametrize("m, n", [("8", "1"), ("64", "4"), ("256", "8")])
 def test_stacked_closed_form_matches_ris_by_ris_reference(m, n):
     for seed in range(4):
-        chs = draw({"m": m, "n": n, "k": "4", "u_d": "2"}, seed=seed)
+        chs = draw({"sweep_m": m, "sweep_n": n, "k": "4", "u_d": "2"}, seed=seed)
         assert np.array_equal(optimal_phases_bs_ris_zf(chs), _reference_closed_form_bs_ris_zf(chs))
     # zeroed entries on two RISs: both routes name the lower RIS, then
     # its lower element, with the same message
@@ -454,7 +454,7 @@ def test_bs_ris_zf_closed_form_is_the_asymptotic_rule(power_mode):
         for n in (1, 4, 8):
             if 4 * n + 2 > m:
                 continue  # infeasible: more stacked rows than antennas
-            cfg, ch, _ = build_configs({"m": str(m), "n": str(n), "power_mode": power_mode})
+            cfg, ch, _ = build_configs({"sweep_m": str(m), "sweep_n": str(n), "power_mode": power_mode})
             for seed in range(5):
                 chs = sample_channels(cfg, ch, spawn_rng(seed, m, n))
                 phases = optimal_phases_bs_ris_zf(chs)
@@ -464,7 +464,7 @@ def test_bs_ris_zf_closed_form_is_the_asymptotic_rule(power_mode):
 
 
 def test_zero_channel_entry_is_an_error_not_a_phase():
-    chs = draw({"m": "24", "n": "4", "k": "2", "u_d": "1"}, seed=19)
+    chs = draw({"sweep_m": "24", "sweep_n": "4", "k": "2", "u_d": "1"}, seed=19)
     chs.h_b[1][2] = 0.0
     with pytest.raises(UndefinedPhaseError) as exc:
         optimal_phases_bs_ris_zf(chs)
@@ -473,13 +473,13 @@ def test_zero_channel_entry_is_an_error_not_a_phase():
 
 
 def test_asymptotic_config_requires_single_ue_per_ris():
-    chs = draw({"m": "24", "n": "2", "k": "2", "l": "2,1", "u_d": "0"}, seed=1)
+    chs = draw({"sweep_m": "24", "sweep_n": "2", "k": "2", "l": "2,1", "u_d": "0"}, seed=1)
     with pytest.raises(ValueError, match="one UE per RIS"):
         asymptotic_phase_config_bs_ue_zf(chs)
 
 
 def test_asymptotic_config_reports_residual_and_iterations():
-    chs = draw({"m": "32", "n": "4", "k": "3", "u_d": "1"}, seed=29)
+    chs = draw({"sweep_m": "32", "sweep_n": "4", "k": "3", "u_d": "1"}, seed=29)
     phases, art = asymptotic_phase_config_bs_ue_zf(chs)
     assert art.fixed_point_residual <= 1e-8
     assert art.iterations >= 1  # sinc correlation is not a no-op
@@ -497,7 +497,7 @@ def test_fixed_point_stopped_at_its_cap_reports_not_converged(monkeypatch):
     # default draw: the residual is that of one more update, not the
     # last one taken, and the sweep writes the trial as not converged
     monkeypatch.setattr(phaseopt, "FIXED_POINT_MAX_ITER", 2)
-    chs = draw({"m": "64", "n": "8"}, unit=False)
+    chs = draw({"sweep_m": "64", "sweep_n": "8"}, unit=False)
     phases, art = asymptotic_phase_config_bs_ue_zf(chs)
     assert (art.iterations, art.converged) == (2, False)
     c = chs.h_b.conj() * (chs.R @ (np.exp(-1j * phases) * chs.h_b).T).T
@@ -515,7 +515,7 @@ def test_fixed_point_stopped_at_its_cap_reports_not_converged(monkeypatch):
 
 
 def test_alternating_update_zero_alignment_names_ris_and_element():
-    chs = draw({"m": "64", "n": "8"}, unit=False)
+    chs = draw({"sweep_m": "64", "sweep_n": "8"}, unit=False)
     chs.h_b[2, 5] = 0.0
     with pytest.raises(UndefinedPhaseError) as exc:
         optimal_phases_bs_ue_zf(chs, random_phases(chs.cfg, 1))

@@ -171,7 +171,7 @@ def test_probe_rows_from_handmade_channels():
 
 
 def test_candidate_pool_from_sampled_set():
-    cfg, ch, _ = build_configs({"m": "8", "n": "4", "k": "2", "u_d": "2"})
+    cfg, ch, _ = build_configs({"sweep_m": "8", "sweep_n": "4", "k": "2", "u_d": "2"})
     chs = sample_channels(cfg, ch, spawn_rng(0, 0))
     cand = candidate_channels_from_set(chs)
     assert cand.h_ris.shape == (2, 4, 4)
